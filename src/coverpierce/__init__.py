@@ -11,7 +11,6 @@ from .core import (
     Permutation,
     PiercingInstance,
     QueryCounter,
-    counted_compare,
     dump_instance,
     dumps_instance,
     instance_from_dict,
@@ -35,14 +34,12 @@ from .coverage import (
     solve_coverage,
 )
 from .piercing import (
-    CornerBox,
     Envelopes,
     MinimalityReport,
     PiercingVerdict,
     StepFunction,
     build_envelopes,
     check_minimality,
-    corner_boxes,
     gen_random_piercing,
     gen_staircase_literal,
     gen_staircase_minimal,
@@ -54,7 +51,6 @@ from .bounds import (
     BenchRecord,
     BoundReport,
     bound_report,
-    lb_equality,
     lb_piercing,
     lb_union,
     lb_union_ceil,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coverage, piercing
-from .core import Permutation, QueryCounter
+from .core import CoverageInstance, Permutation, QueryCounter
 
 _LN6 = math.log(6)
 
@@ -39,11 +39,6 @@ def lb_union_ceil(n: int) -> int:
         power *= 6
         m += 1
     return m
-
-
-def lb_equality(n: int) -> float:
-    """Alias of :func:`lb_union`; the distinctness bound is the same quantity."""
-    return lb_union(n)
 
 
 def lb_piercing(n: int) -> float:
@@ -79,44 +74,6 @@ class BenchRecord:
     wall_time_ns: int
 
 
-FAMILIES = ("chain", "staircase", "staircase-literal", "disjoint",
-            "random", "random-coverage", "random-piercing")
-
-
-def _trial_rng(seed: int, family: str, n: int, trial: int):
-    fidx = FAMILIES.index(family)
-    return np.random.RandomState([seed & 0xFFFFFFFF, fidx, n, trial])
-
-
-def _run_one(family: str, n: int, rng):
-    """Generate one instance and solve it; returns (comparisons, verdict, lb)."""
-    counter = QueryCounter()
-    if family == "chain":
-        perm = Permutation(tuple(int(v) for v in rng.permutation(n) + 1))
-        inst = coverage.gen_chain(perm)
-        verdict = coverage.solve_coverage(inst, counter)
-        word = "covered" if verdict.covered else "uncovered"
-        return counter.comparisons, word, lb_union(n)
-    if family in ("disjoint", "random-coverage"):
-        inst = (coverage.gen_disjoint(n) if family == "disjoint"
-                else coverage.gen_random_coverage(n, rng))
-        verdict = coverage.solve_coverage(inst, counter)
-        word = "covered" if verdict.covered else "uncovered"
-        return counter.comparisons, word, lb_union(n)
-    if family == "staircase":
-        inst = piercing.gen_staircase_minimal(n)
-    elif family == "staircase-literal":
-        perm = _random_parity_perm(n, rng)
-        inst = piercing.gen_staircase_literal(n, perm)
-    elif family in ("random", "random-piercing"):
-        inst = piercing.gen_random_piercing(n, rng)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    verdict = piercing.solve_piercing(inst, counter)
-    word = "pierceable" if verdict.pierceable else "not-pierceable"
-    return counter.comparisons, word, lb_piercing(n)
-
-
 def _random_parity_perm(n: int, rng) -> Permutation:
     odds = list(range(1, n + 1, 2))
     evens = list(range(2, n + 1, 2))
@@ -126,6 +83,40 @@ def _random_parity_perm(n: int, rng) -> Permutation:
     for k in range(1, n + 1):
         order.append(odds.pop(0) if k % 2 else evens.pop(0))
     return Permutation(tuple(order))
+
+
+# Family name -> generator (n, rng) -> instance, shared by ``run_bench`` and
+# ``coverpierce generate``.  The generators look the library functions up at
+# call time, so rebinding a module attribute reaches them.  A name's position
+# seeds ``_trial_rng``: append new names, never reorder.  "random" is an alias
+# of "random-piercing" with its own seeds.
+FAMILIES = {
+    "chain": lambda n, rng: coverage.gen_chain(rng.permutation(n) + 1),
+    "staircase": lambda n, rng: piercing.gen_staircase_minimal(n),
+    "staircase-literal": lambda n, rng: piercing.gen_staircase_literal(
+        n, _random_parity_perm(n, rng)),
+    "disjoint": lambda n, rng: coverage.gen_disjoint(n),
+    "random": lambda n, rng: piercing.gen_random_piercing(n, rng),
+    "random-coverage": lambda n, rng: coverage.gen_random_coverage(n, rng),
+    "random-piercing": lambda n, rng: piercing.gen_random_piercing(n, rng),
+}
+
+
+def _trial_rng(seed: int, family: str, n: int, trial: int):
+    fidx = list(FAMILIES).index(family)
+    return np.random.RandomState([seed & 0xFFFFFFFF, fidx, n, trial])
+
+
+def _run_one(family: str, n: int, rng):
+    """Generate one instance and solve it; returns (comparisons, verdict, lb)."""
+    instance = FAMILIES[family](n, rng)
+    counter = QueryCounter()
+    if isinstance(instance, CoverageInstance):
+        covered = coverage.solve_coverage(instance, counter).covered
+        return counter.comparisons, "covered" if covered else "uncovered", lb_union(n)
+    pierceable = piercing.solve_piercing(instance, counter).pierceable
+    word = "pierceable" if pierceable else "not-pierceable"
+    return counter.comparisons, word, lb_piercing(n)
 
 
 def run_bench(families, n_values, trials: int, seed: int = 0,

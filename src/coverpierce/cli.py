@@ -16,8 +16,6 @@ from . import bounds, coverage, piercing
 from .core import (
     CoverageInstance,
     InstanceError,
-    Permutation,
-    PiercingInstance,
     QueryCounter,
     dumps_instance,
     loads_instance,
@@ -30,31 +28,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DISAGREE = 4
 
-GENERATE_FAMILIES = ("chain", "staircase", "staircase-literal", "disjoint",
-                     "random-coverage", "random-piercing")
-
-
-def _generate_instance(family: str, n: int, seed: int):
-    rng = np.random.RandomState(seed & 0xFFFFFFFF)
-    if family == "chain":
-        perm = Permutation(tuple(int(v) for v in rng.permutation(n) + 1))
-        return coverage.gen_chain(perm)
-    if family == "staircase":
-        return piercing.gen_staircase_minimal(n)
-    if family == "staircase-literal":
-        return piercing.gen_staircase_literal(n, bounds._random_parity_perm(n, rng))
-    if family == "disjoint":
-        return coverage.gen_disjoint(n)
-    if family == "random-coverage":
-        return coverage.gen_random_coverage(n, rng)
-    if family == "random-piercing":
-        return piercing.gen_random_piercing(n, rng)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def cmd_generate(args) -> int:
+    rng = np.random.RandomState(args.seed & 0xFFFFFFFF)
     try:
-        instance = _generate_instance(args.family, args.n, args.seed)
+        instance = bounds.FAMILIES[args.family](args.n, rng)
     except ValueError as exc:
         print(f"generate: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -102,24 +79,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK if positive else EXIT_NEGATIVE
 
 
-def _witness_sound(instance, verdict) -> bool:
-    if isinstance(instance, CoverageInstance):
-        if verdict.covered:
-            return verdict.gap_witness is None
-        if verdict.gap_witness is None:
-            return instance.domain.lo == instance.domain.hi
-        g_lo, g_hi = verdict.gap_witness
-        if not (instance.domain.lo <= g_lo < g_hi <= instance.domain.hi):
-            return False
-        return all(iv.hi <= g_lo or iv.lo >= g_hi for iv in instance.intervals)
-    if not verdict.pierceable:
-        return verdict.witness is None
-    x, y = verdict.witness
-    if not (instance.xdomain.contains(x) and instance.ydomain.contains(y)):
-        return False
-    return all(cr.contains(x, y) for cr in instance.crosses)
-
-
 def cmd_verify(args) -> int:
     instance = _load(getattr(args, "in"), args.strict)
     solver_verdict, solver_pos = _solve(instance)
@@ -133,8 +92,8 @@ def cmd_verify(args) -> int:
         # test hook: corrupt the solver verdict to exercise the failure path
         solver_pos = not solver_pos
     agree = solver_pos == oracle_pos
-    sound = (not args.inject_fault) and _witness_sound(instance, solver_verdict) \
-        and _witness_sound(instance, oracle_verdict)
+    sound = (not args.inject_fault) and solver_verdict.witness_sound(instance) \
+        and oracle_verdict.witness_sound(instance)
     report = {
         "solver": solver_verdict.to_dict(),
         "oracle": oracle_verdict.to_dict(),
@@ -180,12 +139,14 @@ def cmd_bench(args) -> int:
 
 def cmd_bound(args) -> int:
     n = args.n
-    out = {
-        "n": n,
-        "lb_union": bounds.lb_union(n),
-        "lb_union_ceil": bounds.lb_union_ceil(n),
-        "lb_equality": bounds.lb_equality(n),
-    }
+    try:
+        lb = bounds.lb_union(n)
+    except ValueError as exc:
+        print(f"bound: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # lb_equality: the distinctness bound is the same quantity as lb_union
+    out = {"n": n, "lb_union": lb, "lb_union_ceil": bounds.lb_union_ceil(n),
+           "lb_equality": lb}
     if n >= 2:
         out["lb_piercing"] = bounds.lb_piercing(n)
     print(json.dumps(out, separators=(",", ":")))
@@ -201,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("generate", help="write an instance JSON file")
-    p.add_argument("--family", required=True, choices=GENERATE_FAMILIES)
+    p.add_argument("--family", required=True, choices=bounds.FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

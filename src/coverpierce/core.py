@@ -59,11 +59,6 @@ class QueryCounter:
         return EQ
 
 
-def counted_compare(counter: QueryCounter, x, y) -> str:
-    """Compare two ranks, charging exactly one query to ``counter``."""
-    return counter.compare(x, y)
-
-
 @dataclass(frozen=True)
 class Interval:
     lo: int
@@ -197,33 +192,38 @@ def validate(instance, strict: bool = False):
 # ranked per axis on load.
 
 
-def _as_ranks(axis_coords):
-    """Map one axis worth of raw numbers to ints, ranking if any is fractional."""
-    if all(float(v).is_integer() for v in axis_coords):
-        return [int(v) for v in axis_coords]
-    rank_map, _ = normalize_ranks(axis_coords)
-    return [rank_map[v] for v in axis_coords]
+def _as_ranks(pairs):
+    """Flatten one axis worth of [lo, hi] pairs to ints, ranking if any is fractional.
+
+    Each pair must be a list of exactly two numbers; bools and strings are not
+    numbers here, although ``float()`` would accept them.
+    """
+    flat = []
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2:
+            raise InstanceError(f"expected a [lo, hi] pair, got {pair!r}")
+        flat += pair
+    kinds = set(map(type, flat)) - {int, float}
+    if kinds:
+        names = sorted(k.__name__ for k in kinds)
+        raise InstanceError(f"coordinates must be numbers, not {names}")
+    if all(float(v).is_integer() for v in flat):
+        return [int(v) for v in flat]
+    rank_map, _ = normalize_ranks(flat)
+    return [rank_map[v] for v in flat]
 
 
 def instance_from_dict(obj) -> CoverageInstance | PiercingInstance:
     try:
         problem = obj["problem"]
         if problem == "coverage":
-            flat = list(obj["domain"])
-            for pair in obj["intervals"]:
-                flat.extend(pair)
-            ranks = _as_ranks(flat)
+            ranks = _as_ranks([obj["domain"], *obj["intervals"]])
             domain = Interval(ranks[0], ranks[1])
             ivs = [Interval(ranks[i], ranks[i + 1]) for i in range(2, len(ranks), 2)]
             return CoverageInstance(domain, ivs)
         if problem == "piercing":
-            xs = list(obj["xdomain"])
-            ys = list(obj["ydomain"])
-            for cr in obj["crosses"]:
-                xs.extend(cr["h"])
-                ys.extend(cr["v"])
-            xr = _as_ranks(xs)
-            yr = _as_ranks(ys)
+            xr = _as_ranks([obj["xdomain"], *(cr["h"] for cr in obj["crosses"])])
+            yr = _as_ranks([obj["ydomain"], *(cr["v"] for cr in obj["crosses"])])
             xdomain = Interval(xr[0], xr[1])
             ydomain = Interval(yr[0], yr[1])
             crosses = [

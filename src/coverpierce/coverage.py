@@ -35,6 +35,16 @@ class CoverageVerdict:
             out["gap"] = [self.gap_witness[0], self.gap_witness[1]]
         return out
 
+    def witness_sound(self, instance: CoverageInstance) -> bool:
+        """True when a negative verdict's gap lies in the domain and meets no interval."""
+        if self.covered:
+            return self.gap_witness is None
+        if self.gap_witness is None:
+            return instance.domain.lo == instance.domain.hi
+        g_lo, g_hi = self.gap_witness
+        return (instance.domain.lo <= g_lo < g_hi <= instance.domain.hi
+                and all(iv.hi <= g_lo or iv.lo >= g_hi for iv in instance.intervals))
+
 
 def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = None) -> CoverageVerdict:
     """Decide whether the union of the closed intervals equals the closed domain.

@@ -31,46 +31,6 @@ NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
-class CornerBox:
-    """One quadrant of a cross complement; sides facing the cross are open."""
-
-    kind: str  # NW | NE | SW | SE
-    x_range: tuple
-    y_range: tuple
-
-    def contains(self, x, y) -> bool:
-        x0, x1 = self.x_range
-        y0, y1 = self.y_range
-        if self.kind == "NW":
-            return x0 <= x < x1 and y0 < y <= y1
-        if self.kind == "NE":
-            return x0 < x <= x1 and y0 < y <= y1
-        if self.kind == "SW":
-            return x0 <= x < x1 and y0 <= y < y1
-        if self.kind == "SE":
-            return x0 < x <= x1 and y0 <= y < y1
-        raise ValueError(f"bad corner kind {self.kind!r}")
-
-
-def corner_boxes(cross: Cross, xdomain: Interval, ydomain: Interval) -> list:
-    """The nonempty corner boxes whose union is the cross complement."""
-    a0, b0 = xdomain.lo, xdomain.hi
-    c0, d0 = ydomain.lo, ydomain.hi
-    a, b = cross.h.lo, cross.h.hi
-    c, d = cross.v.lo, cross.v.hi
-    boxes = []
-    if a > a0 and d < d0:
-        boxes.append(CornerBox("NW", (a0, a), (d, d0)))
-    if b < b0 and d < d0:
-        boxes.append(CornerBox("NE", (b, b0), (d, d0)))
-    if a > a0 and c > c0:
-        boxes.append(CornerBox("SW", (a0, a), (c0, c)))
-    if b < b0 and c > c0:
-        boxes.append(CornerBox("SE", (b, b0), (c0, c)))
-    return boxes
-
-
-@dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function of x.
 
@@ -99,50 +59,27 @@ class Envelopes:
     g_se: StepFunction  # max c over b < x   (nondecreasing)
 
 
-def _suffix_envelopes(keys, deps, order, counter):
-    """Breakpoints at distinct key values; per piece, min/max of deps over key > x."""
-    srt = [keys[i] for i in order]
-    d_srt = [deps[0][i] for i in order]
-    c_srt = [deps[1][i] for i in order]
-    n = len(srt)
-    suff_min = [POS_INF] * (n + 1)
-    suff_max = [NEG_INF] * (n + 1)
-    for t in range(n - 1, -1, -1):
-        suff_min[t] = d_srt[t] if counter.compare(d_srt[t], suff_min[t + 1]) != GT else suff_min[t + 1]
-        suff_max[t] = c_srt[t] if counter.compare(c_srt[t], suff_max[t + 1]) != LT else suff_max[t + 1]
-    breakpoints = []
-    min_vals = [suff_min[0]]
-    max_vals = [suff_max[0]]
-    for t in range(n):
-        if t + 1 == n or counter.compare(srt[t], srt[t + 1]) == LT:
-            breakpoints.append(srt[t])
-            min_vals.append(suff_min[t + 1])
-            max_vals.append(suff_max[t + 1])
-    return (StepFunction(breakpoints, min_vals),
-            StepFunction(breakpoints, max_vals))
+def _envelope_pair(keys, deps, order, counter, above: bool):
+    """Min and max of deps over key > x (``above``) or key < x, as functions of x.
 
-
-def _prefix_envelopes(keys, deps, order, counter):
-    """Breakpoints just above distinct key values; per piece, min/max over key < x."""
+    Breakpoints sit at each distinct key value (``above``) or just past it.
+    The above aggregate is the below one taken over the reversed order, which
+    compares the same pairs as a suffix scan.
+    """
+    mins, maxs = [POS_INF], [NEG_INF]
+    for i in (order[::-1] if above else order):
+        d, c = deps[0][i], deps[1][i]
+        mins.append(d if counter.compare(d, mins[-1]) != GT else mins[-1])
+        maxs.append(c if counter.compare(c, maxs[-1]) != LT else maxs[-1])
+    if above:
+        mins.reverse()
+        maxs.reverse()
     srt = [keys[i] for i in order]
-    d_srt = [deps[0][i] for i in order]
-    c_srt = [deps[1][i] for i in order]
-    n = len(srt)
-    pref_min = [POS_INF] * (n + 1)
-    pref_max = [NEG_INF] * (n + 1)
-    for t in range(n):
-        pref_min[t + 1] = d_srt[t] if counter.compare(d_srt[t], pref_min[t]) != GT else pref_min[t]
-        pref_max[t + 1] = c_srt[t] if counter.compare(c_srt[t], pref_max[t]) != LT else pref_max[t]
-    breakpoints = []
-    min_vals = [POS_INF]
-    max_vals = [NEG_INF]
-    for t in range(n):
-        if t + 1 == n or counter.compare(srt[t], srt[t + 1]) == LT:
-            breakpoints.append(srt[t] + 1)
-            min_vals.append(pref_min[t + 1])
-            max_vals.append(pref_max[t + 1])
-    return (StepFunction(breakpoints, min_vals),
-            StepFunction(breakpoints, max_vals))
+    ends = [t for t in range(len(srt))
+            if t + 1 == len(srt) or counter.compare(srt[t], srt[t + 1]) == LT]
+    breakpoints = [srt[t] if above else srt[t] + 1 for t in ends]
+    return (StepFunction(breakpoints, [mins[0]] + [mins[t + 1] for t in ends]),
+            StepFunction(breakpoints, [maxs[0]] + [maxs[t + 1] for t in ends]))
 
 
 def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = None) -> Envelopes:
@@ -155,8 +92,8 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
     d = [cr.v.hi for cr in instance.crosses]
     by_a = merge_sort_counted(a, counter).order
     by_b = merge_sort_counted(b, counter).order
-    f_nw, g_sw = _suffix_envelopes(a, (d, c), by_a, counter)
-    f_ne, g_se = _prefix_envelopes(b, (d, c), by_b, counter)
+    f_nw, g_sw = _envelope_pair(a, (d, c), by_a, counter, above=True)
+    f_ne, g_se = _envelope_pair(b, (d, c), by_b, counter, above=False)
     return Envelopes(f_nw=f_nw, f_ne=f_ne, g_sw=g_sw, g_se=g_se)
 
 
@@ -172,9 +109,13 @@ class PiercingVerdict:
             out["witness"] = [self.witness[0], self.witness[1]]
         return out
 
-
-def _verify_witness(instance, x, y) -> bool:
-    return all(cr.contains(x, y) for cr in instance.crosses)
+    def witness_sound(self, instance: PiercingInstance) -> bool:
+        """True when a positive verdict's point lies in both domains and every cross."""
+        if not self.pierceable:
+            return self.witness is None
+        x, y = self.witness
+        return (instance.xdomain.contains(x) and instance.ydomain.contains(y)
+                and all(cr.contains(x, y) for cr in instance.crosses))
 
 
 def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = None) -> PiercingVerdict:
@@ -214,23 +155,22 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
         lower = vals[2] if counter.compare(vals[2], vals[3]) != LT else vals[3]
         lower = lower if counter.compare(lower, c0) != LT else c0
         if counter.compare(lower, upper) != GT:
-            x_w, y_w = int(x), int(lower)
-            if not _verify_witness(instance, x_w, y_w):
-                raise RuntimeError(f"solver produced an unsound witness ({x_w}, {y_w})")
-            return PiercingVerdict(True, (x_w, y_w), counter.comparisons - before)
+            verdict = PiercingVerdict(True, (int(x), int(lower)), counter.comparisons - before)
+            if not verdict.witness_sound(instance):
+                raise RuntimeError(f"solver produced an unsound witness {verdict.witness}")
+            return verdict
     return PiercingVerdict(False, None, counter.comparisons - before)
 
 
-def oracle_piercing(instance: PiercingInstance) -> PiercingVerdict:
-    """Exhaustive grid scan over endpoint values on both axes."""
+def _grid_hits(instance: PiercingInstance):
+    """Endpoint values of each axis within its domain, and the (i, j) index
+    pairs of the grid points that pierce every cross, in x-major order."""
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
     xs = sorted({a0, b0} | {v for cr in instance.crosses for v in (cr.h.lo, cr.h.hi)})
     ys = sorted({c0, d0} | {v for cr in instance.crosses for v in (cr.v.lo, cr.v.hi)})
     xs = [x for x in xs if a0 <= x <= b0]
     ys = [y for y in ys if c0 <= y <= d0]
-    if instance.n == 0:
-        return PiercingVerdict(True, (a0, c0), 0)
     xv = np.asarray(xs)
     yv = np.asarray(ys)
     h_lo = np.asarray([cr.h.lo for cr in instance.crosses])
@@ -240,25 +180,24 @@ def oracle_piercing(instance: PiercingInstance) -> PiercingVerdict:
     xin = (h_lo[:, None] <= xv[None, :]) & (xv[None, :] <= h_hi[:, None])  # (N, nx)
     yin = (v_lo[:, None] <= yv[None, :]) & (yv[None, :] <= v_hi[:, None])  # (N, ny)
     ok = (xin[:, :, None] | yin[:, None, :]).all(axis=0)  # (nx, ny)
-    hits = np.argwhere(ok)
+    return xs, ys, np.argwhere(ok)
+
+
+def oracle_piercing(instance: PiercingInstance) -> PiercingVerdict:
+    """Exhaustive grid scan over endpoint values on both axes."""
+    if instance.n == 0:
+        return PiercingVerdict(True, (instance.xdomain.lo, instance.ydomain.lo), 0)
+    xs, ys, hits = _grid_hits(instance)
     if hits.size == 0:
         return PiercingVerdict(False, None, 0)
     i, j = hits[0]
-    return PiercingVerdict(True, (int(xv[i]), int(yv[j])), 0)
+    return PiercingVerdict(True, (int(xs[i]), int(ys[j])), 0)
 
 
 def oracle_grid_points(instance: PiercingInstance) -> list:
     """All piercing points on the endpoint grid (for boundary-anomaly checks)."""
-    pts = []
-    a0, b0 = instance.xdomain.lo, instance.xdomain.hi
-    c0, d0 = instance.ydomain.lo, instance.ydomain.hi
-    xs = sorted({a0, b0} | {v for cr in instance.crosses for v in (cr.h.lo, cr.h.hi)})
-    ys = sorted({c0, d0} | {v for cr in instance.crosses for v in (cr.v.lo, cr.v.hi)})
-    for x in xs:
-        for y in ys:
-            if a0 <= x <= b0 and c0 <= y <= d0 and _verify_witness(instance, x, y):
-                pts.append((x, y))
-    return pts
+    xs, ys, hits = _grid_hits(instance)
+    return [(xs[i], ys[j]) for i, j in hits]
 
 
 @dataclass(frozen=True)

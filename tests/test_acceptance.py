@@ -206,7 +206,7 @@ def test_criterion_5_literal_transcription_anomaly():
            anomaly_present and frozen,
            f"corner anomaly point {corner} pierces as stated; grid oracle "
            f"finds exactly {points}, i.e. 3 grid points, not the single "
-           f"stated one (deviation recorded in the decisions ledger)")
+           f"stated one (deviation recorded in CHANGES.md)")
 
 
 def test_criterion_6_merge_sort_budget():

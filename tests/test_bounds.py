@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from coverpierce.bounds import (
     BenchRecord,
     bound_report,
-    lb_equality,
     lb_piercing,
     lb_union,
     lb_union_ceil,
@@ -56,10 +56,18 @@ class TestLbPiercing:
             lb_piercing(1)
 
 
-def test_lb_equality_is_union_alias():
-    assert lb_equality(3) == lb_union(3) == pytest.approx(1.0, abs=1e-12)
-    assert lb_equality(0) == 0.0
-    assert lb_equality(8) == lb_union(8)
+def test_lb_equality_is_union_alias(capsys):
+    # The distinctness bound is the same quantity as lb_union; `bound`
+    # reports it under the key lb_equality.
+    from coverpierce.cli import EXIT_OK, main
+
+    def bound(n):
+        assert main(["bound", "--n", str(n)]) == EXIT_OK
+        return json.loads(capsys.readouterr().out)
+
+    assert bound(3)["lb_equality"] == lb_union(3) == pytest.approx(1.0, abs=1e-12)
+    assert bound(0)["lb_equality"] == 0.0
+    assert bound(8)["lb_equality"] == lb_union(8)
 
 
 def test_bound_report_fields():

@@ -57,6 +57,14 @@ class TestGenerate:
                   "--seed", "77", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_random_is_random_piercing(self, capsys):
+        texts = []
+        for family in ("random", "random-piercing"):
+            assert main(["generate", "--family", family, "--n", "6",
+                         "--seed", "5"]) == EXIT_OK
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+
     def test_staircase_too_small_is_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--family", "staircase", "--n", "2",
                      "--out", str(tmp_path / "x.json")])
@@ -106,6 +114,23 @@ class TestSolve:
         path = tmp_path / "bad.json"
         path.write_text('{"problem":"coverage"}', encoding="utf-8")
         assert main(["solve", "--in", str(path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("doc", [
+        # a three-number and a one-number pair once parsed as two intervals
+        {"problem": "coverage", "domain": [0, 5], "intervals": [[0, 1, 2], [3]]},
+        # a string and a bool once passed as the numbers 5 and 0
+        {"problem": "coverage", "domain": [0, "5"], "intervals": [[0, 5]]},
+        {"problem": "coverage", "domain": [0, 5], "intervals": [[False, 5]]},
+        {"problem": "piercing", "xdomain": [0, 9], "ydomain": [0, 9],
+         "crosses": [{"h": [0, 1, 2], "v": [0, 1]}]},
+        {"problem": "piercing", "xdomain": [0, 9], "ydomain": [0, 9],
+         "crosses": [{"h": [0, 1], "v": [True, 1]}]},
+    ])
+    def test_malformed_pairs_are_usage_errors(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["solve", "--in", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["solve", "--in", str(tmp_path / "nope.json")]) == EXIT_IO
@@ -175,11 +200,18 @@ class TestBound:
         assert out["lb_union"] == pytest.approx(5.9186, abs=1e-3)
         assert out["lb_union_ceil"] == 6
         assert out["lb_piercing"] == pytest.approx(2.7738, abs=1e-3)
+        assert out["lb_equality"] == out["lb_union"]
 
     def test_small_n_omits_piercing(self, capsys):
         assert main(["bound", "--n", "1"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert "lb_piercing" not in out
+
+    def test_negative_n_is_usage_error(self, capsys):
+        assert main(["bound", "--n", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative" in captured.err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -13,7 +13,6 @@ from coverpierce.core import (
     Permutation,
     PiercingInstance,
     QueryCounter,
-    counted_compare,
     dumps_instance,
     instance_to_dict,
     loads_instance,
@@ -25,30 +24,30 @@ from coverpierce.core import (
 class TestCountedCompare:
     def test_less(self):
         c = QueryCounter()
-        assert counted_compare(c, 3, 5) == "<"
+        assert c.compare(3, 5) == "<"
         assert c.comparisons == 1
 
     def test_equal(self):
         c = QueryCounter()
-        assert counted_compare(c, 4, 4) == "="
+        assert c.compare(4, 4) == "="
         assert c.comparisons == 1
 
     def test_greater(self):
         c = QueryCounter()
-        assert counted_compare(c, 7, 2) == ">"
+        assert c.compare(7, 2) == ">"
         assert c.comparisons == 1
 
     def test_histogram_sums_to_comparisons(self):
         c = QueryCounter()
         for x, y in [(1, 2), (2, 2), (3, 2), (0, 9)]:
-            counted_compare(c, x, y)
+            c.compare(x, y)
         assert sum(c.outcome_histogram.values()) == c.comparisons == 4
         assert c.outcome_histogram == {"<": 2, "=": 1, ">": 1}
 
     @given(st.integers(), st.integers())
     def test_never_misreports_order(self, x, y):
         c = QueryCounter()
-        outcome = counted_compare(c, x, y)
+        outcome = c.compare(x, y)
         expected = "<" if x < y else (">" if x > y else "=")
         assert outcome == expected
         assert c.comparisons == 1

@@ -15,7 +15,6 @@ from coverpierce.core import (
 from coverpierce.piercing import (
     build_envelopes,
     check_minimality,
-    corner_boxes,
     gen_random_piercing,
     gen_staircase_literal,
     gen_staircase_minimal,
@@ -56,38 +55,6 @@ piercing_instances = st.integers(min_value=1, max_value=8).flatmap(
         max_size=8,
     ).map(lambda cs: inst((0, span), (0, span), cs))
 )
-
-
-class TestCornerBoxes:
-    def test_anchored_cross_leaves_one_box(self):
-        boxes = corner_boxes(cross((0, 1), (0, 1)), Interval(0, 3), Interval(0, 3))
-        assert [b.kind for b in boxes] == ["NE"]
-        assert boxes[0].x_range == (1, 3)
-        assert boxes[0].y_range == (1, 3)
-
-    def test_interior_cross_has_four(self):
-        boxes = corner_boxes(cross((1, 2), (1, 2)), Interval(0, 3), Interval(0, 3))
-        assert sorted(b.kind for b in boxes) == ["NE", "NW", "SE", "SW"]
-
-    def test_full_strip_has_none(self):
-        assert corner_boxes(cross((0, 3), (1, 2)), Interval(0, 3), Interval(0, 3)) == []
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda span: st.tuples(
-        st.just(span),
-        st.tuples(st.integers(0, span), st.integers(0, span)).map(sorted),
-        st.tuples(st.integers(0, span), st.integers(0, span)).map(sorted),
-        st.integers(0, 6), st.integers(0, 6))))
-    def test_partition_point_in_cross_xor_some_box(self, args):
-        span, h, v, x, y = args
-        if x > span or y > span:
-            return
-        c = cross(h, v)
-        xdom = ydom = Interval(0, span)
-        boxes = corner_boxes(c, xdom, ydom)
-        in_cross = c.contains(x, y)
-        in_box = any(b.contains(x, y) for b in boxes)
-        assert in_cross != in_box
 
 
 class TestEnvelopes:
