@@ -88,21 +88,14 @@ def cmd_verify(args) -> int:
     else:
         oracle_verdict = piercing.oracle_piercing(instance)
         oracle_pos = oracle_verdict.pierceable
-    if args.inject_fault:
-        # test hook: corrupt the solver verdict to exercise the failure path
-        solver_pos = not solver_pos
     agree = solver_pos == oracle_pos
-    sound = (not args.inject_fault) and solver_verdict.witness_sound(instance) \
-        and oracle_verdict.witness_sound(instance)
+    sound = solver_verdict.witness_sound(instance) and oracle_verdict.witness_sound(instance)
     report = {
         "solver": solver_verdict.to_dict(),
         "oracle": oracle_verdict.to_dict(),
         "agree": agree,
         "witnesses_sound": sound,
     }
-    if args.inject_fault:
-        report["solver"]["covered" if isinstance(instance, CoverageInstance)
-                         else "pierceable"] = solver_pos
     print(json.dumps(report, separators=(",", ":")))
     return EXIT_OK if agree and sound else EXIT_DISAGREE
 
@@ -177,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check solver against the oracle")
     p.add_argument("--in", required=True)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run the query-count benchmark sweep")

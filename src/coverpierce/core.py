@@ -65,6 +65,9 @@ class Interval:
     hi: int
 
     def __post_init__(self):
+        # the solvers are exact on integer ranks only; bool is not a rank
+        if type(self.lo) is not int or type(self.hi) is not int:
+            raise InstanceError(f"interval bounds must be int ranks, got {self.lo!r}, {self.hi!r}")
         if self.lo > self.hi:
             raise InstanceError(f"interval lo {self.lo} > hi {self.hi}")
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coverpierce import coverage
 from coverpierce.cli import (
     EXIT_DISAGREE,
     EXIT_IO,
@@ -11,6 +12,7 @@ from coverpierce.cli import (
     main,
 )
 from coverpierce.core import dumps_instance, load_instance, loads_instance
+from coverpierce.coverage import CoverageVerdict
 
 
 def write_coverage(path, domain, pairs):
@@ -155,11 +157,18 @@ class TestVerify:
                               [((0, 3), (5, 9)), ((4, 9), (0, 2))])
         assert main(["verify", "--in", path]) == EXIT_OK
 
-    def test_injected_fault_exits_four(self, tmp_path, capsys):
+    def test_injected_fault_exits_four(self, tmp_path, capsys, monkeypatch):
         path = write_coverage(tmp_path / "c.json", (0, 5), [(0, 5)])
-        assert main(["verify", "--in", path, "--inject-fault"]) == EXIT_DISAGREE
+        monkeypatch.setattr(coverage, "oracle_coverage",
+                            lambda instance: CoverageVerdict(False, (1, 2), 0))
+        assert main(["verify", "--in", path]) == EXIT_DISAGREE
         report = json.loads(capsys.readouterr().out)
         assert report["agree"] is False
+        assert report["solver"]["covered"] is True
+
+    def test_no_hidden_fault_flag(self, tmp_path, capsys):
+        path = write_coverage(tmp_path / "c.json", (0, 5), [(0, 5)])
+        assert main(["verify", "--in", path, "--inject-fault"]) == EXIT_USAGE
 
 
 class TestBench:

@@ -115,6 +115,12 @@ class TestValidate:
         with pytest.raises(InstanceError):
             Interval(3, 1)
 
+    @pytest.mark.parametrize("lo,hi", [(0.5, 1), (0, 3.0), (0.0, 3.0),
+                                       (True, 5), (0, True), (False, False)])
+    def test_float_and_bool_bounds_rejected(self, lo, hi):
+        with pytest.raises(InstanceError):
+            Interval(lo, hi)
+
 
 class TestPermutation:
     def test_identity(self):

@@ -2,18 +2,26 @@
 
 Each case hashes an output with sha256 and compares it with the digest that
 was recorded before the family registry, the witness check and the envelope
-routine were each folded into one place.  A refactor that keeps verdicts,
-witnesses, comparison counts and output bytes leaves every digest as it is.
+routine were each folded into one place, and (for the staircase generators)
+before their hand-unrolled branches became one rule per family.  A refactor
+that keeps instances, verdicts, witnesses, comparison counts and output bytes
+leaves every digest as it is.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from coverpierce.cli import main
-from coverpierce.core import QueryCounter
-from coverpierce.piercing import build_envelopes, gen_random_piercing
+from coverpierce.core import QueryCounter, dumps_instance
+from coverpierce.piercing import (
+    build_envelopes,
+    gen_random_piercing,
+    gen_staircase_literal,
+    gen_staircase_minimal,
+)
 
 GENERATE = {
     "chain": ("6",
@@ -49,6 +57,12 @@ BENCH = {
 
 BOUND_8 = "98f409a542351e21b597fd65cc9a249c165db3c2cd4cefa14ad14d157ca6d632"
 ENVELOPES_50 = "9cf709b59e927d6a006b6c6d73091a2edf466aa97714f0f005b3edfe4d37ac22"
+STAIRCASE_3_300 = "34b4e192036cd5716ce315da1c9be64bff85473d2ff6d28b07832625842c4ef5"
+STAIRCASE_VERIFIED_3_20 = "cc8508a1c4fabace1974bbbcfa63a7948b8926af7f7ec8a434b72bec665af115"
+LITERAL_ALL_PERMS = {
+    8: (576, "4e60ee259ad8f7878fc4514bf532c3e2bd4f4b12bed11477d7695002edd17755"),
+    9: (2880, "6d3897de30acf37067771d852bd63d46b7f0c98786119c4c79ab194feb491af4"),
+}
 
 
 def digest(text: str) -> str:
@@ -93,3 +107,33 @@ def test_envelopes_on_seeded_random_instances():
                  for fn in (env.f_nw, env.f_ne, env.g_sw, env.g_se)]
         lines.append(repr((steps, (counter.lt, counter.eq, counter.gt))))
     assert digest("\n".join(lines)) == ENVELOPES_50
+
+
+def test_staircase_minimal_instances():
+    text = "".join(dumps_instance(gen_staircase_minimal(n, verify=False))
+                   for n in range(3, 301))
+    assert digest(text) == STAIRCASE_3_300
+
+
+def test_staircase_minimal_self_verified_instances():
+    text = "".join(dumps_instance(gen_staircase_minimal(n)) for n in range(3, 21))
+    assert digest(text) == STAIRCASE_VERIFIED_3_20
+
+
+def parity_preserving_orders(n):
+    """Every permutation of 1..n that maps odd positions to odd values."""
+    odd, even = range(1, n + 1, 2), range(2, n + 1, 2)
+    for odds in itertools.permutations(odd):
+        for evens in itertools.permutations(even):
+            order = [0] * n
+            order[0::2], order[1::2] = odds, evens
+            yield order
+
+
+@pytest.mark.parametrize("n", sorted(LITERAL_ALL_PERMS))
+def test_staircase_literal_every_parity_preserving_permutation(n):
+    count, expected = LITERAL_ALL_PERMS[n]
+    texts = [dumps_instance(gen_staircase_literal(n, order))
+             for order in parity_preserving_orders(n)]
+    assert len(texts) == count
+    assert digest("".join(texts)) == expected

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from coverpierce.core import (
     Cross,
+    InstanceError,
     Interval,
     Permutation,
     PiercingInstance,
     QueryCounter,
+    loads_instance,
 )
 from coverpierce.piercing import (
     build_envelopes,
@@ -152,6 +155,20 @@ class TestSolvePiercing:
         v = solve_piercing(inst((0, 9), (0, 9), [((4, 6), (7, 9))]))
         assert v.pierceable
         assert v.witness[0] == 0  # x=0 already feasible via the y-arm
+
+    def test_float_coordinates_rejected_not_misjudged(self):
+        # with float bounds the sweep's b + 1 breakpoints skip feasible x, and
+        # solver and oracle both once returned the unsound witness (0, 0)
+        with pytest.raises(InstanceError):
+            inst((0.0, 3.0), (0.0, 3.0), [((0.5, 1), (2, 3)), ((1.5, 3), (0, 0.5))])
+        ranked = loads_instance(json.dumps({
+            "problem": "piercing", "xdomain": [0.0, 3.0], "ydomain": [0.0, 3.0],
+            "crosses": [{"h": [0.5, 1], "v": [2, 3]}, {"h": [1.5, 3], "v": [0, 0.5]}],
+        }))
+        sv = solve_piercing(ranked, QueryCounter())
+        ov = oracle_piercing(ranked)
+        assert sv.pierceable and ov.pierceable
+        assert witness_sound(ranked, sv) and witness_sound(ranked, ov)
 
 
 class TestStaircaseMinimal:
