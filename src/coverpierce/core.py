@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 LT = "<"
@@ -30,6 +31,13 @@ class DegenerateInterval(InstanceError):
 
 class EmptyInput(ValueError):
     """An operation that needs at least one element got none."""
+
+
+def as_int(v) -> int:
+    """``v`` as a Python int; a float or bool raises instead of truncating."""
+    if type(v) is not int and (isinstance(v, bool) or not hasattr(type(v), "__index__")):
+        raise InstanceError(f"expected an integer, got {v!r}")
+    return operator.index(v)  # numpy integers pass: generators draw with numpy
 
 
 @dataclass
@@ -127,7 +135,7 @@ class Permutation:
     order: tuple
 
     def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
+        order = tuple(as_int(i) for i in self.order)
         object.__setattr__(self, "order", order)
         n = len(order)
         if sorted(order) != list(range(1, n + 1)):

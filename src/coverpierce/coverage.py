@@ -19,6 +19,7 @@ from .core import (
     Interval,
     Permutation,
     QueryCounter,
+    as_int,
 )
 from .sorting import merge_sort_counted
 
@@ -58,8 +59,10 @@ def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = No
     before = counter.comparisons
     domain = instance.domain
     if domain.lo == domain.hi:
-        # point domain: covered iff any member interval holds the point
-        return CoverageVerdict(instance.n > 0, None, 0)
+        # point domain: covered iff some member interval holds the point
+        covered = any(counter.compare(iv.lo, domain.lo) != GT
+                      and counter.compare(iv.hi, domain.lo) != LT for iv in instance.intervals)
+        return CoverageVerdict(covered, None, counter.comparisons - before)
     los = [iv.lo for iv in instance.intervals]
     his = [iv.hi for iv in instance.intervals]
     order = merge_sort_counted(los, counter).order
@@ -75,42 +78,35 @@ def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = No
 
 
 def oracle_coverage(instance: CoverageInstance) -> CoverageVerdict:
-    """Brute-force reference decider.
+    """Brute-force reference decider by cover counts per cell; no query counting.
 
-    Marks every elementary cell (each endpoint value, each open span between
-    consecutive values) by direct scan over all intervals; no query counting.
+    The cells are the V endpoint values inside the domain and the open spans
+    between consecutive ones, interleaved as P0 G0 P1 G1 ... P(V-1); each
+    interval covers one run of them, counted by a difference array.  The gap
+    witness is the interior of the leftmost maximal uncovered run.
+    O((N+V) log V) time and O(N+V) memory.
     """
     domain = instance.domain
-    if domain.lo == domain.hi:
-        return CoverageVerdict(instance.n > 0, None, 0)
     values = sorted({domain.lo, domain.hi}
                     | {iv.lo for iv in instance.intervals}
                     | {iv.hi for iv in instance.intervals})
     values = [v for v in values if domain.lo <= v <= domain.hi]
     v = np.asarray(values)
-    if instance.n == 0:
-        return CoverageVerdict(False, (domain.lo, domain.hi), 0)
-    los = np.asarray([iv.lo for iv in instance.intervals])
-    his = np.asarray([iv.hi for iv in instance.intervals])
-    point_ok = ((los[None, :] <= v[:, None]) & (v[:, None] <= his[None, :])).any(axis=1)
-    span_ok = ((los[None, :] <= v[:-1, None]) & (v[1:, None] <= his[None, :])).any(axis=1)
-    if point_ok.all() and span_ok.all():
+    cells = 2 * len(values) - 1
+    first = np.searchsorted(v, [iv.lo for iv in instance.intervals], side="left")
+    last = np.searchsorted(v, [iv.hi for iv in instance.intervals], side="right") - 1
+    meets = first <= last  # an interval outside the domain holds no value
+    delta = (np.bincount(2 * first[meets], minlength=cells + 1)
+             - np.bincount(2 * last[meets] + 1, minlength=cells + 1))
+    count = np.cumsum(delta[:cells])
+    run = int(np.argmin(count))
+    if count[run] > 0:
         return CoverageVerdict(True, None, 0)
-    # interleave cells: P0 G0 P1 G1 ... P(k-1); the witness is the interior of
-    # the leftmost maximal uncovered run, which always contains a span cell
-    k = len(values)
-    cells = []
-    for i in range(k):
-        cells.append(("P", i, bool(point_ok[i])))
-        if i + 1 < k:
-            cells.append(("G", i, bool(span_ok[i])))
-    first = next(i for i, c in enumerate(cells) if not c[2])
-    last = first
-    while last + 1 < len(cells) and not cells[last + 1][2]:
-        last += 1
-    span_idx = [c[1] for c in cells[first:last + 1] if c[0] == "G"]
-    gap = (values[span_idx[0]], values[span_idx[-1] + 1])
-    return CoverageVerdict(False, gap, 0)
+    # each value but the domain's ends is an endpoint of an interval holding
+    # it, so the leftmost uncovered run is one span cell and at most the
+    # uncovered domain ends beside it; a point domain has no span at all
+    i = run // 2
+    return CoverageVerdict(False, (values[i], values[i + 1]) if i + 1 < len(values) else None, 0)
 
 
 def intersect_1d(intervals, counter: QueryCounter | None = None) -> Interval | None:
@@ -183,7 +179,7 @@ def flip_link(chain: ChainInstance, k: int) -> CoverageInstance:
 
 def check_equality_by_coverage(values, counter: QueryCounter | None = None) -> bool:
     """All-distinct test via coverage: unit intervals [m, m+1] over [0, N]."""
-    values = [int(v) for v in values]
+    values = [as_int(v) for v in values]
     N = len(values)
     for v in values:
         if not 0 <= v <= N - 1:

@@ -163,8 +163,13 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
 
 
 def _grid_hits(instance: PiercingInstance):
-    """Endpoint values of each axis within its domain, and the (i, j) index
-    pairs of the grid points that pierce every cross, in x-major order."""
+    """Endpoint values of each axis within its domain, and for each grid x the
+    index range ``[lo[i], hi[i])`` of the grid ys that pierce every cross.
+
+    A cross whose horizontal arm misses x needs y in its vertical arm, so at x
+    the piercing ys form one interval, clamped to the y-domain.  O(N * n_x)
+    time and memory.
+    """
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
     xs = sorted({a0, b0} | {v for cr in instance.crosses for v in (cr.h.lo, cr.h.hi)})
@@ -172,32 +177,31 @@ def _grid_hits(instance: PiercingInstance):
     xs = [x for x in xs if a0 <= x <= b0]
     ys = [y for y in ys if c0 <= y <= d0]
     xv = np.asarray(xs)
+    h_lo = np.asarray([cr.h.lo for cr in instance.crosses])[:, None]
+    h_hi = np.asarray([cr.h.hi for cr in instance.crosses])[:, None]
+    v_lo = np.asarray([cr.v.lo for cr in instance.crosses])[:, None]
+    v_hi = np.asarray([cr.v.hi for cr in instance.crosses])[:, None]
+    miss = (xv < h_lo) | (h_hi < xv)  # (N, n_x): the y arm must hold y
+    lower = np.where(miss, v_lo, c0).max(axis=0, initial=c0)
+    upper = np.where(miss, v_hi, d0).min(axis=0, initial=d0)
     yv = np.asarray(ys)
-    h_lo = np.asarray([cr.h.lo for cr in instance.crosses])
-    h_hi = np.asarray([cr.h.hi for cr in instance.crosses])
-    v_lo = np.asarray([cr.v.lo for cr in instance.crosses])
-    v_hi = np.asarray([cr.v.hi for cr in instance.crosses])
-    xin = (h_lo[:, None] <= xv[None, :]) & (xv[None, :] <= h_hi[:, None])  # (N, nx)
-    yin = (v_lo[:, None] <= yv[None, :]) & (yv[None, :] <= v_hi[:, None])  # (N, ny)
-    ok = (xin[:, :, None] | yin[:, None, :]).all(axis=0)  # (nx, ny)
-    return xs, ys, np.argwhere(ok)
+    return xs, ys, np.searchsorted(yv, lower, "left"), np.searchsorted(yv, upper, "right")
 
 
 def oracle_piercing(instance: PiercingInstance) -> PiercingVerdict:
-    """Exhaustive grid scan over endpoint values on both axes."""
-    if instance.n == 0:
-        return PiercingVerdict(True, (instance.xdomain.lo, instance.ydomain.lo), 0)
-    xs, ys, hits = _grid_hits(instance)
-    if hits.size == 0:
+    """Exhaustive scan over the endpoint grid on both axes; the witness is the
+    first piercing grid point in x-major order."""
+    xs, ys, lo, hi = _grid_hits(instance)
+    i = int(np.argmax(lo < hi))
+    if lo[i] >= hi[i]:
         return PiercingVerdict(False, None, 0)
-    i, j = hits[0]
-    return PiercingVerdict(True, (xs[i], ys[j]), 0)
+    return PiercingVerdict(True, (xs[i], ys[lo[i]]), 0)
 
 
 def oracle_grid_points(instance: PiercingInstance) -> list:
     """All piercing points on the endpoint grid (for boundary-anomaly checks)."""
-    xs, ys, hits = _grid_hits(instance)
-    return [(xs[i], ys[j]) for i, j in hits]
+    xs, ys, lo, hi = _grid_hits(instance)
+    return [(x, ys[j]) for x, j_lo, j_hi in zip(xs, lo, hi) for j in range(j_lo, j_hi)]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,6 +132,17 @@ class TestPermutation:
             Permutation((1, 1, 3))
         with pytest.raises(ValueError):
             Permutation((0, 1, 2))
+
+    @pytest.mark.parametrize("order", [(1.9, 2.2, 3), (1.0, 2.0), (True, 2), (2, False)])
+    def test_rejects_floats_and_bools(self, order):
+        # int() once truncated (1.9, 2.2, 3) to the permutation (1, 2, 3)
+        with pytest.raises(InstanceError):
+            Permutation(order)
+
+    def test_accepts_numpy_integers(self):
+        perm = Permutation(tuple(np.array([2, 1, 3])))
+        assert perm.order == (2, 1, 3)
+        assert all(type(i) is int for i in perm.order)
 
     def test_parity(self):
         assert Permutation((3, 2, 1, 4)).preserves_parity()

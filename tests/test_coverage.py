@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from coverpierce.core import (
     CoverageInstance,
     EmptyInput,
+    InstanceError,
     Interval,
     Permutation,
     QueryCounter,
@@ -77,6 +78,16 @@ class TestSolveCoverage:
         assert solve_coverage(CoverageInstance(Interval(2, 2), [Interval(2, 2)])).covered
         assert not solve_coverage(CoverageInstance(Interval(2, 2), [])).covered
 
+    def test_point_domain_needs_a_holder(self):
+        # the point-domain shortcut once answered "covered" for any N > 0
+        for pairs, covered, queries in [([(0, 1)], False, 2), ([(0, 1), (4, 6), (5, 5)], True, 4)]:
+            instance = CoverageInstance(Interval(5, 5), [Interval(*p) for p in pairs])
+            c = QueryCounter()
+            v = solve_coverage(instance, c)
+            assert (v.covered, v.gap_witness) == (covered, None)
+            assert v.witness_sound(instance)
+            assert v.queries_used == c.comparisons == queries
+
     def test_query_budget(self):
         for n in (1, 5, 17, 64, 200):
             rng = np.random.RandomState(n)
@@ -102,6 +113,14 @@ class TestOracleCoverage:
 
     def test_touching(self):
         assert oracle_coverage(inst((0, 4), [(0, 2), (2, 4)])).covered
+
+    def test_point_domain(self):
+        for pairs, covered in [([], False), ([(0, 1)], False), ([(6, 9), (0, 1)], False),
+                               ([(0, 1), (4, 6)], True), ([(5, 5)], True)]:
+            instance = CoverageInstance(Interval(5, 5), [Interval(*p) for p in pairs])
+            v = oracle_coverage(instance)
+            assert (v.covered, v.gap_witness) == (covered, None), pairs
+            assert v.witness_sound(instance)
 
     def test_isolated_point_coverage_inside_gap(self):
         # [2,2] splits the hole; leftmost maximal open gap is (1, 2)
@@ -179,6 +198,10 @@ class TestGenChain:
         with pytest.raises(ValueError):
             gen_chain((1,))
 
+    def test_bool_permutation_rejected(self):
+        with pytest.raises(InstanceError):
+            gen_chain((True, 2))
+
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             gen_chain((1, 2, 3), n=4)
@@ -233,6 +256,15 @@ class TestEqualityByCoverage:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             check_equality_by_coverage([0, 3, 1])
+
+    @pytest.mark.parametrize("values", [[0, 0.5], [0.0, 1.0], [True, 0]])
+    def test_non_integers_rejected(self, values):
+        # int() once truncated [0, 0.5] to the duplicate pair [0, 0]
+        with pytest.raises(InstanceError):
+            check_equality_by_coverage(values)
+
+    def test_numpy_integers_accepted(self):
+        assert check_equality_by_coverage(np.array([1, 0, 2]))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12).flatmap(
