@@ -5,7 +5,6 @@ from .core import (
     CoverageInstance,
     ContainmentViolation,
     DegenerateInterval,
-    EmptyInput,
     InstanceError,
     Interval,
     Permutation,
@@ -15,7 +14,6 @@ from .core import (
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
-    load_instance,
     loads_instance,
     normalize_ranks,
     validate,
@@ -29,7 +27,6 @@ from .coverage import (
     gen_chain,
     gen_disjoint,
     gen_random_coverage,
-    intersect_1d,
     oracle_coverage,
     solve_coverage,
 )
@@ -49,8 +46,6 @@ from .piercing import (
 )
 from .bounds import (
     BenchRecord,
-    BoundReport,
-    bound_report,
     lb_piercing,
     lb_union,
     lb_union_ceil,

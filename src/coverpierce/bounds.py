@@ -51,19 +51,6 @@ def lb_piercing(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    n: int
-    lb_union_bits: float
-    lb_piercing: float
-    basis: str = "base-6 answer alphabet (=, !=, <, >, <=, >=)"
-
-
-def bound_report(n: int) -> BoundReport:
-    return BoundReport(n=n, lb_union_bits=lb_union(n),
-                       lb_piercing=lb_piercing(n) if n >= 2 else 0.0)
-
-
-@dataclass(frozen=True)
 class BenchRecord:
     family: str
     n: int
@@ -79,9 +66,8 @@ def _random_parity_perm(n: int, rng) -> Permutation:
     evens = list(range(2, n + 1, 2))
     rng.shuffle(odds)
     rng.shuffle(evens)
-    order = []
-    for k in range(1, n + 1):
-        order.append(odds.pop(0) if k % 2 else evens.pop(0))
+    order = [0] * n
+    order[0::2], order[1::2] = odds, evens
     return Permutation(tuple(order))
 
 

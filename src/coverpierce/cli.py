@@ -17,6 +17,7 @@ from .core import (
     CoverageInstance,
     InstanceError,
     QueryCounter,
+    dump_instance,
     dumps_instance,
     loads_instance,
     validate,
@@ -35,13 +36,11 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"generate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = dumps_instance(instance)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps_instance(instance))
         return EXIT_OK
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        dump_instance(instance, args.out)
     except OSError as exc:
         print(f"generate: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO

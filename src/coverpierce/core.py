@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 LT = "<"
 EQ = "="
@@ -27,10 +27,6 @@ class ContainmentViolation(InstanceError):
 
 class DegenerateInterval(InstanceError):
     """A zero-length interval was rejected under strict validation."""
-
-
-class EmptyInput(ValueError):
-    """An operation that needs at least one element got none."""
 
 
 def as_int(v) -> int:
@@ -274,11 +270,6 @@ def dumps_instance(instance) -> str:
 
 def loads_instance(text: str):
     return instance_from_dict(json.loads(text))
-
-
-def load_instance(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
 
 
 def dump_instance(instance, path):

@@ -14,8 +14,8 @@ import numpy as np
 from .core import (
     GT,
     LT,
+    ContainmentViolation,
     CoverageInstance,
-    EmptyInput,
     Interval,
     Permutation,
     QueryCounter,
@@ -52,7 +52,9 @@ def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = No
 
     Sorts by left endpoint, then sweeps left to right keeping the supremum of
     the covered prefix.  The gap witness, when present, is the leftmost maximal
-    uncovered open interval.
+    uncovered open interval.  An interval that starts right of a non-point
+    domain raises :class:`ContainmentViolation`: the sweep would report a gap
+    that leaves the domain.
     """
     if counter is None:
         counter = QueryCounter()
@@ -66,6 +68,10 @@ def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = No
     los = [iv.lo for iv in instance.intervals]
     his = [iv.hi for iv in instance.intervals]
     order = merge_sort_counted(los, counter).order
+    if order and los[order[-1]] > domain.hi:
+        # one uncounted check, like validate's, so in-domain counts stay as they are
+        raise ContainmentViolation(
+            f"{instance.intervals[order[-1]]} starts right of domain {domain}")
     reach = domain.lo
     for pos in order:
         if counter.compare(los[pos], reach) == GT:
@@ -107,25 +113,6 @@ def oracle_coverage(instance: CoverageInstance) -> CoverageVerdict:
     # uncovered domain ends beside it; a point domain has no span at all
     i = run // 2
     return CoverageVerdict(False, (values[i], values[i + 1]) if i + 1 < len(values) else None, 0)
-
-
-def intersect_1d(intervals, counter: QueryCounter | None = None) -> Interval | None:
-    """Common intersection of intervals in 2(N-1)+1 counted comparisons."""
-    intervals = list(intervals)
-    if not intervals:
-        raise EmptyInput("intersect_1d needs at least one interval")
-    if counter is None:
-        counter = QueryCounter()
-    lo = intervals[0].lo
-    hi = intervals[0].hi
-    for iv in intervals[1:]:
-        if counter.compare(iv.lo, lo) == GT:
-            lo = iv.lo
-        if counter.compare(iv.hi, hi) == LT:
-            hi = iv.hi
-    if counter.compare(lo, hi) == GT:
-        return None
-    return Interval(lo, hi)
 
 
 @dataclass(frozen=True)

@@ -213,23 +213,15 @@ class MinimalityReport:
     def is_minimal_nonpierceable(self) -> bool:
         return (not self.full_family_pierceable) and all(self.each_deletion_pierceable)
 
-    def to_json_array(self) -> list:
-        return [self.full_family_pierceable, list(self.each_deletion_pierceable)]
-
-
-def _leave_one_out(instance: PiercingInstance):
-    """Each subfamily that drops one cross, in cross order."""
-    crosses = instance.crosses
-    for i in range(instance.n):
-        yield PiercingInstance(instance.xdomain, instance.ydomain,
-                               crosses[:i] + crosses[i + 1:])
-
 
 def check_minimality(instance: PiercingInstance) -> MinimalityReport:
-    """Solve the full family and every leave-one-out subfamily."""
+    """Solve the full family and every leave-one-out subfamily, in cross order."""
+    crosses = instance.crosses
     full = solve_piercing(instance, QueryCounter()).pierceable
-    deletions = tuple(solve_piercing(sub, QueryCounter()).pierceable
-                      for sub in _leave_one_out(instance))
+    deletions = tuple(
+        solve_piercing(PiercingInstance(instance.xdomain, instance.ydomain,
+                                        crosses[:i] + crosses[i + 1:]), QueryCounter()).pierceable
+        for i in range(instance.n))
     return MinimalityReport(full, deletions)
 
 
@@ -268,14 +260,11 @@ def _ladder_crosses(n: int):
     return M, crosses
 
 
-_ORACLE_VERIFY_LIMIT = 14
-
-
 def gen_staircase_minimal(n: int, verify: bool = True) -> PiercingInstance:
     """A family of N crosses with empty intersection whose proper subsets all pierce.
 
-    Construction is self-verified: by the grid oracle up to N=14, by the
-    envelope solver beyond.
+    Unless ``verify`` is false, the construction is self-verified by
+    ``check_minimality``.
     """
     if n < 3:
         raise ValueError("minimal non-pierceable family needs N >= 3")
@@ -296,14 +285,8 @@ def gen_staircase_minimal(n: int, verify: bool = True) -> PiercingInstance:
         M, crosses = _ladder_crosses(n)
         dom = Interval(0, M)
         inst = PiercingInstance(dom, dom, crosses)
-    if verify:
-        if n <= _ORACLE_VERIFY_LIMIT:
-            ok = not oracle_piercing(inst).pierceable and all(
-                oracle_piercing(sub).pierceable for sub in _leave_one_out(inst))
-        else:
-            ok = check_minimality(inst).is_minimal_nonpierceable
-        if not ok:
-            raise RuntimeError(f"staircase generator self-verification failed at N={n}")
+    if verify and not check_minimality(inst).is_minimal_nonpierceable:
+        raise RuntimeError(f"staircase generator self-verification failed at N={n}")
     return inst
 
 

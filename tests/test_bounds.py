@@ -6,7 +6,6 @@ import pytest
 
 from coverpierce.bounds import (
     BenchRecord,
-    bound_report,
     lb_piercing,
     lb_union,
     lb_union_ceil,
@@ -68,14 +67,6 @@ def test_lb_equality_is_union_alias(capsys):
     assert bound(3)["lb_equality"] == lb_union(3) == pytest.approx(1.0, abs=1e-12)
     assert bound(0)["lb_equality"] == 0.0
     assert bound(8)["lb_equality"] == lb_union(8)
-
-
-def test_bound_report_fields():
-    rep = bound_report(8)
-    assert rep.n == 8
-    assert rep.lb_union_bits == lb_union(8)
-    assert rep.lb_piercing == lb_piercing(8)
-    assert "base-6" in rep.basis
 
 
 class TestRunBench:

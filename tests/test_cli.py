@@ -11,7 +11,7 @@ from coverpierce.cli import (
     EXIT_USAGE,
     main,
 )
-from coverpierce.core import dumps_instance, load_instance, loads_instance
+from coverpierce.core import dumps_instance, loads_instance
 from coverpierce.coverage import CoverageVerdict
 
 
@@ -40,7 +40,7 @@ class TestGenerate:
         code = main(["generate", "--family", family, "--n", str(n),
                      "--seed", "3", "--out", str(out)])
         assert code == EXIT_OK
-        instance = load_instance(str(out))
+        instance = loads_instance(out.read_text(encoding="utf-8"))
         assert instance.n == n
         # writing back reproduces the file byte for byte
         assert dumps_instance(instance) == out.read_text(encoding="utf-8")

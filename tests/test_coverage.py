@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverpierce.core import (
+    ContainmentViolation,
     CoverageInstance,
-    EmptyInput,
     InstanceError,
     Interval,
     Permutation,
@@ -19,7 +19,6 @@ from coverpierce.coverage import (
     gen_chain,
     gen_disjoint,
     gen_random_coverage,
-    intersect_1d,
     oracle_coverage,
     solve_coverage,
 )
@@ -43,6 +42,15 @@ coverage_instances = st.integers(min_value=1, max_value=9).flatmap(
         st.tuples(st.integers(0, span), st.integers(0, span)).map(sorted),
         max_size=10,
     ).map(lambda pairs: inst((0, span), pairs))
+)
+
+# intervals may poke out of the domain by up to two ranks, or collapse to a point
+poking_instances = st.tuples(st.integers(0, 3), st.integers(0, 8)).flatmap(
+    lambda p: st.lists(
+        st.tuples(st.integers(p[0] - 2, p[0] + p[1] + 2),
+                  st.integers(p[0] - 2, p[0] + p[1] + 2)).map(sorted),
+        max_size=8,
+    ).map(lambda pairs: inst((p[0], p[0] + p[1]), pairs))
 )
 
 
@@ -147,25 +155,26 @@ class TestOracleCoverage:
                         == oracle_coverage(instance).covered), combo
 
 
-class TestIntersect1d:
-    def test_disjoint_pair_empty(self):
-        assert intersect_1d([Interval(0, 2), Interval(1, 4), Interval(3, 5)]) is None
+class TestIntervalsOutsideDomain:
+    """The sweep once stepped past domain.hi to an interval starting there and
+    reported a gap that the oracle does not see, or that leaves the domain."""
 
-    def test_identity(self):
-        assert intersect_1d([Interval(0, 2)]) == Interval(0, 2)
+    @pytest.mark.parametrize("pairs", [[(0, 5), (7, 9)], [(0, 2), (7, 9)]])
+    def test_interval_right_of_domain_rejected(self, pairs):
+        with pytest.raises(ContainmentViolation):
+            solve_coverage(inst((0, 5), pairs), QueryCounter())
 
-    def test_direct_max_min(self):
-        assert intersect_1d([Interval(0, 3), Interval(1, 4)]) == Interval(1, 3)
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            intersect_1d([])
-
-    def test_exact_comparison_count(self):
-        for n in (1, 2, 5, 20):
-            c = QueryCounter()
-            intersect_1d([Interval(i, i + 10) for i in range(n)], c)
-            assert c.comparisons == 2 * (n - 1) + 1
+    @settings(max_examples=500, deadline=None)
+    @given(poking_instances)
+    def test_agrees_with_oracle_or_rejects(self, instance):
+        dom = instance.domain
+        if dom.lo < dom.hi and any(iv.lo > dom.hi for iv in instance.intervals):
+            with pytest.raises(ContainmentViolation):
+                solve_coverage(instance, QueryCounter())
+            return
+        sv = solve_coverage(instance, QueryCounter())
+        assert sv.covered == oracle_coverage(instance).covered
+        assert sv.witness_sound(instance)
 
 
 class TestGenChain:

@@ -194,6 +194,17 @@ class TestStaircaseMinimal:
             assert all(report.each_deletion_pierceable)
             assert report.is_minimal_nonpierceable
 
+    def test_grid_oracle_finds_small_sizes_minimal(self):
+        # evidence independent of the solver that the generator's self-check runs
+        for n in range(3, 15):
+            instance = gen_staircase_minimal(n, verify=False)
+            crosses = instance.crosses
+            assert not oracle_piercing(instance).pierceable, n
+            for i in range(n):
+                sub = PiercingInstance(instance.xdomain, instance.ydomain,
+                                       crosses[:i] + crosses[i + 1:])
+                assert oracle_piercing(sub).pierceable, (n, i)
+
     def test_large_size_self_verifies_via_solver(self):
         instance = gen_staircase_minimal(25)
         assert not solve_piercing(instance, QueryCounter()).pierceable
@@ -248,7 +259,9 @@ class TestStaircaseLiteral:
 class TestCheckMinimality:
     def test_staircase_six(self):
         report = check_minimality(gen_staircase_minimal(6))
-        assert report.to_json_array() == [False, [True] * 6]
+        assert report.full_family_pierceable is False
+        assert report.each_deletion_pierceable == (True,) * 6
+        assert report.is_minimal_nonpierceable
 
     def test_single_cross(self):
         report = check_minimality(inst((0, 2), (0, 2), [((0, 1), (0, 1))]))
