@@ -29,15 +29,17 @@ def lb_union(n: int) -> float:
 
 
 def lb_union_ceil(n: int) -> int:
-    """Exact ceil(log_6(N!)) via big-integer comparison 6^m >= N!."""
-    if n < 0:
-        raise ValueError("negative size")
+    """Exact ceil(log_6(N!)): the least m >= 0 with 6^m >= N!.
+
+    Starts from the float ``lb_union(n)`` and settles the last unit with
+    exact big-integer comparisons.
+    """
+    m = math.ceil(lb_union(n))  # raises on a negative n
     target = math.factorial(n)
-    m = 0
-    power = 1
-    while power < target:
-        power *= 6
+    while 6 ** m < target:
         m += 1
+    while m > 0 and 6 ** (m - 1) >= target:
+        m -= 1
     return m
 
 
@@ -112,6 +114,8 @@ def run_bench(families, n_values, trials: int, seed: int = 0,
     Wall times are recorded only when ``measure_time`` is set, so that a fixed
     seed yields byte-identical serialized output.
     """
+    if trials < 0:
+        raise ValueError(f"negative trial count {trials}")
     records = []
     for family in families:
         if family not in FAMILIES:

@@ -15,7 +15,6 @@ import numpy as np
 from . import bounds, coverage, piercing
 from .core import (
     CoverageInstance,
-    InstanceError,
     QueryCounter,
     dump_instance,
     dumps_instance,
@@ -51,13 +50,14 @@ def _load(path, strict: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+        instance = loads_instance(text)
+        return validate(instance, strict=strict)
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    try:
-        instance = loads_instance(text)
-        return validate(instance, strict=strict)
-    except (json.JSONDecodeError, InstanceError, ValueError) as exc:
+    # bad UTF-8, bad JSON and bad instances raise ValueErrors; deep nesting
+    # exhausts the JSON decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         print(f"malformed instance {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 

@@ -159,7 +159,8 @@ def normalize_ranks(coords):
     """
     values = list(coords)
     for v in values:
-        if not math.isfinite(v):
+        # an int is finite, and float() would overflow on a huge one
+        if type(v) is not int and not math.isfinite(v):
             raise ValueError(f"non-finite coordinate: {v!r}")
     distinct = sorted(set(values))
     rank_map = {v: r for r, v in enumerate(distinct)}
@@ -214,7 +215,9 @@ def _as_ranks(pairs):
     if kinds:
         names = sorted(k.__name__ for k in kinds)
         raise InstanceError(f"coordinates must be numbers, not {names}")
-    if all(float(v).is_integer() for v in flat):
+    # ints are tested by type: float() overflows on a huge one, and ranking
+    # compares int with float exactly
+    if all(type(v) is int or v.is_integer() for v in flat):
         return [int(v) for v in flat]
     rank_map, _ = normalize_ranks(flat)
     return [rank_map[v] for v in flat]

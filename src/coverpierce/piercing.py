@@ -214,15 +214,80 @@ class MinimalityReport:
         return (not self.full_family_pierceable) and all(self.each_deletion_pierceable)
 
 
+def _best_two(top, entries, counter: QueryCounter, better: str):
+    """The best two (value, index) pairs of ``top`` (best first) and ``entries``.
+
+    ``better`` is GT to keep maxima and LT to keep minima.  A tie keeps the
+    earlier holder first, so a runner-up can equal the best.
+    """
+    first, second = top
+    for entry in entries:
+        if counter.compare(entry[0], first[0]) == better:
+            first, second = entry, first
+        elif counter.compare(entry[0], second[0]) == better:
+            second = entry
+    return first, second
+
+
 def check_minimality(instance: PiercingInstance) -> MinimalityReport:
-    """Solve the full family and every leave-one-out subfamily, in cross order."""
-    crosses = instance.crosses
-    full = solve_piercing(instance, QueryCounter()).pierceable
-    deletions = tuple(
-        solve_piercing(PiercingInstance(instance.xdomain, instance.ydomain,
-                                        crosses[:i] + crosses[i + 1:]), QueryCounter()).pierceable
-        for i in range(instance.n))
-    return MinimalityReport(full, deletions)
+    """Decide the full family and each leave-one-out subfamily, in cross order.
+
+    If the family pierces, so does every subfamily.  Otherwise one sweep over
+    the family's candidate xs, which include every subfamily's, decides all N
+    deletions.  At x the crosses whose horizontal arm misses x (a > x or
+    b < x) confine y to [max c, min d] within the y-domain.  x fails for the
+    family, and deleting a cross changes those bounds only if it holds the
+    max c or the min d, so best-two (value, index) aggregates of c and d,
+    seeded with the y-domain ends that no deletion removes, settle each x
+    with at most two tests.  O(N log N) comparisons on one counter, made by
+    the module's ``QueryCounter`` at call time.
+    """
+    counter = QueryCounter()
+    n = instance.n
+    if solve_piercing(instance, counter).pierceable:
+        return MinimalityReport(True, (True,) * n)
+    a0, b0 = instance.xdomain.lo, instance.xdomain.hi
+    c0, d0 = instance.ydomain.lo, instance.ydomain.hi
+    a = [cr.h.lo for cr in instance.crosses]
+    b = [cr.h.hi for cr in instance.crosses]
+    c = [cr.v.lo for cr in instance.crosses]
+    d = [cr.v.hi for cr in instance.crosses]
+    by_a = merge_sort_counted(a, counter).order
+    by_b = merge_sort_counted(b, counter).order
+
+    def running(order, values, bound, better):
+        tops = [((bound, None), (bound, None))]
+        for i in order:
+            tops.append(_best_two(tops[-1], [(values[i], i)], counter, better))
+        return tops
+
+    # entry k covers by_a[k:] (a-suffixes) or by_b[:k] (b-prefixes)
+    hi_a = running(by_a[::-1], c, c0, GT)[::-1]
+    lo_a = running(by_a[::-1], d, d0, LT)[::-1]
+    hi_b = running(by_b, c, c0, GT)
+    lo_b = running(by_b, d, d0, LT)
+    a_sorted = [a[i] for i in by_a]
+    b_sorted = [b[i] for i in by_b]
+    pierced = [False] * n
+    pa = pb = 0
+    for x in merge_unique_counted([[a0], a_sorted, b_sorted], counter):
+        if counter.compare(x, a0) == LT:
+            continue
+        if counter.compare(x, b0) == GT:
+            break
+        while pa < n and counter.compare(a_sorted[pa], x) != GT:
+            pa += 1
+        while pb < n and counter.compare(b_sorted[pb], x) == LT:
+            pb += 1
+        hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)
+        lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)
+        for i in (hi[0][1], lo[0][1]):
+            if i is None or pierced[i]:
+                continue
+            lower = hi[1][0] if i == hi[0][1] else hi[0][0]
+            upper = lo[1][0] if i == lo[0][1] else lo[0][0]
+            pierced[i] = counter.compare(lower, upper) != GT
+    return MinimalityReport(False, tuple(pierced))
 
 
 def _ladder_crosses(n: int):

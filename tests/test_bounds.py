@@ -27,6 +27,20 @@ class TestLbUnion:
         for n in range(0, 65):
             assert lb_union_ceil(n) == math.ceil(round(lb_union(n), 9))
 
+    def test_ceil_matches_the_multiply_by_six_loop(self):
+        def by_loop(n):  # the earlier definition, one multiplication per unit
+            target, m, power = math.factorial(n), 0, 1
+            while power < target:
+                power *= 6
+                m += 1
+            return m
+
+        for n in [*range(0, 2001), 4999, 20_000]:
+            assert lb_union_ceil(n) == by_loop(n), n
+        # the loop takes seconds here; the definition it computes does not
+        m = lb_union_ceil(50_000)
+        assert 6 ** (m - 1) < math.factorial(50_000) <= 6 ** m
+
     def test_three_exact_via_big_integers(self):
         assert lb_union_ceil(3) == 1
         assert 6 ** 1 == math.factorial(3)

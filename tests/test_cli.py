@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -134,6 +135,31 @@ class TestSolve:
         assert main(["solve", "--in", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    def test_deep_nesting_is_usage_error(self, tmp_path, capsys):
+        # once an uncaught RecursionError from the JSON decoder
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert main(["solve", "--in", str(path)]) == EXIT_USAGE
+        assert "malformed instance" in capsys.readouterr().err
+
+    def test_non_utf8_byte_is_usage_error(self, tmp_path, capsys):
+        # once an uncaught UnicodeDecodeError from reading the file
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"problem": "coverage", "domain": [0, 5], '
+                         b'"intervals": [[0, 5]], "note": "\xff"}')
+        assert main(["solve", "--in", str(path)]) == EXIT_USAGE
+        assert "malformed instance" in capsys.readouterr().err
+
+    def test_huge_integer_next_to_a_fraction_solves(self, tmp_path, capsys):
+        # float(10**400) once raised an uncaught OverflowError while ranking
+        path = write_coverage(tmp_path / "c.json", (0.5, 10**400),
+                              [(0.5, 3), (2, 10**400)])
+        assert main(["solve", "--in", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["covered"] is True
+        path = write_coverage(tmp_path / "c.json", (0.5, 10**400),
+                              [(0.5, 3), (4, 10**400)])
+        assert main(["solve", "--in", path]) == EXIT_NEGATIVE
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["solve", "--in", str(tmp_path / "nope.json")]) == EXIT_IO
 
@@ -200,6 +226,14 @@ class TestBench:
         assert main(["bench", "--family", "chain", "--n", "9..4",
                      "--trials", "1"]) == EXIT_USAGE
 
+    def test_negative_trials_is_usage_error(self, capsys):
+        # once exit 0 with only the CSV header
+        assert main(["bench", "--family", "chain", "--n", "3",
+                     "--trials", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bench:")
+
 
 class TestBound:
     def test_values(self, capsys):
@@ -215,6 +249,13 @@ class TestBound:
         assert main(["bound", "--n", "1"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert "lb_piercing" not in out
+
+    def test_large_n_is_quick(self, capsys):
+        # one multiplication by 6 per unit of lb_union_ceil once took 29 s here
+        start = time.perf_counter()
+        assert main(["bound", "--n", "100000"]) == EXIT_OK
+        assert time.perf_counter() - start < 10
+        assert json.loads(capsys.readouterr().out)["lb_union_ceil"] == 586_742
 
     def test_negative_n_is_usage_error(self, capsys):
         assert main(["bound", "--n", "-1"]) == EXIT_USAGE

@@ -173,6 +173,17 @@ class TestInstanceJson:
         assert instance_to_dict(inst) == {
             "problem": "coverage", "domain": [0, 5], "intervals": [[1, 4]]}
 
+    def test_huge_integers_are_ranked_exactly(self):
+        # float(10**400) once raised OverflowError, beside a fraction or not
+        big = 10**400
+        inst = loads_instance(json.dumps({
+            "problem": "piercing", "xdomain": [0.5, big], "ydomain": [0, big],
+            "crosses": [{"h": [big - 1, big], "v": [0, big - 1]}]}))
+        assert inst.xdomain == Interval(0, 2)
+        assert inst.crosses[0].h == Interval(1, 2)
+        assert inst.ydomain == Interval(0, big)
+        assert inst.crosses[0].v == Interval(0, big - 1)
+
     def test_malformed_object_rejected(self):
         with pytest.raises(InstanceError):
             loads_instance('{"problem":"coverage","domain":[0,5]}')

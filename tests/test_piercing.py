@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from coverpierce import piercing
 from coverpierce.core import (
     Cross,
     InstanceError,
@@ -16,6 +18,7 @@ from coverpierce.core import (
     loads_instance,
 )
 from coverpierce.piercing import (
+    MinimalityReport,
     build_envelopes,
     check_minimality,
     gen_random_piercing,
@@ -256,7 +259,87 @@ class TestStaircaseLiteral:
         assert oracle_piercing(instance).pierceable
 
 
+def minimality_by_solves(instance):
+    """Reference: solve the full family and every leave-one-out subfamily."""
+    crosses = instance.crosses
+    full = solve_piercing(instance, QueryCounter()).pierceable
+    deletions = tuple(
+        solve_piercing(PiercingInstance(instance.xdomain, instance.ydomain,
+                                        crosses[:i] + crosses[i + 1:]), QueryCounter()).pierceable
+        for i in range(instance.n))
+    return MinimalityReport(full, deletions)
+
+
+def arms(span):
+    # may be a point, and may poke out of [0, span] by up to two ranks
+    return st.tuples(st.integers(-2, span + 2), st.integers(-2, span + 2)).map(sorted)
+
+
+@st.composite
+def random_families(draw):
+    span, yspan = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    pool = draw(st.lists(st.tuples(arms(span), arms(yspan)), max_size=10))
+    # repeated crosses tie for the best two of c or d
+    repeats = draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+    crosses = draw(st.permutations(pool + repeats))
+    return inst((0, span), (0, yspan), crosses)
+
+
+@st.composite
+def perturbed_staircases(draw):
+    base = gen_staircase_minimal(draw(st.integers(3, 12)), verify=False)
+    crosses = list(draw(st.permutations(base.crosses)))
+    span = base.xdomain.hi
+    for k in draw(st.lists(st.integers(0, len(crosses) - 1), max_size=2)):
+        crosses[k] = cross(draw(arms(span)), draw(arms(span)))
+    if draw(st.booleans()):
+        crosses.append(draw(st.sampled_from(crosses)))
+    return PiercingInstance(base.xdomain, base.ydomain, crosses)
+
+
 class TestCheckMinimality:
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(random_families(), perturbed_staircases()))
+    @example(inst((0, 3), (0, 3), []))
+    @example(inst((0, 3), (0, 3), [((1, 2), (1, 2))]))
+    @example(inst((0, 3), (0, 3), [((5, 6), (-2, -1))]))  # N=1, no piercing point
+    @example(PiercingInstance(QUAD4.xdomain, QUAD4.ydomain, QUAD4.crosses * 2))
+    def test_equals_leave_one_out_solves(self, instance):
+        assert check_minimality(instance) == minimality_by_solves(instance)
+
+    def test_equals_leave_one_out_solves_on_staircases(self):
+        rng = random.Random(6)
+        for n in [*range(3, 41), 128, 300]:
+            base = gen_staircase_minimal(n, verify=False)
+            crosses = list(base.crosses)
+            rng.shuffle(crosses)
+            shuffled = PiercingInstance(base.xdomain, base.ydomain, crosses)
+            assert check_minimality(shuffled).is_minimal_nonpierceable, n
+            if n <= 40:
+                assert check_minimality(shuffled) == minimality_by_solves(shuffled), n
+                lo, hi = sorted(rng.randint(0, n + 2) for _ in range(2))
+                crosses[rng.randrange(n)] = cross((lo, hi), (lo, hi))
+                bent = PiercingInstance(base.xdomain, base.ydomain, crosses)
+                assert check_minimality(bent) == minimality_by_solves(bent), n
+
+    def test_one_counter_growing_like_n_log_n(self, monkeypatch):
+        # the counter comes from the module's QueryCounter, which perfbench swaps
+        made = []
+
+        def tally():
+            made.append(QueryCounter())
+            return made[-1]
+
+        monkeypatch.setattr(piercing, "QueryCounter", tally)
+        counts = []
+        for n in (512, 1024, 2048):
+            report = check_minimality(gen_staircase_minimal(n, verify=False))
+            assert report.is_minimal_nonpierceable
+            assert len(made) == 1
+            counts.append(made.pop().comparisons)
+        assert counts[1] / counts[0] <= 2.6
+        assert counts[2] / counts[1] <= 2.6
+
     def test_staircase_six(self):
         report = check_minimality(gen_staircase_minimal(6))
         assert report.full_family_pierceable is False
