@@ -102,6 +102,7 @@ class PiercingVerdict:
     pierceable: bool
     witness: tuple | None
     queries_used: int
+    blocking: tuple | None = None  # with leave_one_out: crosses whose deletion still fails
 
     def to_dict(self) -> dict:
         out = {"pierceable": self.pierceable, "queries": self.queries_used}
@@ -118,16 +119,21 @@ class PiercingVerdict:
                 and all(cr.contains(x, y) for cr in instance.crosses))
 
 
-def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = None) -> PiercingVerdict:
+def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = None,
+                   leave_one_out: bool = False) -> PiercingVerdict:
     """Envelope sweep decider.
 
     Feasible at x iff max(g_sw, g_se, c0)(x) <= min(f_nw, f_ne, d0)(x).  Any
     point in the intersection can be slid left onto an endpoint value, so the
     sweep visits only endpoint x candidates, left to right, and reports the
-    leftmost feasible one with the clamped lower envelope as its y.
+    leftmost feasible one with the clamped lower envelope as its y.  With
+    ``leave_one_out`` the verdict also carries ``blocking``, from the sweep
+    of :func:`_solve_leave_one_out`.
     """
     if counter is None:
         counter = QueryCounter()
+    if leave_one_out:
+        return _solve_leave_one_out(instance, counter)
     before = counter.comparisons
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
@@ -204,14 +210,24 @@ def oracle_grid_points(instance: PiercingInstance) -> list:
     return [(x, ys[j]) for x, j_lo, j_hi in zip(xs, lo, hi) for j in range(j_lo, j_hi)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalityReport:
+    """``blocking`` names, in order, the crosses whose deletion leaves the
+    rest of the N crosses without a piercing point; it is empty when the
+    family is minimal or pierceable."""
+
     full_family_pierceable: bool
-    each_deletion_pierceable: tuple
+    n: int
+    blocking: tuple
+
+    @property
+    def each_deletion_pierceable(self) -> tuple:
+        blocking = set(self.blocking)
+        return tuple(i not in blocking for i in range(self.n))
 
     @property
     def is_minimal_nonpierceable(self) -> bool:
-        return (not self.full_family_pierceable) and all(self.each_deletion_pierceable)
+        return not (self.full_family_pierceable or self.blocking)
 
 
 def _best_two(top, entries, counter: QueryCounter, better: str):
@@ -229,23 +245,24 @@ def _best_two(top, entries, counter: QueryCounter, better: str):
     return first, second
 
 
-def check_minimality(instance: PiercingInstance) -> MinimalityReport:
-    """Decide the full family and each leave-one-out subfamily, in cross order.
+def _solve_leave_one_out(instance: PiercingInstance, counter: QueryCounter) -> PiercingVerdict:
+    """The family's verdict and the crosses whose deletion leaves the rest
+    unpierceable, from one sweep.
 
-    If the family pierces, so does every subfamily.  Otherwise one sweep over
-    the family's candidate xs, which include every subfamily's, decides all N
-    deletions.  At x the crosses whose horizontal arm misses x (a > x or
-    b < x) confine y to [max c, min d] within the y-domain.  x fails for the
-    family, and deleting a cross changes those bounds only if it holds the
-    max c or the min d, so best-two (value, index) aggregates of c and d,
-    seeded with the y-domain ends that no deletion removes, settle each x
-    with at most two tests.  O(N log N) comparisons on one counter, made by
-    the module's ``QueryCounter`` at call time.
+    At x the crosses whose horizontal arm misses x (a > x or b < x) confine y
+    to [max c, min d] within the y-domain.  Best-two (value, index)
+    aggregates of c and d over the a-suffixes and b-prefixes, seeded with the
+    y-domain ends that no deletion removes, give the family's bounds at x and
+    the bounds without whichever cross holds the max c or the min d; deleting
+    any other cross leaves them as they are.  So at most two tests per x
+    decide every deletion.  Sliding a feasible x left only drops constraints
+    until it meets a0 or an a value, so those are the only xs swept: the
+    family's leftmost feasible x, hence its witness, is the plain sweep's,
+    and each subfamily's candidates are among them.  If the family pierces,
+    so does every subfamily.  O(N log N) comparisons.
     """
-    counter = QueryCounter()
+    before = counter.comparisons
     n = instance.n
-    if solve_piercing(instance, counter).pierceable:
-        return MinimalityReport(True, (True,) * n)
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
     a = [cr.h.lo for cr in instance.crosses]
@@ -270,7 +287,7 @@ def check_minimality(instance: PiercingInstance) -> MinimalityReport:
     b_sorted = [b[i] for i in by_b]
     pierced = [False] * n
     pa = pb = 0
-    for x in merge_unique_counted([[a0], a_sorted, b_sorted], counter):
+    for x in merge_unique_counted([[a0], a_sorted], counter):
         if counter.compare(x, a0) == LT:
             continue
         if counter.compare(x, b0) == GT:
@@ -281,13 +298,31 @@ def check_minimality(instance: PiercingInstance) -> MinimalityReport:
             pb += 1
         hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)
         lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)
+        if counter.compare(hi[0][0], lo[0][0]) != GT:
+            verdict = PiercingVerdict(True, (x, hi[0][0]), counter.comparisons - before, ())
+            if not verdict.witness_sound(instance):
+                raise RuntimeError(f"solver produced an unsound witness {verdict.witness}")
+            return verdict
         for i in (hi[0][1], lo[0][1]):
             if i is None or pierced[i]:
                 continue
             lower = hi[1][0] if i == hi[0][1] else hi[0][0]
             upper = lo[1][0] if i == lo[0][1] else lo[0][0]
             pierced[i] = counter.compare(lower, upper) != GT
-    return MinimalityReport(False, tuple(pierced))
+    return PiercingVerdict(False, None, counter.comparisons - before,
+                           tuple(i for i in range(n) if not pierced[i]))
+
+
+def check_minimality(instance: PiercingInstance) -> MinimalityReport:
+    """Decide the full family and each leave-one-out subfamily, in cross order.
+
+    One ``solve_piercing(..., leave_one_out=True)`` sweep in place of N+1
+    solves.  Both it and the counter are looked up on the module at call
+    time, so a tally or tracer swapped in there sees every comparison, and
+    a tracer that counts per ``solve_piercing`` call also counts the sweep.
+    """
+    verdict = solve_piercing(instance, QueryCounter(), leave_one_out=True)
+    return MinimalityReport(verdict.pierceable, instance.n, verdict.blocking)
 
 
 def _ladder_crosses(n: int):

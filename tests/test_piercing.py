@@ -263,11 +263,12 @@ def minimality_by_solves(instance):
     """Reference: solve the full family and every leave-one-out subfamily."""
     crosses = instance.crosses
     full = solve_piercing(instance, QueryCounter()).pierceable
-    deletions = tuple(
-        solve_piercing(PiercingInstance(instance.xdomain, instance.ydomain,
-                                        crosses[:i] + crosses[i + 1:]), QueryCounter()).pierceable
-        for i in range(instance.n))
-    return MinimalityReport(full, deletions)
+    blocking = tuple(
+        i for i in range(instance.n)
+        if not solve_piercing(PiercingInstance(instance.xdomain, instance.ydomain,
+                                               crosses[:i] + crosses[i + 1:]),
+                              QueryCounter()).pierceable)
+    return MinimalityReport(full, instance.n, blocking)
 
 
 def arms(span):
@@ -306,6 +307,10 @@ class TestCheckMinimality:
     @example(PiercingInstance(QUAD4.xdomain, QUAD4.ydomain, QUAD4.crosses * 2))
     def test_equals_leave_one_out_solves(self, instance):
         assert check_minimality(instance) == minimality_by_solves(instance)
+        # the leave-one-out sweep finds the plain sweep's verdict and witness
+        swept = solve_piercing(instance, QueryCounter(), leave_one_out=True)
+        plain = solve_piercing(instance, QueryCounter())
+        assert (swept.pierceable, swept.witness) == (plain.pierceable, plain.witness)
 
     def test_equals_leave_one_out_solves_on_staircases(self):
         rng = random.Random(6)
@@ -356,7 +361,9 @@ class TestCheckMinimality:
                                base.crosses + (base.crosses[3],))
         report = check_minimality(dup)
         assert not report.full_family_pierceable
-        assert not all(report.each_deletion_pierceable)
+        # deleting either copy leaves the minimal family
+        assert report.blocking == (3, 4)
+        assert report.each_deletion_pierceable == (True, True, True, False, False)
         assert not report.is_minimal_nonpierceable
 
 
