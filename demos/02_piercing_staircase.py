@@ -1,6 +1,6 @@
 """Walkthrough: piercing crosses with one point per axis.
 
-Shows the envelope sweep on a small instance, then the minimal families
+Shows the piercing sweep on a small instance, then the minimal families
 where piercing fails but every deletion restores it.
 """
 
@@ -26,8 +26,10 @@ instance = PiercingInstance(dom, dom, [
 verdict = solve_piercing(instance, QueryCounter())
 print("pierceable:", verdict.pierceable, " witness:", verdict.witness)
 
-# The decider works off four step functions: per x, the tightest vertical
-# constraints from crosses whose horizontal arm excludes x.
+# Per x, the crosses whose horizontal arm excludes x confine y, and the
+# sweep takes the tightest of those bounds.  The four corner step functions
+# hold the same bounds split by corner: arm right of x (a > x) or left of it
+# (b < x), bound from above (d) or below (c).
 env = build_envelopes(instance)
 for name, fn in [("f_nw", env.f_nw), ("f_ne", env.f_ne),
                  ("g_sw", env.g_sw), ("g_se", env.g_se)]:

@@ -19,6 +19,7 @@ from . import coverage, piercing
 from .core import CoverageInstance, Permutation, QueryCounter
 
 _LN6 = math.log(6)
+_CEIL_MARGIN = 1e-12  # relative to lb_union(n)
 
 
 def lb_union(n: int) -> float:
@@ -31,16 +32,17 @@ def lb_union(n: int) -> float:
 def lb_union_ceil(n: int) -> int:
     """Exact ceil(log_6(N!)): the least m >= 0 with 6^m >= N!.
 
-    Starts from the float ``lb_union(n)`` and settles the last unit with
-    exact big-integer comparisons.
+    Each ``math.log`` term is within an ulp, ``fsum`` rounds once and the
+    division by ln 6 adds two roundings, so ``lb_union(n)`` is within about
+    6e-16 of log_6(N!) relative to it.  Only a float within the far wider
+    ``_CEIL_MARGIN`` of an integer m, as ``lb_union(3) == 1.0`` is, needs
+    the exact big-integer test of 6^m against N!.
     """
-    m = math.ceil(lb_union(n))  # raises on a negative n
-    target = math.factorial(n)
-    while 6 ** m < target:
-        m += 1
-    while m > 0 and 6 ** (m - 1) >= target:
-        m -= 1
-    return m
+    x = lb_union(n)  # raises on a negative n
+    m = round(x)
+    if abs(x - m) > _CEIL_MARGIN * max(1.0, x):
+        return math.ceil(x)
+    return m if 6 ** m >= math.factorial(n) else m + 1
 
 
 def lb_piercing(n: int) -> float:

@@ -1,10 +1,14 @@
-"""Pair-of-points piercing of N crosses via staircase envelopes.
+"""Pair-of-points piercing of N crosses by one sweep.
 
 A cross is the set of points whose x lies in its horizontal arm or whose y
-lies in its vertical arm.  Its complement splits into at most four corner
-boxes; the union of each kind of box is bounded by a monotone step function.
-Piercing succeeds iff somewhere the lower envelope stays below the upper one.
-Also houses the generators for minimal non-pierceable families.
+lies in its vertical arm.  At x, the crosses whose horizontal arm misses x
+confine y to one interval; the family pierces iff that interval, clamped to
+the y-domain, is nonempty at some x.  :func:`solve_piercing` sweeps a0 and
+the a values with best-two aggregates of those bounds, and so decides the
+family and each of its leave-one-out subfamilies at once.  The same bounds,
+split by corner box, are the four monotone step functions of
+:func:`build_envelopes`.  Also houses the generators for minimal
+non-pierceable families.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ class PiercingVerdict:
     pierceable: bool
     witness: tuple | None
     queries_used: int
-    blocking: tuple | None = None  # with leave_one_out: crosses whose deletion still fails
+    blocking: tuple | None = None  # solve_piercing: crosses whose deletion still fails
 
     def to_dict(self) -> dict:
         out = {"pierceable": self.pierceable, "queries": self.queries_used}
@@ -117,55 +121,6 @@ class PiercingVerdict:
         x, y = self.witness
         return (instance.xdomain.contains(x) and instance.ydomain.contains(y)
                 and all(cr.contains(x, y) for cr in instance.crosses))
-
-
-def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = None,
-                   leave_one_out: bool = False) -> PiercingVerdict:
-    """Envelope sweep decider.
-
-    Feasible at x iff max(g_sw, g_se, c0)(x) <= min(f_nw, f_ne, d0)(x).  Any
-    point in the intersection can be slid left onto an endpoint value, so the
-    sweep visits only endpoint x candidates, left to right, and reports the
-    leftmost feasible one with the clamped lower envelope as its y.  With
-    ``leave_one_out`` the verdict also carries ``blocking``, from the sweep
-    of :func:`_solve_leave_one_out`.
-    """
-    if counter is None:
-        counter = QueryCounter()
-    if leave_one_out:
-        return _solve_leave_one_out(instance, counter)
-    before = counter.comparisons
-    a0, b0 = instance.xdomain.lo, instance.xdomain.hi
-    c0, d0 = instance.ydomain.lo, instance.ydomain.hi
-    if instance.n == 0:
-        return PiercingVerdict(True, (a0, c0), 0)
-    env = build_envelopes(instance, counter)
-    a_sorted = list(env.f_nw.breakpoints)
-    b_sorted = [bp - 1 for bp in env.f_ne.breakpoints]
-    candidates = merge_unique_counted([[a0], a_sorted, b_sorted], counter)
-    funcs = (env.f_nw, env.f_ne, env.g_sw, env.g_se)
-    ptrs = [0, 0, 0, 0]
-    for x in candidates:
-        if counter.compare(x, a0) == LT or counter.compare(x, b0) == GT:
-            continue
-        vals = []
-        for fi, fn in enumerate(funcs):
-            bp = fn.breakpoints
-            p = ptrs[fi]
-            while p < len(bp) and counter.compare(bp[p], x) != GT:
-                p += 1
-            ptrs[fi] = p
-            vals.append(fn.values[p])
-        upper = vals[0] if counter.compare(vals[0], vals[1]) != GT else vals[1]
-        upper = upper if counter.compare(upper, d0) != GT else d0
-        lower = vals[2] if counter.compare(vals[2], vals[3]) != LT else vals[3]
-        lower = lower if counter.compare(lower, c0) != LT else c0
-        if counter.compare(lower, upper) != GT:
-            verdict = PiercingVerdict(True, (x, lower), counter.comparisons - before)
-            if not verdict.witness_sound(instance):
-                raise RuntimeError(f"solver produced an unsound witness {verdict.witness}")
-            return verdict
-    return PiercingVerdict(False, None, counter.comparisons - before)
 
 
 def _grid_hits(instance: PiercingInstance):
@@ -245,9 +200,9 @@ def _best_two(top, entries, counter: QueryCounter, better: str):
     return first, second
 
 
-def _solve_leave_one_out(instance: PiercingInstance, counter: QueryCounter) -> PiercingVerdict:
+def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = None) -> PiercingVerdict:
     """The family's verdict and the crosses whose deletion leaves the rest
-    unpierceable, from one sweep.
+    unpierceable, from one sweep over a0 and the a values.
 
     At x the crosses whose horizontal arm misses x (a > x or b < x) confine y
     to [max c, min d] within the y-domain.  Best-two (value, index)
@@ -256,15 +211,20 @@ def _solve_leave_one_out(instance: PiercingInstance, counter: QueryCounter) -> P
     the bounds without whichever cross holds the max c or the min d; deleting
     any other cross leaves them as they are.  So at most two tests per x
     decide every deletion.  Sliding a feasible x left only drops constraints
-    until it meets a0 or an a value, so those are the only xs swept: the
-    family's leftmost feasible x, hence its witness, is the plain sweep's,
-    and each subfamily's candidates are among them.  If the family pierces,
-    so does every subfamily.  O(N log N) comparisons.
+    until it meets a0 or an a value, so those are the only xs swept, left to
+    right: the first feasible one is the family's leftmost feasible x, and
+    the witness takes the clamped max c there as its y.  Each subfamily's
+    candidates are among them too, and if the family pierces, so does every
+    subfamily, so ``blocking`` is then empty.  O(N log N) comparisons.
     """
+    if counter is None:
+        counter = QueryCounter()
     before = counter.comparisons
     n = instance.n
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
+    if n == 0:
+        return PiercingVerdict(True, (a0, c0), 0, ())
     a = [cr.h.lo for cr in instance.crosses]
     b = [cr.h.hi for cr in instance.crosses]
     c = [cr.v.lo for cr in instance.crosses]
@@ -316,12 +276,12 @@ def _solve_leave_one_out(instance: PiercingInstance, counter: QueryCounter) -> P
 def check_minimality(instance: PiercingInstance) -> MinimalityReport:
     """Decide the full family and each leave-one-out subfamily, in cross order.
 
-    One ``solve_piercing(..., leave_one_out=True)`` sweep in place of N+1
-    solves.  Both it and the counter are looked up on the module at call
-    time, so a tally or tracer swapped in there sees every comparison, and
-    a tracer that counts per ``solve_piercing`` call also counts the sweep.
+    One ``solve_piercing`` sweep in place of N+1 solves.  Both it and the
+    counter are looked up on the module at call time, so a tally or tracer
+    swapped in there sees every comparison, and a tracer that counts per
+    ``solve_piercing`` call also counts the sweep.
     """
-    verdict = solve_piercing(instance, QueryCounter(), leave_one_out=True)
+    verdict = solve_piercing(instance, QueryCounter())
     return MinimalityReport(verdict.pierceable, instance.n, verdict.blocking)
 
 

@@ -35,7 +35,16 @@ class TestLbUnion:
                 m += 1
             return m
 
-        for n in [*range(0, 2001), 4999, 20_000]:
+        # the same loop run on from n - 1 to n, for every n up to 3000;
+        # lb_union(2751) lies within 7e-6 of an integer
+        factorial, m, power = 1, 0, 1
+        for n in range(0, 3001):
+            factorial *= max(n, 1)
+            while power < factorial:
+                power *= 6
+                m += 1
+            assert lb_union_ceil(n) == m, n
+        for n in (4999, 20_000):
             assert lb_union_ceil(n) == by_loop(n), n
         # the loop takes seconds here; the definition it computes does not
         m = lb_union_ceil(50_000)

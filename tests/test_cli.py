@@ -2,6 +2,7 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coverpierce import coverage
 from coverpierce.cli import (
@@ -251,11 +252,13 @@ class TestBound:
         assert "lb_piercing" not in out
 
     def test_large_n_is_quick(self, capsys):
-        # one multiplication by 6 per unit of lb_union_ceil once took 29 s here
-        start = time.perf_counter()
-        assert main(["bound", "--n", "100000"]) == EXIT_OK
-        assert time.perf_counter() - start < 10
-        assert json.loads(capsys.readouterr().out)["lb_union_ceil"] == 586_742
+        # one multiplication by 6 per unit of lb_union_ceil once took 29 s
+        # at n=10**5, and math.factorial(10**6) inside it took 25 s
+        for n, ceil in [(100_000, 586_742), (1_000_000, 7_152_477)]:
+            start = time.perf_counter()
+            assert main(["bound", "--n", str(n)]) == EXIT_OK
+            assert time.perf_counter() - start < 10
+            assert json.loads(capsys.readouterr().out)["lb_union_ceil"] == ceil
 
     def test_negative_n_is_usage_error(self, capsys):
         assert main(["bound", "--n", "-1"]) == EXIT_USAGE
@@ -266,3 +269,60 @@ class TestBound:
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+# --- fuzzing ``solve`` over generated file bytes ------------------------------
+
+coordinates = st.one_of(
+    st.integers(-3, 12), st.integers(-10**400, 10**400),
+    st.floats(), st.floats(-3, 12).map(lambda v: round(v, 1)),
+    st.booleans(), st.text(max_size=2), st.none())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+ordered_pairs = st.tuples(st.integers(0, 9), st.integers(0, 9)).map(sorted)
+pairs = st.one_of(ordered_pairs, st.lists(coordinates, min_size=2, max_size=2),
+                  st.lists(coordinates, max_size=3), json_values)
+crosses = st.one_of(st.fixed_dictionaries({"h": pairs, "v": pairs}), json_values)
+documents = st.fixed_dictionaries({
+    "problem": st.sampled_from(["coverage", "piercing"]) | json_values,
+    "domain": st.just([0, 9]) | pairs,
+    "intervals": st.lists(pairs, max_size=5) | json_values,
+    "xdomain": st.just([0, 9]) | pairs,
+    "ydomain": st.just([0, 9]) | pairs,
+    "crosses": st.lists(crosses, max_size=5) | json_values,
+}).flatmap(lambda doc: st.sets(st.sampled_from(sorted(doc)), max_size=2).map(
+    lambda dropped: {k: v for k, v in doc.items() if k not in dropped}))
+
+
+@st.composite
+def file_bytes(draw):
+    """JSON text of an instance-like document, sometimes nested, cut short or
+    given a stray byte; or bytes of any kind."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+    doc = draw(documents | json_values)
+    data = json.dumps(doc).encode("utf-8")  # NaN and Infinity pass through
+    depth = draw(st.sampled_from([0, 0, 0, 3, 5000]))
+    data = b"[" * depth + data + b"]" * depth
+    cut = draw(st.integers(0, len(data)))
+    edit = draw(st.sampled_from(["keep", "truncate", "insert"]))
+    if edit == "truncate":
+        data = data[:cut]
+    elif edit == "insert":
+        data = data[:cut] + draw(st.binary(min_size=1, max_size=2)) + data[cut:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(file_bytes())
+@example(b'{"problem":"piercing","xdomain":[0,9],"ydomain":[0,9],"crosses":[]}')
+@example(b'{"problem":"coverage","domain":[NaN,Infinity],"intervals":[]}')
+@example(b'{"problem":"coverage","domain":[0,1e400],"intervals":[[0.5,1e308]]}')
+@example(b'{"problem":"piercing","xdomain":[0,9],"ydomain":[0,9],"crosses":[[0,1]]}')
+def test_solve_survives_any_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(data)
+    assert main(["solve", "--in", str(path)]) in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE)

@@ -260,15 +260,20 @@ class TestStaircaseLiteral:
 
 
 def minimality_by_solves(instance):
-    """Reference: solve the full family and every leave-one-out subfamily."""
+    """Reference: the grid oracle on the full family and on every
+    leave-one-out subfamily, sharing no code with the sweep."""
     crosses = instance.crosses
-    full = solve_piercing(instance, QueryCounter()).pierceable
+    full = oracle_piercing(instance).pierceable
     blocking = tuple(
         i for i in range(instance.n)
-        if not solve_piercing(PiercingInstance(instance.xdomain, instance.ydomain,
-                                               crosses[:i] + crosses[i + 1:]),
-                              QueryCounter()).pierceable)
+        if not oracle_piercing(PiercingInstance(instance.xdomain, instance.ydomain,
+                                                crosses[:i] + crosses[i + 1:])).pierceable)
     return MinimalityReport(full, instance.n, blocking)
+
+
+def same_verdict_as_oracle(instance):
+    sv, ov = solve_piercing(instance, QueryCounter()), oracle_piercing(instance)
+    return (sv.pierceable, sv.witness) == (ov.pierceable, ov.witness)
 
 
 def arms(span):
@@ -307,10 +312,8 @@ class TestCheckMinimality:
     @example(PiercingInstance(QUAD4.xdomain, QUAD4.ydomain, QUAD4.crosses * 2))
     def test_equals_leave_one_out_solves(self, instance):
         assert check_minimality(instance) == minimality_by_solves(instance)
-        # the leave-one-out sweep finds the plain sweep's verdict and witness
-        swept = solve_piercing(instance, QueryCounter(), leave_one_out=True)
-        plain = solve_piercing(instance, QueryCounter())
-        assert (swept.pierceable, swept.witness) == (plain.pierceable, plain.witness)
+        # the sweep's witness is the oracle's first piercing grid point
+        assert same_verdict_as_oracle(instance)
 
     def test_equals_leave_one_out_solves_on_staircases(self):
         rng = random.Random(6)
@@ -326,6 +329,7 @@ class TestCheckMinimality:
                 crosses[rng.randrange(n)] = cross((lo, hi), (lo, hi))
                 bent = PiercingInstance(base.xdomain, base.ydomain, crosses)
                 assert check_minimality(bent) == minimality_by_solves(bent), n
+                assert same_verdict_as_oracle(bent), n
 
     def test_one_counter_growing_like_n_log_n(self, monkeypatch):
         # the counter comes from the module's QueryCounter, which perfbench swaps
