@@ -33,9 +33,9 @@ for values in ([3, 0, 2, 1], [3, 0, 3, 1], list(range(7, -1, -1))):
 
 # A small deterministic sweep: chain coverage and random piercing.
 records = run_bench(["chain", "random-piercing"], [8, 32, 128], trials=3, seed=0)
-print("\nfamily           N   trial  comparisons  lower bound")
+print("\nfamily           N    seed  comparisons  lower bound")
 for r in records:
-    print(f"{r.family:15s} {r.n:4d} {r.trial:6d} {r.comparisons:12d} "
+    print(f"{r.family:15s} {r.n:4d} {r.seed:6d} {r.comparisons:12d} "
           f"{r.lower_bound:12.3f}")
 
 # The same records in the CSV shape the CLI emits.

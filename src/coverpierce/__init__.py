@@ -18,7 +18,7 @@ from .core import (
     normalize_ranks,
     validate,
 )
-from .sorting import SortedOrder, merge_sort_counted
+from .sorting import merge_sort_counted
 from .coverage import (
     ChainInstance,
     CoverageVerdict,

@@ -58,7 +58,7 @@ def lb_piercing(n: int) -> float:
 class BenchRecord:
     family: str
     n: int
-    trial: int
+    seed: int
     comparisons: int
     verdict: str
     lower_bound: float
@@ -76,45 +76,47 @@ def _random_parity_perm(n: int, rng) -> Permutation:
 
 
 # Family name -> generator (n, rng) -> instance, shared by ``run_bench`` and
-# ``coverpierce generate``.  The generators look the library functions up at
-# call time, so rebinding a module attribute reaches them.  A name's position
-# seeds ``_trial_rng``: append new names, never reorder.  "random" is an alias
-# of "random-piercing" with its own seeds.
+# ``coverpierce generate`` through ``generate_instance``.  The generators look
+# the library functions up at call time, so rebinding a module attribute
+# reaches them.
 FAMILIES = {
     "chain": lambda n, rng: coverage.gen_chain(rng.permutation(n) + 1),
     "staircase": lambda n, rng: piercing.gen_staircase_minimal(n),
     "staircase-literal": lambda n, rng: piercing.gen_staircase_literal(
         n, _random_parity_perm(n, rng)),
     "disjoint": lambda n, rng: coverage.gen_disjoint(n),
-    "random": lambda n, rng: piercing.gen_random_piercing(n, rng),
     "random-coverage": lambda n, rng: coverage.gen_random_coverage(n, rng),
     "random-piercing": lambda n, rng: piercing.gen_random_piercing(n, rng),
 }
 
 
-def _trial_rng(seed: int, family: str, n: int, trial: int):
-    fidx = list(FAMILIES).index(family)
-    return np.random.RandomState([seed & 0xFFFFFFFF, fidx, n, trial])
+def generate_instance(family: str, n: int, seed: int):
+    """The ``family`` instance of size ``n`` for ``seed`` (taken mod 2^32)."""
+    return FAMILIES[family](n, np.random.RandomState(seed & 0xFFFFFFFF))
 
 
-def _run_one(family: str, n: int, rng):
-    """Generate one instance and solve it; returns (comparisons, verdict, lb)."""
-    instance = FAMILIES[family](n, rng)
+def _solve_timed(instance):
+    """Solve one instance; returns (comparisons, verdict, solve ns)."""
     counter = QueryCounter()
+    t0 = time.perf_counter_ns()
     if isinstance(instance, CoverageInstance):
         covered = coverage.solve_coverage(instance, counter).covered
-        return counter.comparisons, "covered" if covered else "uncovered", lb_union(n)
-    pierceable = piercing.solve_piercing(instance, counter).pierceable
-    word = "pierceable" if pierceable else "not-pierceable"
-    return counter.comparisons, word, lb_piercing(n)
+        word = "covered" if covered else "uncovered"
+    else:
+        pierceable = piercing.solve_piercing(instance, counter).pierceable
+        word = "pierceable" if pierceable else "not-pierceable"
+    return counter.comparisons, word, time.perf_counter_ns() - t0
 
 
 def run_bench(families, n_values, trials: int, seed: int = 0,
               measure_time: bool = False) -> list:
-    """Deterministic benchmark sweep: one record per (family, n, trial).
+    """Deterministic benchmark sweep: one record per (family, n, seed).
 
-    Wall times are recorded only when ``measure_time`` is set, so that a fixed
-    seed yields byte-identical serialized output.
+    Trial t uses seed ``seed + t``, so each record is the instance that
+    ``generate_instance`` (and ``coverpierce generate``) builds from its own
+    family, n and seed.  Wall times cover the solve alone and are recorded
+    only when ``measure_time`` is set, so that a fixed seed yields
+    byte-identical serialized output.
     """
     if trials < 0:
         raise ValueError(f"negative trial count {trials}")
@@ -123,13 +125,12 @@ def run_bench(families, n_values, trials: int, seed: int = 0,
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         for n in n_values:
-            for trial in range(trials):
-                rng = _trial_rng(seed, family, n, trial)
-                t0 = time.perf_counter_ns()
-                comparisons, verdict, lb = _run_one(family, n, rng)
-                elapsed = time.perf_counter_ns() - t0
+            for trial_seed in range(seed, seed + trials):
+                instance = generate_instance(family, n, trial_seed)
+                comparisons, verdict, elapsed = _solve_timed(instance)
+                lb = lb_union(n) if isinstance(instance, CoverageInstance) else lb_piercing(n)
                 records.append(BenchRecord(
-                    family=family, n=n, trial=trial,
+                    family=family, n=n, seed=trial_seed,
                     comparisons=comparisons, verdict=verdict,
                     lower_bound=lb,
                     wall_time_ns=elapsed if measure_time else 0,
@@ -137,7 +138,7 @@ def run_bench(families, n_values, trials: int, seed: int = 0,
     return records
 
 
-CSV_HEADER = ["family", "n", "trial", "comparisons", "verdict",
+CSV_HEADER = ["family", "n", "seed", "comparisons", "verdict",
               "lower_bound", "wall_time_ns"]
 
 
@@ -146,5 +147,5 @@ def write_bench_csv(records, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
-        writer.writerow([r.family, r.n, r.trial, r.comparisons, r.verdict,
+        writer.writerow([r.family, r.n, r.seed, r.comparisons, r.verdict,
                          f"{r.lower_bound:.4f}", r.wall_time_ns])

@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import bounds, coverage, piercing
 from .core import (
     CoverageInstance,
@@ -29,9 +27,8 @@ EXIT_IO = 3
 EXIT_DISAGREE = 4
 
 def cmd_generate(args) -> int:
-    rng = np.random.RandomState(args.seed & 0xFFFFFFFF)
     try:
-        instance = bounds.FAMILIES[args.family](args.n, rng)
+        instance = bounds.generate_instance(args.family, args.n, args.seed)
     except ValueError as exc:
         print(f"generate: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -176,10 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=bounds.FAMILIES)
     p.add_argument("--n", required=True, help="size or inclusive range A..B")
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="trial t uses seed SEED+t: its row is the instance "
+                        "`generate --seed SEED+t` writes")
     p.add_argument("--out", default=None)
     p.add_argument("--measure-time", action="store_true",
-                   help="record wall times (breaks byte-determinism)")
+                   help="record solve wall times (breaks byte-determinism)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bound", help="print lower-bound values for a size")

@@ -67,7 +67,7 @@ def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = No
         return CoverageVerdict(covered, None, counter.comparisons - before)
     los = [iv.lo for iv in instance.intervals]
     his = [iv.hi for iv in instance.intervals]
-    order = merge_sort_counted(los, counter).order
+    order = merge_sort_counted(los, counter)
     if order and los[order[-1]] > domain.hi:
         # one uncounted check, like validate's, so in-domain counts stay as they are
         raise ContainmentViolation(
@@ -122,7 +122,7 @@ class ChainInstance(CoverageInstance):
     permutation: Permutation = None
 
 
-def gen_chain(perm, n: int | None = None) -> ChainInstance:
+def gen_chain(perm) -> ChainInstance:
     """Chain of overlapping intervals on ranks 0..2N-1, ordered by ``perm``.
 
     Link k starts before link k-1 ends, so the union covers the whole domain
@@ -131,8 +131,6 @@ def gen_chain(perm, n: int | None = None) -> ChainInstance:
     if not isinstance(perm, Permutation):
         perm = Permutation(tuple(perm))
     N = len(perm)
-    if n is not None and n != N:
-        raise ValueError(f"size {n} disagrees with |perm| = {N}")
     if N < 2:
         raise ValueError("chain needs N >= 2")
     a = [0] * (N + 1)

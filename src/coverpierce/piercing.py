@@ -94,8 +94,8 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
     b = [cr.h.hi for cr in instance.crosses]
     c = [cr.v.lo for cr in instance.crosses]
     d = [cr.v.hi for cr in instance.crosses]
-    by_a = merge_sort_counted(a, counter).order
-    by_b = merge_sort_counted(b, counter).order
+    by_a = merge_sort_counted(a, counter)
+    by_b = merge_sort_counted(b, counter)
     f_nw, g_sw = _envelope_pair(a, (d, c), by_a, counter, above=True)
     f_ne, g_se = _envelope_pair(b, (d, c), by_b, counter, above=False)
     return Envelopes(f_nw=f_nw, f_ne=f_ne, g_sw=g_sw, g_se=g_se)
@@ -124,29 +124,30 @@ class PiercingVerdict:
 
 
 def _grid_hits(instance: PiercingInstance):
-    """Endpoint values of each axis within its domain, and for each grid x the
-    index range ``[lo[i], hi[i])`` of the grid ys that pierce every cross.
+    """Endpoint values of the x axis within its domain, all endpoint values of
+    the y axis, and for each grid x the index range ``[lo[i], hi[i])`` of the
+    ys that pierce every cross.
 
     A cross whose horizontal arm misses x needs y in its vertical arm, so at x
-    the piercing ys form one interval, clamped to the y-domain.  O(N * n_x)
-    time and memory.
+    the piercing ys form one interval, clamped to the y-domain.  numpy works
+    on the values' positions in the sorted lists, since an int beyond int64
+    has no numpy dtype.  O(N * n_x) time and memory.
     """
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
     xs = sorted({a0, b0} | {v for cr in instance.crosses for v in (cr.h.lo, cr.h.hi)})
     ys = sorted({c0, d0} | {v for cr in instance.crosses for v in (cr.v.lo, cr.v.hi)})
-    xs = [x for x in xs if a0 <= x <= b0]
-    ys = [y for y in ys if c0 <= y <= d0]
-    xv = np.asarray(xs)
-    h_lo = np.asarray([cr.h.lo for cr in instance.crosses])[:, None]
-    h_hi = np.asarray([cr.h.hi for cr in instance.crosses])[:, None]
-    v_lo = np.asarray([cr.v.lo for cr in instance.crosses])[:, None]
-    v_hi = np.asarray([cr.v.hi for cr in instance.crosses])[:, None]
+    xr = {x: i for i, x in enumerate(xs)}
+    yr = {y: i for i, y in enumerate(ys)}
+    xv = np.arange(xr[a0], xr[b0] + 1)
+    h_lo = np.array([xr[cr.h.lo] for cr in instance.crosses], dtype=np.int64)[:, None]
+    h_hi = np.array([xr[cr.h.hi] for cr in instance.crosses], dtype=np.int64)[:, None]
+    v_lo = np.array([yr[cr.v.lo] for cr in instance.crosses], dtype=np.int64)[:, None]
+    v_hi = np.array([yr[cr.v.hi] for cr in instance.crosses], dtype=np.int64)[:, None]
     miss = (xv < h_lo) | (h_hi < xv)  # (N, n_x): the y arm must hold y
-    lower = np.where(miss, v_lo, c0).max(axis=0, initial=c0)
-    upper = np.where(miss, v_hi, d0).min(axis=0, initial=d0)
-    yv = np.asarray(ys)
-    return xs, ys, np.searchsorted(yv, lower, "left"), np.searchsorted(yv, upper, "right")
+    lower = np.where(miss, v_lo, yr[c0]).max(axis=0, initial=yr[c0])
+    upper = np.where(miss, v_hi, yr[d0]).min(axis=0, initial=yr[d0])
+    return xs[xr[a0]:xr[b0] + 1], ys, lower, upper + 1
 
 
 def oracle_piercing(instance: PiercingInstance) -> PiercingVerdict:
@@ -229,8 +230,8 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
     b = [cr.h.hi for cr in instance.crosses]
     c = [cr.v.lo for cr in instance.crosses]
     d = [cr.v.hi for cr in instance.crosses]
-    by_a = merge_sort_counted(a, counter).order
-    by_b = merge_sort_counted(b, counter).order
+    by_a = merge_sort_counted(a, counter)
+    by_b = merge_sort_counted(b, counter)
 
     def running(order, values, bound, better):
         tops = [((bound, None), (bound, None))]

@@ -7,27 +7,16 @@ For N = 2^n inputs it performs at most n*N comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import GT, QueryCounter
 
 
-@dataclass(frozen=True)
-class SortedOrder:
-    """A stable sorted order of input positions plus the comparisons it cost."""
-
-    order: tuple
-    comparisons: int
-
-
-def merge_sort_counted(items, counter: QueryCounter | None = None) -> SortedOrder:
+def merge_sort_counted(items, counter: QueryCounter | None = None) -> tuple:
     """Stable merge sort returning positions; odd lengths split into uneven halves."""
     if counter is None:
         counter = QueryCounter()
     keys = list(items)
     n = len(keys)
     order = list(range(n))
-    before = counter.comparisons
     width = 1
     while width < n:
         merged = []
@@ -47,7 +36,7 @@ def merge_sort_counted(items, counter: QueryCounter | None = None) -> SortedOrde
             merged.extend(order[j:hi])
         order = merged
         width *= 2
-    return SortedOrder(tuple(order), counter.comparisons - before)
+    return tuple(order)
 
 
 def merge_unique_counted(lists, counter: QueryCounter) -> list:

@@ -219,7 +219,9 @@ def test_criterion_6_merge_sort_budget():
         inputs += [rng.randint(0, N, size=N).tolist() for _ in range(100)]
         for items in inputs:
             cases += 1
-            if merge_sort_counted(items, QueryCounter()).comparisons > n * N:
+            counter = QueryCounter()
+            merge_sort_counted(items, counter)
+            if counter.comparisons > n * N:
                 violations += 1
     report(6, "merge sort comparison budget", violations == 0,
            f"<= n*N for N=2^n, n in 1..14, sorted/reversed/100 random each "

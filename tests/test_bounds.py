@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import time
 
 import pytest
 
+from coverpierce import bounds, coverage
 from coverpierce.bounds import (
     BenchRecord,
     lb_piercing,
@@ -128,13 +130,22 @@ class TestRunBench:
         timed = run_bench(["disjoint"], [4], trials=1, seed=0, measure_time=True)
         assert timed[0].wall_time_ns > 0
 
+    def test_wall_time_excludes_generation(self, monkeypatch):
+        def slow_disjoint(n, rng):
+            time.sleep(0.05)
+            return coverage.gen_disjoint(n)
+
+        monkeypatch.setitem(bounds.FAMILIES, "disjoint", slow_disjoint)
+        [record] = run_bench(["disjoint"], [4], trials=1, seed=0, measure_time=True)
+        assert 0 < record.wall_time_ns < 50_000_000
+
 
 def test_csv_format():
     records = [BenchRecord("chain", 4, 0, 17, "covered", lb_union(4), 0)]
     buf = io.StringIO()
     write_bench_csv(records, buf)
     lines = buf.getvalue().split("\n")
-    assert lines[0] == "family,n,trial,comparisons,verdict,lower_bound,wall_time_ns"
+    assert lines[0] == "family,n,seed,comparisons,verdict,lower_bound,wall_time_ns"
     assert lines[1] == "chain,4,0,17,covered,1.7737,0"
     assert buf.getvalue().endswith("\n")
     assert "\r" not in buf.getvalue()

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coverpierce import coverage
+from coverpierce import bounds, coverage
 from coverpierce.cli import (
     EXIT_DISAGREE,
     EXIT_IO,
@@ -15,6 +15,12 @@ from coverpierce.cli import (
 )
 from coverpierce.core import dumps_instance, loads_instance
 from coverpierce.coverage import CoverageVerdict
+
+
+HUGE_Y_ONE_CROSS = (b'{"problem":"piercing","xdomain":[0,9],"ydomain":[0,1' + b"0" * 400
+                    + b'],"crosses":[{"h":[0,1],"v":[0,1]}]}')
+HUGE_Y_NO_CROSSES = (b'{"problem":"piercing","xdomain":[0,9],"ydomain":[0,1' + b"0" * 400
+                     + b'],"crosses":[]}')
 
 
 def write_coverage(path, domain, pairs):
@@ -61,13 +67,8 @@ class TestGenerate:
                   "--seed", "77", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_random_is_random_piercing(self, capsys):
-        texts = []
-        for family in ("random", "random-piercing"):
-            assert main(["generate", "--family", family, "--n", "6",
-                         "--seed", "5"]) == EXIT_OK
-            texts.append(capsys.readouterr().out)
-        assert texts[0] == texts[1]
+    def test_no_random_alias(self, capsys):
+        assert main(["generate", "--family", "random", "--n", "6"]) == EXIT_USAGE
 
     def test_staircase_too_small_is_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--family", "staircase", "--n", "2",
@@ -197,6 +198,15 @@ class TestVerify:
         path = write_coverage(tmp_path / "c.json", (0, 5), [(0, 5)])
         assert main(["verify", "--in", path, "--inject-fault"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("data", [HUGE_Y_ONE_CROSS, HUGE_Y_NO_CROSSES],
+                             ids=["one-cross", "no-crosses"])
+    def test_huge_integer_domain_verifies(self, data, tmp_path, capsys):
+        # the grid oracle once put 10**400 in a numpy array: OverflowError
+        path = tmp_path / "p.json"
+        path.write_bytes(data)
+        assert main(["verify", "--in", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["agree"] is True
+
 
 class TestBench:
     def test_row_count_and_verdicts(self, tmp_path, capsys):
@@ -205,7 +215,7 @@ class TestBench:
                      "--trials", "2", "--out", str(out)])
         assert code == EXIT_OK
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0].startswith("family,n,trial,comparisons,verdict")
+        assert lines[0].startswith("family,n,seed,comparisons,verdict")
         assert len(lines) == 1 + 3 * 2
         assert all(line.split(",")[4] == "covered" for line in lines[1:])
 
@@ -222,6 +232,22 @@ class TestBench:
                      "--trials", "1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.splitlines()[1].startswith("disjoint,3,0,")
+
+    @pytest.mark.parametrize("seed", [0, 4294967294])  # the second wraps mod 2^32
+    def test_every_row_is_rebuilt_by_generate(self, seed, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        for family in bounds.FAMILIES:
+            assert main(["bench", "--family", family, "--n", "8..9",
+                         "--trials", "3", "--seed", str(seed)]) == EXIT_OK
+            rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+            assert [int(row[2]) for row in rows] == [seed, seed + 1, seed + 2] * 2
+            for fam, n, row_seed, comparisons, verdict, _, _ in rows:
+                assert main(["generate", "--family", fam, "--n", n,
+                             "--seed", row_seed, "--out", str(path)]) == EXIT_OK
+                code = main(["solve", "--in", str(path)])
+                assert code == (EXIT_OK if verdict in ("covered", "pierceable")
+                                else EXIT_NEGATIVE)
+                assert json.loads(capsys.readouterr().out)["queries"] == int(comparisons)
 
     def test_bad_range_is_usage_error(self, capsys):
         assert main(["bench", "--family", "chain", "--n", "9..4",
@@ -271,7 +297,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
-# --- fuzzing ``solve`` over generated file bytes ------------------------------
+# --- fuzzing ``solve`` and ``verify`` over generated file bytes ---------------
 
 coordinates = st.one_of(
     st.integers(-3, 12), st.integers(-10**400, 10**400),
@@ -326,3 +352,14 @@ def test_solve_survives_any_file(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_bytes(data)
     assert main(["solve", "--in", str(path)]) in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(file_bytes())
+@example(HUGE_Y_ONE_CROSS)
+@example(HUGE_Y_NO_CROSSES)
+@example(b'{"problem":"coverage","domain":[0,1e400],"intervals":[[0.5,1e308]]}')
+def test_verify_survives_any_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-verify.json"
+    path.write_bytes(data)
+    assert main(["verify", "--in", str(path)]) in (EXIT_OK, EXIT_USAGE)

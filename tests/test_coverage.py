@@ -211,10 +211,6 @@ class TestGenChain:
         with pytest.raises(InstanceError):
             gen_chain((True, 2))
 
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            gen_chain((1, 2, 3), n=4)
-
 
 class TestFlipLink:
     def test_flip_last_link(self):
