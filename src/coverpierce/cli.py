@@ -26,6 +26,21 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DISAGREE = 4
 
+# The largest --n accepted.  Generating an instance and summing a bound take
+# time linear in N, so a 20-digit N could only exhaust memory or never end.
+MAX_N = 1 << 22
+
+
+def size(text: str) -> int:
+    """An ``--n`` value: an int in [0, MAX_N]."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"negative size {n}")
+    if n > MAX_N:
+        raise argparse.ArgumentTypeError(f"size {n} exceeds the largest size, {MAX_N}")
+    return n
+
+
 def cmd_generate(args) -> int:
     try:
         instance = bounds.generate_instance(args.family, args.n, args.seed)
@@ -99,11 +114,11 @@ def cmd_verify(args) -> int:
 def _parse_n_range(spec: str):
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = size(lo_s), size(hi_s)
         if lo > hi:
             raise ValueError(f"empty range {spec}")
         return list(range(lo, hi + 1))
-    return [int(spec)]
+    return [size(spec)]
 
 
 def cmd_bench(args) -> int:
@@ -111,7 +126,7 @@ def cmd_bench(args) -> int:
         n_values = _parse_n_range(args.n)
         records = bounds.run_bench(args.family, n_values, args.trials,
                                    seed=args.seed, measure_time=args.measure_time)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -128,11 +143,7 @@ def cmd_bench(args) -> int:
 
 def cmd_bound(args) -> int:
     n = args.n
-    try:
-        lb = bounds.lb_union(n)
-    except ValueError as exc:
-        print(f"bound: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lb = bounds.lb_union(n)
     # lb_equality: the distinctness bound is the same quantity as lb_union
     out = {"n": n, "lb_union": lb, "lb_union_ceil": bounds.lb_union_ceil(n),
            "lb_equality": lb}
@@ -152,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write an instance JSON file")
     p.add_argument("--family", required=True, choices=bounds.FAMILIES)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=size, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
@@ -182,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bound", help="print lower-bound values for a size")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=size, required=True)
     p.set_defaults(func=cmd_bound)
 
     return parser

@@ -253,6 +253,14 @@ class TestBench:
         assert main(["bench", "--family", "chain", "--n", "9..4",
                      "--trials", "1"]) == EXIT_USAGE
 
+    def test_huge_range_is_usage_error(self, capsys):
+        # list(range(...)) once raised an uncaught OverflowError (exit 1)
+        assert main(["bench", "--family", "chain", "--n",
+                     "2..100000000000000000000"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bench:")
+
     def test_negative_trials_is_usage_error(self, capsys):
         # once exit 0 with only the CSV header
         assert main(["bench", "--family", "chain", "--n", "3",
@@ -295,6 +303,64 @@ class TestBound:
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("verb", [
+    ["generate", "--family", "staircase"],  # once an uncaught MemoryError
+    ["generate", "--family", "staircase-literal"],  # once an uncaught OverflowError
+    ["generate", "--family", "disjoint"],  # once never ended
+    ["bound"],  # once never ended
+], ids=["staircase", "staircase-literal", "disjoint", "bound"])
+def test_huge_size_is_usage_error(verb, capsys):
+    assert main(verb + ["--n", "100000000000000000000"]) == EXIT_USAGE
+    assert "exceeds the largest size" in capsys.readouterr().err
+
+
+# --- fuzzing the argv of ``generate``, ``bench`` and ``bound`` ----------------
+
+HUGE = "100000000000000000000"
+EDGE_TOKENS = ["", "..", "3..", "..3", "5..3", "-1", "-7", "x", "1.5", HUGE, "-" + HUGE]
+small_sizes = st.integers(0, 40).map(str)
+size_tokens = small_sizes | st.sampled_from(EDGE_TOKENS)
+n_ranges = st.builds(lambda lo, span: f"{lo}..{lo + span}",
+                     st.integers(-3, 40), st.integers(-2, 3))
+seed_tokens = (st.integers(-5, 2**32 + 5).map(str)
+               | st.sampled_from(["", "x", "-1", HUGE, "-" + HUGE]))
+trial_tokens = st.integers(-2, 3).map(str) | st.sampled_from(["", "x", "1.5"])
+families = st.sampled_from(sorted(bounds.FAMILIES) + ["nope", ""])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for generate, bench or bound: options in any order, each value
+    drawn from valid small values and edge tokens, some options left out."""
+    verb = draw(st.sampled_from(["generate", "bench", "bound"]))
+    options = [("--n", size_tokens | n_ranges if verb == "bench" else size_tokens)]
+    if verb != "bound":
+        options += [("--family", families), ("--seed", seed_tokens)]
+        if verb == "bench":
+            options += [("--family", families), ("--trials", trial_tokens)]
+    argv = []
+    for flag, values in draw(st.permutations(options)):
+        if draw(st.integers(0, 9)):  # one option in ten is left out
+            value = draw(values)
+            # "--n=-3..2": a separate "-3..2" would be taken for an option
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if not draw(st.integers(0, 19)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(EDGE_TOKENS)))
+    return [verb] + argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+@example(["bench", "--family", "chain", "--n", "2..100000000000000000000"])
+@example(["bench", "--family", "chain", "--n=-100000000000000000000..2"])
+@example(["generate", "--family", "staircase", "--n", HUGE])
+@example(["generate", "--family", "staircase-literal", "--n", HUGE])
+@example(["generate", "--family", "disjoint", "--n", HUGE])
+@example(["bound", "--n", HUGE])
+def test_argv_exits_zero_or_two(argv):
+    assert main(argv) in (EXIT_OK, EXIT_USAGE)
 
 
 # --- fuzzing ``solve`` and ``verify`` over generated file bytes ---------------

@@ -11,7 +11,9 @@ values and the CSV ``comparisons`` column masked, their texts did not change.
 The ``BENCH`` digests were re-recorded again when trial t of ``bench --seed
 S`` became the instance ``generate --seed S+t`` writes and the CSV's
 ``trial`` column became ``seed``; for ``staircase`` and ``disjoint``, whose
-generators take no randomness, only that third column changed.
+generators take no randomness, only that third column changed.  ``SORT_LARGE``
+pins ``merge_sort_counted`` at sizes where its bulk path runs; it was recorded
+with the scalar merge alone, before the bulk path existed.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ from coverpierce.piercing import (
     gen_staircase_literal,
     gen_staircase_minimal,
 )
+from coverpierce.sorting import merge_sort_counted
 
 GENERATE = {
     "chain": ("6",
@@ -63,6 +66,21 @@ BOUND_8 = "98f409a542351e21b597fd65cc9a249c165db3c2cd4cefa14ad14d157ca6d632"
 ENVELOPES_50 = "9cf709b59e927d6a006b6c6d73091a2edf466aa97714f0f005b3edfe4d37ac22"
 STAIRCASE_3_300 = "34b4e192036cd5716ce315da1c9be64bff85473d2ff6d28b07832625842c4ef5"
 STAIRCASE_VERIFIED_3_20 = "cc8508a1c4fabace1974bbbcfa63a7948b8926af7f7ec8a434b72bec665af115"
+# (sha256 of the order, lt, eq, gt)
+SORT_LARGE = {
+    "random-4096": ("5d7efab8f00b8620b611a40b716474e2d76f484e68892982ad9ac0e707cec1ff",
+        17198, 4813, 21958),
+    "random-16384": ("f6687b74f7533f0b430a9fea996f6e103d1c848a429f82fb2bc9b73dbf395d90",
+        84972, 19315, 104334),
+    "random-65536": ("26d4beb642f4fca7d90a2e0d882045b54ffae86cf8c6dcab427d3773693888ba",
+        406094, 77017, 482420),
+    "sorted-65536": ("056a6e5cccfaf188a678142aa0028c811e0621903d04e90ee4ab4f23fe65a739",
+        524288, 0, 0),
+    "reversed-65536": ("e09015d7231971d44c4fab630b6a98881812fc04d59c24c0fac6abfed36bd89e",
+        0, 0, 524288),
+    "all-equal-65536": ("056a6e5cccfaf188a678142aa0028c811e0621903d04e90ee4ab4f23fe65a739",
+        0, 524288, 0),
+}
 LITERAL_ALL_PERMS = {
     8: (576, "4e60ee259ad8f7878fc4514bf532c3e2bd4f4b12bed11477d7695002edd17755"),
     9: (2880, "6d3897de30acf37067771d852bd63d46b7f0c98786119c4c79ab194feb491af4"),
@@ -111,6 +129,23 @@ def test_envelopes_on_seeded_random_instances():
                  for fn in (env.f_nw, env.f_ne, env.g_sw, env.g_se)]
         lines.append(repr((steps, (counter.lt, counter.eq, counter.gt))))
     assert digest("\n".join(lines)) == ENVELOPES_50
+
+
+def sort_keys(name):
+    shape, n = name.rsplit("-", 1)
+    n = int(n)
+    if shape == "random":  # ties: n keys drawn from n // 4 values
+        return np.random.RandomState(n).randint(0, n // 4, size=n).tolist()
+    return {"sorted": list(range(n)), "reversed": list(range(n, 0, -1)),
+            "all-equal": [7] * n}[shape]
+
+
+@pytest.mark.parametrize("name", sorted(SORT_LARGE))
+def test_merge_sort_counted_at_scale(name):
+    counter = QueryCounter()
+    order = merge_sort_counted(sort_keys(name), counter)
+    assert (digest(",".join(map(str, order))), counter.lt, counter.eq,
+            counter.gt) == SORT_LARGE[name]
 
 
 def test_staircase_minimal_instances():

@@ -3,8 +3,15 @@ import random
 
 from hypothesis import given, strategies as st
 
+from coverpierce import sorting
 from coverpierce.core import QueryCounter
-from coverpierce.sorting import merge_sort_counted, merge_unique_counted
+from coverpierce.sorting import (
+    BULK_MIN_N,
+    _merge_sort_bulk,
+    _merge_sort_scalar,
+    merge_sort_counted,
+    merge_unique_counted,
+)
 
 
 def apply_order(items, order):
@@ -70,6 +77,55 @@ def test_counter_accumulates_across_sorts():
     first = c.comparisons
     merge_sort_counted([5, 4], c)
     assert c.comparisons == first + 1
+
+
+def sort_and_tally(sort, keys):
+    c = QueryCounter()
+    order = sort(list(keys), c)
+    return order, (c.lt, c.eq, c.gt)
+
+
+small_keys = st.integers(min_value=0, max_value=5)
+wide_keys = st.integers(min_value=-(10**30), max_value=10**30)
+key_lists = st.one_of(
+    st.lists(small_keys, max_size=300),  # heavy ties
+    st.lists(wide_keys, max_size=300),  # ints beyond int64
+    st.lists(st.integers(min_value=2**63 - 3, max_value=2**63 + 3), max_size=300),
+    st.builds(lambda k, n: [k] * n, wide_keys, st.integers(0, 300)),  # all equal
+    st.lists(small_keys, max_size=300).map(sorted),
+    st.lists(wide_keys, max_size=300).map(lambda v: sorted(v, reverse=True)),
+    st.lists(st.text(max_size=2), max_size=300),  # not ints at all
+)
+
+
+@given(key_lists)
+def test_bulk_matches_scalar_merge(keys):
+    # the bulk routine is called directly, so its tiny inputs are covered too
+    assert sort_and_tally(_merge_sort_bulk, keys) == sort_and_tally(_merge_sort_scalar, keys)
+
+
+def test_bulk_matches_scalar_merge_on_edge_lists():
+    for n in range(0, 70):
+        for keys in ([0] * n, list(range(n)), list(range(n, 0, -1)),
+                     [i % 3 for i in range(n)], [10**30 - i % 2 for i in range(n)],
+                     [-(2**63) + i % 4 for i in range(n)]):
+            assert sort_and_tally(_merge_sort_bulk, keys) == sort_and_tally(_merge_sort_scalar, keys)
+
+
+def test_crossover_both_sides(monkeypatch):
+    bulk_sizes = []
+
+    def spy(keys, counter):
+        bulk_sizes.append(len(keys))
+        return _merge_sort_bulk(keys, counter)
+
+    monkeypatch.setattr(sorting, "_merge_sort_bulk", spy)
+    rng = random.Random(5)
+    sizes = (BULK_MIN_N - 1, BULK_MIN_N, BULK_MIN_N + 1, 4 * BULK_MIN_N + 3)
+    for n in sizes:
+        keys = [rng.randrange(n // 4) for _ in range(n)]
+        assert sort_and_tally(merge_sort_counted, keys) == sort_and_tally(_merge_sort_scalar, keys)
+    assert bulk_sizes == [n for n in sizes if n >= BULK_MIN_N]
 
 
 def test_merge_unique_counted():
