@@ -27,9 +27,12 @@ verdict = solve_piercing(instance, QueryCounter())
 print("pierceable:", verdict.pierceable, " witness:", verdict.witness)
 
 # Per x, the crosses whose horizontal arm excludes x confine y, and the
-# sweep takes the tightest of those bounds.  The four corner step functions
-# hold the same bounds split by corner: arm right of x (a > x) or left of it
-# (b < x), bound from above (d) or below (c).
+# sweep takes the tightest of those bounds from four corner step functions:
+# arm right of x (a > x) or left of it (b < x), bound from above (d) or
+# below (c).  Each value is the best two (bound, cross index) pairs, the
+# y-domain end standing in with index None.  The runner-up pair is what
+# decides each leave-one-out deletion: without the cross that holds the
+# tightest bound, the runner-up takes its place.
 env = build_envelopes(instance)
 for name, fn in [("f_nw", env.f_nw), ("f_ne", env.f_ne),
                  ("g_sw", env.g_sw), ("g_se", env.g_se)]:

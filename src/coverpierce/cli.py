@@ -26,18 +26,19 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DISAGREE = 4
 
-# The largest --n accepted.  Generating an instance and summing a bound take
-# time linear in N, so a 20-digit N could only exhaust memory or never end.
+# The largest --n and --trials accepted.  Generating an instance, summing a
+# bound and running the trials take time linear in them, so a 20-digit value
+# could only exhaust memory or never end.
 MAX_N = 1 << 22
 
 
-def size(text: str) -> int:
-    """An ``--n`` value: an int in [0, MAX_N]."""
+def size(text: str, what: str = "size") -> int:
+    """An ``--n`` or ``--trials`` value: an int in [0, MAX_N]."""
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"negative size {n}")
+        raise argparse.ArgumentTypeError(f"negative {what} {n}")
     if n > MAX_N:
-        raise argparse.ArgumentTypeError(f"size {n} exceeds the largest size, {MAX_N}")
+        raise argparse.ArgumentTypeError(f"{what} {n} exceeds the largest {what}, {MAX_N}")
     return n
 
 
@@ -124,7 +125,8 @@ def _parse_n_range(spec: str):
 def cmd_bench(args) -> int:
     try:
         n_values = _parse_n_range(args.n)
-        records = bounds.run_bench(args.family, n_values, args.trials,
+        trials = size(args.trials, "trial count")
+        records = bounds.run_bench(args.family, n_values, trials,
                                    seed=args.seed, measure_time=args.measure_time)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"bench: {exc}", file=sys.stderr)
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", action="append", required=True,
                    choices=bounds.FAMILIES)
     p.add_argument("--n", required=True, help="size or inclusive range A..B")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", default="1", help="trials per size, 0 to 2^22")
     p.add_argument("--seed", type=int, default=0,
                    help="trial t uses seed SEED+t: its row is the instance "
                         "`generate --seed SEED+t` writes")

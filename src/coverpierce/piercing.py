@@ -3,17 +3,16 @@
 A cross is the set of points whose x lies in its horizontal arm or whose y
 lies in its vertical arm.  At x, the crosses whose horizontal arm misses x
 confine y to one interval; the family pierces iff that interval, clamped to
-the y-domain, is nonempty at some x.  :func:`solve_piercing` sweeps a0 and
-the a values with best-two aggregates of those bounds, and so decides the
-family and each of its leave-one-out subfamilies at once.  The same bounds,
-split by corner box, are the four monotone step functions of
-:func:`build_envelopes`.  Also houses the generators for minimal
-non-pierceable families.
+the y-domain, is nonempty at some x.  :func:`build_envelopes` splits those
+bounds by corner box into four monotone step functions of x, each holding
+the best two (value, index) pairs of a y-end, and :func:`solve_piercing`
+sweeps a0 and the a values over them, so deciding the family and each of
+its leave-one-out subfamilies at once.  Also houses the generators for
+minimal non-pierceable families.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -30,17 +29,14 @@ from .core import (
 )
 from .sorting import merge_sort_counted, merge_unique_counted
 
-POS_INF = math.inf
-NEG_INF = -math.inf
-
 
 @dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function of x.
 
     ``values[j]`` applies on [breakpoints[j-1], breakpoints[j]); the first
-    value extends to -inf, the last to +inf.  Sentinel values +/-inf mean
-    "no constraint".
+    value extends to -inf, the last to +inf.  Breakpoints may repeat, which
+    leaves the values between equal ones unreached.
     """
 
     breakpoints: tuple
@@ -57,48 +53,61 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class Envelopes:
+    """The four corner envelopes.  Each value is the best two (value, index)
+    pairs, best first, of one y-end over the crosses on one side of x and
+    the y-domain end, whose index is None.  On the a side the breakpoints are
+    the sorted a values, on the b side the sorted b + 1, one per cross."""
+
     f_nw: StepFunction  # min d over a > x   (nondecreasing)
     f_ne: StepFunction  # min d over b < x   (nonincreasing)
     g_sw: StepFunction  # max c over a > x   (nonincreasing)
     g_se: StepFunction  # max c over b < x   (nondecreasing)
 
 
-def _envelope_pair(keys, deps, order, counter, above: bool):
-    """Min and max of deps over key > x (``above``) or key < x, as functions of x.
+def _best_two(top, entries, counter: QueryCounter, better: str):
+    """The best two (value, index) pairs of ``top`` (best first) and ``entries``.
 
-    Breakpoints sit at each distinct key value (``above``) or just past it.
-    The above aggregate is the below one taken over the reversed order, which
-    compares the same pairs as a suffix scan.
+    ``better`` is GT to keep maxima and LT to keep minima.  A tie keeps the
+    earlier holder first, so a runner-up can equal the best.
     """
-    mins, maxs = [POS_INF], [NEG_INF]
-    for i in (order[::-1] if above else order):
-        d, c = deps[0][i], deps[1][i]
-        mins.append(d if counter.compare(d, mins[-1]) != GT else mins[-1])
-        maxs.append(c if counter.compare(c, maxs[-1]) != LT else maxs[-1])
-    if above:
-        mins.reverse()
-        maxs.reverse()
-    srt = [keys[i] for i in order]
-    ends = [t for t in range(len(srt))
-            if t + 1 == len(srt) or counter.compare(srt[t], srt[t + 1]) == LT]
-    breakpoints = [srt[t] if above else srt[t] + 1 for t in ends]
-    return (StepFunction(breakpoints, [mins[0]] + [mins[t + 1] for t in ends]),
-            StepFunction(breakpoints, [maxs[0]] + [maxs[t + 1] for t in ends]))
+    first, second = top
+    for entry in entries:
+        if counter.compare(entry[0], first[0]) == better:
+            first, second = entry, first
+        elif counter.compare(entry[0], second[0]) == better:
+            second = entry
+    return first, second
 
 
 def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = None) -> Envelopes:
-    """Sort-plus-running-aggregate construction of the four corner envelopes."""
+    """Sort a and b, then take running best-two aggregates of c and d.
+
+    Value k of an a-side envelope covers the crosses ``by_a[k:]``, the k-th
+    of a b-side one ``by_b[:k]``.  O(N log N) comparisons.
+    """
     if counter is None:
         counter = QueryCounter()
+    c0, d0 = instance.ydomain.lo, instance.ydomain.hi
     a = [cr.h.lo for cr in instance.crosses]
     b = [cr.h.hi for cr in instance.crosses]
     c = [cr.v.lo for cr in instance.crosses]
     d = [cr.v.hi for cr in instance.crosses]
     by_a = merge_sort_counted(a, counter)
     by_b = merge_sort_counted(b, counter)
-    f_nw, g_sw = _envelope_pair(a, (d, c), by_a, counter, above=True)
-    f_ne, g_se = _envelope_pair(b, (d, c), by_b, counter, above=False)
-    return Envelopes(f_nw=f_nw, f_ne=f_ne, g_sw=g_sw, g_se=g_se)
+
+    def aggregate(order, values, seed, better):
+        tops = [((seed, None), (seed, None))]
+        for i in order:
+            tops.append(_best_two(tops[-1], [(values[i], i)], counter, better))
+        return tops
+
+    a_ends = [a[i] for i in by_a]
+    b_ends = [b[i] + 1 for i in by_b]
+    return Envelopes(
+        f_nw=StepFunction(a_ends, aggregate(by_a[::-1], d, d0, LT)[::-1]),
+        f_ne=StepFunction(b_ends, aggregate(by_b, d, d0, LT)),
+        g_sw=StepFunction(a_ends, aggregate(by_a[::-1], c, c0, GT)[::-1]),
+        g_se=StepFunction(b_ends, aggregate(by_b, c, c0, GT)))
 
 
 @dataclass(frozen=True)
@@ -186,32 +195,17 @@ class MinimalityReport:
         return not (self.full_family_pierceable or self.blocking)
 
 
-def _best_two(top, entries, counter: QueryCounter, better: str):
-    """The best two (value, index) pairs of ``top`` (best first) and ``entries``.
-
-    ``better`` is GT to keep maxima and LT to keep minima.  A tie keeps the
-    earlier holder first, so a runner-up can equal the best.
-    """
-    first, second = top
-    for entry in entries:
-        if counter.compare(entry[0], first[0]) == better:
-            first, second = entry, first
-        elif counter.compare(entry[0], second[0]) == better:
-            second = entry
-    return first, second
-
-
 def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = None) -> PiercingVerdict:
     """The family's verdict and the crosses whose deletion leaves the rest
     unpierceable, from one sweep over a0 and the a values.
 
     At x the crosses whose horizontal arm misses x (a > x or b < x) confine y
-    to [max c, min d] within the y-domain.  Best-two (value, index)
-    aggregates of c and d over the a-suffixes and b-prefixes, seeded with the
-    y-domain ends that no deletion removes, give the family's bounds at x and
-    the bounds without whichever cross holds the max c or the min d; deleting
-    any other cross leaves them as they are.  So at most two tests per x
-    decide every deletion.  Sliding a feasible x left only drops constraints
+    to [max c, min d] within the y-domain.  The envelopes' best-two (value,
+    index) aggregates of c and d, seeded with the y-domain ends that no
+    deletion removes, give the family's bounds at x and the bounds without
+    whichever cross holds the max c or the min d; deleting any other cross
+    leaves them as they are.  So at most two tests per x decide every
+    deletion.  Sliding a feasible x left only drops constraints
     until it meets a0 or an a value, so those are the only xs swept, left to
     right: the first feasible one is the family's leftmost feasible x, and
     the witness takes the clamped max c there as its y.  Each subfamily's
@@ -221,41 +215,24 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
     if counter is None:
         counter = QueryCounter()
     before = counter.comparisons
+    env = build_envelopes(instance, counter)
     n = instance.n
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
-    c0, d0 = instance.ydomain.lo, instance.ydomain.hi
     if n == 0:
-        return PiercingVerdict(True, (a0, c0), 0, ())
-    a = [cr.h.lo for cr in instance.crosses]
-    b = [cr.h.hi for cr in instance.crosses]
-    c = [cr.v.lo for cr in instance.crosses]
-    d = [cr.v.hi for cr in instance.crosses]
-    by_a = merge_sort_counted(a, counter)
-    by_b = merge_sort_counted(b, counter)
-
-    def running(order, values, bound, better):
-        tops = [((bound, None), (bound, None))]
-        for i in order:
-            tops.append(_best_two(tops[-1], [(values[i], i)], counter, better))
-        return tops
-
-    # entry k covers by_a[k:] (a-suffixes) or by_b[:k] (b-prefixes)
-    hi_a = running(by_a[::-1], c, c0, GT)[::-1]
-    lo_a = running(by_a[::-1], d, d0, LT)[::-1]
-    hi_b = running(by_b, c, c0, GT)
-    lo_b = running(by_b, d, d0, LT)
-    a_sorted = [a[i] for i in by_a]
-    b_sorted = [b[i] for i in by_b]
+        return PiercingVerdict(True, (a0, instance.ydomain.lo), 0, ())
+    a_ends, b_ends = env.g_sw.breakpoints, env.g_se.breakpoints
+    hi_a, hi_b = env.g_sw.values, env.g_se.values
+    lo_a, lo_b = env.f_nw.values, env.f_ne.values
     pierced = [False] * n
     pa = pb = 0
-    for x in merge_unique_counted([[a0], a_sorted], counter):
+    for x in merge_unique_counted([[a0], a_ends], counter):
         if counter.compare(x, a0) == LT:
             continue
         if counter.compare(x, b0) == GT:
             break
-        while pa < n and counter.compare(a_sorted[pa], x) != GT:
+        while pa < n and counter.compare(a_ends[pa], x) != GT:
             pa += 1
-        while pb < n and counter.compare(b_sorted[pb], x) == LT:
+        while pb < n and counter.compare(b_ends[pb], x) != GT:
             pb += 1
         hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)
         lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)

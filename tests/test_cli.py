@@ -269,6 +269,17 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.startswith("bench:")
 
+    def test_huge_trials_is_usage_error(self, capsys, monkeypatch):
+        # once ran without end, building one record per trial before any output
+        runs = []
+        monkeypatch.setattr(bounds, "run_bench", lambda *args, **kw: runs.append(args) or [])
+        assert main(["bench", "--family", "disjoint", "--n", "1",
+                     "--trials", "100000000000000000000"]) == EXIT_USAGE
+        assert runs == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bench: trial count 100000000000000000000 exceeds")
+
 
 class TestBound:
     def test_values(self, capsys):
@@ -326,7 +337,7 @@ n_ranges = st.builds(lambda lo, span: f"{lo}..{lo + span}",
                      st.integers(-3, 40), st.integers(-2, 3))
 seed_tokens = (st.integers(-5, 2**32 + 5).map(str)
                | st.sampled_from(["", "x", "-1", HUGE, "-" + HUGE]))
-trial_tokens = st.integers(-2, 3).map(str) | st.sampled_from(["", "x", "1.5"])
+trial_tokens = st.integers(-2, 3).map(str) | st.sampled_from(["", "x", "1.5", HUGE])
 families = st.sampled_from(sorted(bounds.FAMILIES) + ["nope", ""])
 
 
@@ -359,6 +370,7 @@ def cli_argv(draw):
 @example(["generate", "--family", "staircase-literal", "--n", HUGE])
 @example(["generate", "--family", "disjoint", "--n", HUGE])
 @example(["bound", "--n", HUGE])
+@example(["bench", "--family", "disjoint", "--n", "1", "--trials", HUGE])
 def test_argv_exits_zero_or_two(argv):
     assert main(argv) in (EXIT_OK, EXIT_USAGE)
 

@@ -13,11 +13,18 @@ S`` became the instance ``generate --seed S+t`` writes and the CSV's
 ``trial`` column became ``seed``; for ``staircase`` and ``disjoint``, whose
 generators take no randomness, only that third column changed.  ``SORT_LARGE``
 pins ``merge_sort_counted`` at sizes where its bulk path runs; it was recorded
-with the scalar merge alone, before the bulk path existed.
+with the scalar merge alone, before the bulk path existed.  ``ENVELOPES_50``
+was re-recorded when ``build_envelopes`` became the sweep's own step: its
+values became best-two (value, index) pairs seeded with the y-domain ends,
+with one breakpoint per cross.  ``DEMOS`` pins the stdout of the demo
+scripts; demo 02 prints those envelopes, so its digest was recorded after
+that change, and demos 01 and 03 before it.
 """
 
 import hashlib
 import itertools
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +70,7 @@ BENCH = {
 }
 
 BOUND_8 = "98f409a542351e21b597fd65cc9a249c165db3c2cd4cefa14ad14d157ca6d632"
-ENVELOPES_50 = "9cf709b59e927d6a006b6c6d73091a2edf466aa97714f0f005b3edfe4d37ac22"
+ENVELOPES_50 = "c3e57823c98e84aa0dc3abb4536dfab61c24a6287508833d52c7fab61afe8e7e"
 STAIRCASE_3_300 = "34b4e192036cd5716ce315da1c9be64bff85473d2ff6d28b07832625842c4ef5"
 STAIRCASE_VERIFIED_3_20 = "cc8508a1c4fabace1974bbbcfa63a7948b8926af7f7ec8a434b72bec665af115"
 # (sha256 of the order, lt, eq, gt)
@@ -80,6 +87,15 @@ SORT_LARGE = {
         0, 0, 524288),
     "all-equal-65536": ("056a6e5cccfaf188a678142aa0028c811e0621903d04e90ee4ab4f23fe65a739",
         0, 524288, 0),
+}
+# stdout of each script under demos/
+DEMOS = {
+    "01_coverage_basics":
+        "8a199385e27de54c6d2b19b9de0d7272e147d2e402093568327d65f1e05318f7",
+    "02_piercing_staircase":
+        "628c478f7ba8de10b11dc126098192bb18584d94199e95cbdaebcedbe984605d",
+    "03_query_counts_vs_bounds":
+        "7e3ab7c0f26bd529f839ac7c1f1f9c277a42a6c6aec6f870f9b8257454585478",
 }
 LITERAL_ALL_PERMS = {
     8: (576, "4e60ee259ad8f7878fc4514bf532c3e2bd4f4b12bed11477d7695002edd17755"),
@@ -129,6 +145,13 @@ def test_envelopes_on_seeded_random_instances():
                  for fn in (env.f_nw, env.f_ne, env.g_sw, env.g_se)]
         lines.append(repr((steps, (counter.lt, counter.eq, counter.gt))))
     assert digest("\n".join(lines)) == ENVELOPES_50
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_output(name, capsys):
+    demo = Path(__file__).resolve().parent.parent / "demos" / f"{name}.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert digest(capsys.readouterr().out) == DEMOS[name]
 
 
 def sort_keys(name):

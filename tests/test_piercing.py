@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import random
 
 import numpy as np
@@ -63,40 +62,51 @@ piercing_instances = st.integers(min_value=1, max_value=8).flatmap(
 )
 
 
+def best_two(values, seed, better):
+    """The best two of ``values`` and the y-domain end ``seed``, best first,
+    by brute force.  The seed fills both places of an empty aggregate, so it
+    counts twice."""
+    return sorted(values + [seed, seed], reverse=better is max)[:2]
+
+
 class TestEnvelopes:
     def test_staircase_six_values_at_zero(self):
         env = build_envelopes(gen_staircase_minimal(6))
-        assert env.f_nw.value_at(0) == 1   # min d over a > 0: {8, 1, 3}
-        assert env.g_sw.value_at(0) == 2   # max c over a > 0: {2, 0, 0}
+        # min d over a > 0 and d0: {8, 1, 3} and 8, held by cross 1 then 3
+        assert env.f_nw.value_at(0) == ((1, 1), (3, 3))
+        # max c over a > 0 and c0: {2, 0, 0} and 0, 2 held by cross 0; the
+        # y-domain end ties the runner-up and, seeded first, keeps its place
+        assert env.g_sw.value_at(0) == ((2, 0), (0, None))
 
     def test_empty_instance_is_all_sentinels(self):
-        env = build_envelopes(inst((0, 3), (0, 3), []))
-        for fn, sentinel in [(env.f_nw, math.inf), (env.f_ne, math.inf),
-                             (env.g_sw, -math.inf), (env.g_se, -math.inf)]:
+        # with no cross, every value is the y-domain end seeded twice
+        env = build_envelopes(inst((0, 3), (1, 2), []))
+        for fn, end in [(env.f_nw, 2), (env.f_ne, 2), (env.g_sw, 1), (env.g_se, 1)]:
             assert fn.breakpoints == ()
-            assert fn.values == (sentinel,)
+            assert fn.values == (((end, None), (end, None)),)
 
     @settings(max_examples=150, deadline=None)
     @given(piercing_instances)
     def test_pointwise_definitions_and_monotonicity(self, instance):
         env = build_envelopes(instance)
-        a = [c.h.lo for c in instance.crosses]
-        b = [c.h.hi for c in instance.crosses]
-        c_ = [c.v.lo for c in instance.crosses]
-        d = [c.v.hi for c in instance.crosses]
-        for x in range(instance.xdomain.lo, instance.xdomain.hi + 1):
-            nw = [d[i] for i in range(len(a)) if a[i] > x]
-            ne = [d[i] for i in range(len(b)) if b[i] < x]
-            sw = [c_[i] for i in range(len(a)) if a[i] > x]
-            se = [c_[i] for i in range(len(b)) if b[i] < x]
-            assert env.f_nw.value_at(x) == (min(nw) if nw else math.inf)
-            assert env.f_ne.value_at(x) == (min(ne) if ne else math.inf)
-            assert env.g_sw.value_at(x) == (max(sw) if sw else -math.inf)
-            assert env.g_se.value_at(x) == (max(se) if se else -math.inf)
-        assert list(env.f_nw.values) == sorted(env.f_nw.values)
-        assert list(env.g_se.values) == sorted(env.g_se.values)
-        assert list(env.f_ne.values) == sorted(env.f_ne.values, reverse=True)
-        assert list(env.g_sw.values) == sorted(env.g_sw.values, reverse=True)
+        c0, d0 = instance.ydomain.lo, instance.ydomain.hi
+        a = [cr.h.lo for cr in instance.crosses]
+        b = [cr.h.hi for cr in instance.crosses]
+        c = [cr.v.lo for cr in instance.crosses]
+        d = [cr.v.hi for cr in instance.crosses]
+        corners = [(env.f_nw, d, d0, min, lambda i, x: a[i] > x),
+                   (env.f_ne, d, d0, min, lambda i, x: b[i] < x),
+                   (env.g_sw, c, c0, max, lambda i, x: a[i] > x),
+                   (env.g_se, c, c0, max, lambda i, x: b[i] < x)]
+        for fn, ends, seed, better, misses in corners:
+            for x in range(instance.xdomain.lo, instance.xdomain.hi + 1):
+                held = [i for i in range(instance.n) if misses(i, x)]
+                (first, i), (second, _) = fn.value_at(x)
+                assert [first, second] == best_two([ends[i] for i in held], seed, better)
+                assert first == seed if i is None else (i in held and ends[i] == first)
+            firsts = [top[0][0] for top in fn.values]
+            nonincreasing = (fn in (env.f_ne, env.g_sw))
+            assert firsts == sorted(firsts, reverse=nonincreasing)
 
     def test_piece_count_bound(self):
         rng = np.random.RandomState(3)
@@ -104,6 +114,48 @@ class TestEnvelopes:
         env = build_envelopes(instance)
         for fn in (env.f_nw, env.f_ne, env.g_sw, env.g_se):
             assert len(fn.values) <= instance.n + 1
+
+
+class TestEnvelopesLayer:
+    """The solves take their sorts and aggregates from ``build_envelopes``,
+    looked up on the module at call time, as a tracer rebinding it sees."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, build = [], piercing.build_envelopes
+
+        def spy(instance, counter=None):
+            before = counter.comparisons
+            env = build(instance, counter)
+            calls.append((instance, counter, counter.comparisons - before))
+            return env
+
+        monkeypatch.setattr(piercing, "build_envelopes", spy)
+        return calls
+
+    INSTANCES = [inst((0, 3), (0, 3), []), DIAG3, QUAD4,
+                 gen_random_piercing(30, np.random.RandomState(2))]
+
+    @pytest.mark.parametrize("instance", INSTANCES, ids=["empty", "diag3", "quad4", "random30"])
+    def test_solve_piercing_calls_it_once_with_its_counter(self, instance, calls):
+        counter = QueryCounter()
+        solve_piercing(instance, counter)
+        assert [(i, c) for i, c, _ in calls] == [(instance, counter)]
+        assert (calls[0][2] > 0) == (instance.n > 0)
+
+    @pytest.mark.parametrize("instance", INSTANCES, ids=["empty", "diag3", "quad4", "random30"])
+    def test_check_minimality_calls_it_once_with_its_counter(self, instance, calls,
+                                                            monkeypatch):
+        made = []
+
+        def tally():
+            made.append(QueryCounter())
+            return made[-1]
+
+        monkeypatch.setattr(piercing, "QueryCounter", tally)
+        check_minimality(instance)
+        assert len(made) == 1
+        assert [(i, c) for i, c, _ in calls] == [(instance, made[0])]
 
 
 class TestSolvePiercing:
