@@ -32,11 +32,12 @@ print("pierceable:", verdict.pierceable, " witness:", verdict.witness)
 # below (c).  Each value is the best two (bound, cross index) pairs, the
 # y-domain end standing in with index None.  The runner-up pair is what
 # decides each leave-one-out deletion: without the cross that holds the
-# tightest bound, the runner-up takes its place.
+# tightest bound, the runner-up takes its place.  The a-side functions step
+# at the sorted a values, the b-side ones at the sorted b + 1.
 env = build_envelopes(instance)
-for name, fn in [("f_nw", env.f_nw), ("f_ne", env.f_ne),
-                 ("g_sw", env.g_sw), ("g_se", env.g_se)]:
-    print(name, "breakpoints", fn.breakpoints, "values", fn.values)
+for name, ends, values in [("f_nw", env.a_ends, env.f_nw), ("f_ne", env.b_ends, env.f_ne),
+                           ("g_sw", env.a_ends, env.g_sw), ("g_se", env.b_ends, env.g_se)]:
+    print(name, "breakpoints", ends, "values", values)
 
 # Minimal non-pierceable family: no piercing pair exists, yet deleting
 # any single cross makes one appear.

@@ -32,7 +32,7 @@ for values in ([3, 0, 2, 1], [3, 0, 3, 1], list(range(7, -1, -1))):
           f"{counter.comparisons:11d}  {lb_union(len(values)):8.3f}")
 
 # A small deterministic sweep: chain coverage and random piercing.
-records = run_bench(["chain", "random-piercing"], [8, 32, 128], trials=3, seed=0)
+records = list(run_bench(["chain", "random-piercing"], [8, 32, 128], trials=3, seed=0))
 print("\nfamily           N    seed  comparisons  lower bound")
 for r in records:
     print(f"{r.family:15s} {r.n:4d} {r.seed:6d} {r.comparisons:12d} "

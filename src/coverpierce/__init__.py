@@ -34,7 +34,6 @@ from .piercing import (
     Envelopes,
     MinimalityReport,
     PiercingVerdict,
-    StepFunction,
     build_envelopes,
     check_minimality,
     gen_random_piercing,

@@ -109,8 +109,9 @@ def _solve_timed(instance):
 
 
 def run_bench(families, n_values, trials: int, seed: int = 0,
-              measure_time: bool = False) -> list:
-    """Deterministic benchmark sweep: one record per (family, n, seed).
+              measure_time: bool = False):
+    """Deterministic benchmark sweep: yields one record per (family, n, seed)
+    as soon as it is made, so memory stays flat in ``trials``.
 
     Trial t uses seed ``seed + t``, so each record is the instance that
     ``generate_instance`` (and ``coverpierce generate``) builds from its own
@@ -120,7 +121,6 @@ def run_bench(families, n_values, trials: int, seed: int = 0,
     """
     if trials < 0:
         raise ValueError(f"negative trial count {trials}")
-    records = []
     for family in families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
@@ -129,13 +129,12 @@ def run_bench(families, n_values, trials: int, seed: int = 0,
                 instance = generate_instance(family, n, trial_seed)
                 comparisons, verdict, elapsed = _solve_timed(instance)
                 lb = lb_union(n) if isinstance(instance, CoverageInstance) else lb_piercing(n)
-                records.append(BenchRecord(
+                yield BenchRecord(
                     family=family, n=n, seed=trial_seed,
                     comparisons=comparisons, verdict=verdict,
                     lower_bound=lb,
                     wall_time_ns=elapsed if measure_time else 0,
-                ))
-    return records
+                )
 
 
 CSV_HEADER = ["family", "n", "seed", "comparisons", "verdict",
@@ -143,9 +142,11 @@ CSV_HEADER = ["family", "n", "seed", "comparisons", "verdict",
 
 
 def write_bench_csv(records, fh) -> None:
-    """UTF-8 CSV with LF line endings and a mandatory header row."""
+    """UTF-8 CSV with LF line endings and a mandatory header row; each row is
+    written and flushed as soon as ``records`` yields it."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
         writer.writerow([r.family, r.n, r.seed, r.comparisons, r.verdict,
                          f"{r.lower_bound:.4f}", r.wall_time_ns])
+        fh.flush()

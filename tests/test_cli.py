@@ -249,6 +249,21 @@ class TestBench:
                                 else EXIT_NEGATIVE)
                 assert json.loads(capsys.readouterr().out)["queries"] == int(comparisons)
 
+    def test_rejected_size_keeps_earlier_rows(self, tmp_path, capsys):
+        # staircase rejects N=2 after the disjoint rows are written
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--family", "disjoint", "--family", "staircase",
+                     "--n", "2..3", "--out", str(out)]) == EXIT_USAGE
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[:2] for line in lines] == [
+            ["family", "n"], ["disjoint", "2"], ["disjoint", "3"]]
+        assert capsys.readouterr().err.startswith("bench: minimal non-pierceable")
+
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        assert main(["bench", "--family", "disjoint", "--n", "1",
+                     "--out", str(tmp_path / "no" / "such.csv")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("bench: cannot write")
+
     def test_bad_range_is_usage_error(self, capsys):
         assert main(["bench", "--family", "chain", "--n", "9..4",
                      "--trials", "1"]) == EXIT_USAGE

@@ -5,13 +5,27 @@ consecutive ones must meet an interval.  Piercing: a grid point of endpoint
 values pierces when every cross contains it.
 """
 
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverpierce.cli import EXIT_OK, main
-from coverpierce.core import CoverageInstance, Cross, Interval, PiercingInstance, dump_instance
+import coverpierce
+from coverpierce import piercing
+from coverpierce.cli import EXIT_OK, EXIT_USAGE, main
+from coverpierce.core import (
+    CoverageInstance,
+    Cross,
+    InstanceError,
+    Interval,
+    PiercingInstance,
+    dump_instance,
+)
 from coverpierce.coverage import oracle_coverage
 from coverpierce.piercing import gen_random_piercing, oracle_grid_points, oracle_piercing
 
@@ -105,3 +119,39 @@ def test_grid_oracle_memory_is_linear_in_the_grid(tmp_path):
     path = tmp_path / "random-piercing-1000.json"
     dump_instance(instance, path)
     assert main(["verify", "--in", str(path)]) == EXIT_OK
+
+
+def test_grid_oracle_cell_budget(monkeypatch):
+    # three crosses times three grid xs: nine cells
+    instance = PiercingInstance(Interval(0, 2), Interval(0, 2),
+                                [Cross(Interval(k, k), Interval(k, k)) for k in range(3)])
+    monkeypatch.setattr(piercing, "GRID_CELLS_MAX", 9)
+    assert not oracle_piercing(instance).pierceable
+    monkeypatch.setattr(piercing, "GRID_CELLS_MAX", 8)
+    with pytest.raises(InstanceError, match="9 cells"):
+        oracle_piercing(instance)
+    with pytest.raises(InstanceError):
+        oracle_grid_points(instance)
+
+
+def test_verify_beyond_the_cell_budget_exits_two_under_a_memory_cap(tmp_path):
+    # the grid oracle asked for 3.76 GiB here, and verify died of an uncaught
+    # _ArrayMemoryError with exit 1
+    path = tmp_path / "random-piercing-20000.json"
+    assert main(["generate", "--family", "random-piercing", "--n", "20000",
+                 "--seed", "1", "--out", str(path)]) == EXIT_OK
+    cap = 2 * 10**9
+
+    def limit():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(coverpierce.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "from coverpierce.cli import main; sys.exit(main(sys.argv[2:]))",
+         src, "verify", "--in", str(path)],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("verify: 20000 crosses times ")
+    assert "grid oracle" in proc.stderr

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -69,51 +70,67 @@ def best_two(values, seed, better):
     return sorted(values + [seed, seed], reverse=better is max)[:2]
 
 
+def steps(env):
+    """Each envelope with the ends it steps at: the sorted a values on the a
+    side, the sorted b + 1 on the b side."""
+    return {"f_nw": (env.a_ends, env.f_nw), "f_ne": (env.b_ends, env.f_ne),
+            "g_sw": (env.a_ends, env.g_sw), "g_se": (env.b_ends, env.g_se)}
+
+
+def value_at(ends, values, x):
+    """Reference for an envelope as a function of x: entry k applies on
+    [ends[k-1], ends[k]), the first to -inf and the last to +inf."""
+    return values[bisect_right(ends, x)]
+
+
 class TestEnvelopes:
     def test_staircase_six_values_at_zero(self):
-        env = build_envelopes(gen_staircase_minimal(6))
+        env = steps(build_envelopes(gen_staircase_minimal(6)))
         # min d over a > 0 and d0: {8, 1, 3} and 8, held by cross 1 then 3
-        assert env.f_nw.value_at(0) == ((1, 1), (3, 3))
+        assert value_at(*env["f_nw"], 0) == ((1, 1), (3, 3))
         # max c over a > 0 and c0: {2, 0, 0} and 0, 2 held by cross 0; the
         # y-domain end ties the runner-up and, seeded first, keeps its place
-        assert env.g_sw.value_at(0) == ((2, 0), (0, None))
+        assert value_at(*env["g_sw"], 0) == ((2, 0), (0, None))
 
     def test_empty_instance_is_all_sentinels(self):
         # with no cross, every value is the y-domain end seeded twice
-        env = build_envelopes(inst((0, 3), (1, 2), []))
-        for fn, end in [(env.f_nw, 2), (env.f_ne, 2), (env.g_sw, 1), (env.g_se, 1)]:
-            assert fn.breakpoints == ()
-            assert fn.values == (((end, None), (end, None)),)
+        env = steps(build_envelopes(inst((0, 3), (1, 2), [])))
+        for name, end in [("f_nw", 2), ("f_ne", 2), ("g_sw", 1), ("g_se", 1)]:
+            ends, values = env[name]
+            assert ends == ()
+            assert values == (((end, None), (end, None)),)
 
     @settings(max_examples=150, deadline=None)
     @given(piercing_instances)
     def test_pointwise_definitions_and_monotonicity(self, instance):
-        env = build_envelopes(instance)
+        env = steps(build_envelopes(instance))
         c0, d0 = instance.ydomain.lo, instance.ydomain.hi
         a = [cr.h.lo for cr in instance.crosses]
         b = [cr.h.hi for cr in instance.crosses]
         c = [cr.v.lo for cr in instance.crosses]
         d = [cr.v.hi for cr in instance.crosses]
-        corners = [(env.f_nw, d, d0, min, lambda i, x: a[i] > x),
-                   (env.f_ne, d, d0, min, lambda i, x: b[i] < x),
-                   (env.g_sw, c, c0, max, lambda i, x: a[i] > x),
-                   (env.g_se, c, c0, max, lambda i, x: b[i] < x)]
-        for fn, ends, seed, better, misses in corners:
+        corners = [("f_nw", d, d0, min, lambda i, x: a[i] > x),
+                   ("f_ne", d, d0, min, lambda i, x: b[i] < x),
+                   ("g_sw", c, c0, max, lambda i, x: a[i] > x),
+                   ("g_se", c, c0, max, lambda i, x: b[i] < x)]
+        for name, ends, seed, better, misses in corners:
+            breakpoints, values = env[name]
             for x in range(instance.xdomain.lo, instance.xdomain.hi + 1):
                 held = [i for i in range(instance.n) if misses(i, x)]
-                (first, i), (second, _) = fn.value_at(x)
+                (first, i), (second, _) = value_at(breakpoints, values, x)
                 assert [first, second] == best_two([ends[i] for i in held], seed, better)
                 assert first == seed if i is None else (i in held and ends[i] == first)
-            firsts = [top[0][0] for top in fn.values]
-            nonincreasing = (fn in (env.f_ne, env.g_sw))
+            firsts = [top[0][0] for top in values]
+            nonincreasing = name in ("f_ne", "g_sw")
             assert firsts == sorted(firsts, reverse=nonincreasing)
 
     def test_piece_count_bound(self):
         rng = np.random.RandomState(3)
         instance = gen_random_piercing(40, rng)
-        env = build_envelopes(instance)
-        for fn in (env.f_nw, env.f_ne, env.g_sw, env.g_se):
-            assert len(fn.values) <= instance.n + 1
+        env = steps(build_envelopes(instance))
+        for ends, values in env.values():
+            assert len(values) <= instance.n + 1
+            assert len(values) == len(ends) + 1
 
 
 class TestEnvelopesLayer:
@@ -156,6 +173,44 @@ class TestEnvelopesLayer:
         check_minimality(instance)
         assert len(made) == 1
         assert [(i, c) for i, c, _ in calls] == [(instance, made[0])]
+
+
+def early_pierced(n):
+    """Crosses h = [1+k, 1+2k], v = [0, 9] on [0, 2N] x [0, 9]: every a lies
+    right of a0 = 0, and (0, 0) pierces them all."""
+    return inst((0, 2 * n), (0, 9), [((1 + k, 1 + 2 * k), (0, 9)) for k in range(n)])
+
+
+class TestSweepSteps:
+    """The sweep steps from a0 to the least a right of x by its own a
+    pointer; it merges no list of candidate xs first."""
+
+    INSTANCES = [inst((0, 3), (0, 3), []), DIAG3, QUAD4, early_pierced(5),
+                 gen_staircase_minimal(9),
+                 inst((0, 4), (0, 4), [((-3, -1), (0, 1)), ((6, 8), (3, 4)), ((2, 2), (2, 2))]),
+                 gen_random_piercing(30, np.random.RandomState(2))]
+
+    def test_no_merge_of_candidates(self, monkeypatch):
+        def merge(*args, **kwargs):
+            raise AssertionError("merge_unique_counted called")
+
+        monkeypatch.setattr(piercing, "merge_unique_counted", merge)
+        for instance in self.INSTANCES:
+            assert same_verdict_as_oracle(instance)
+            assert check_minimality(instance) == minimality_by_solves(instance)
+
+    def test_cost_after_the_envelopes_does_not_grow_with_n(self):
+        # an eager merge of a0 into the sorted a values once cost about N
+        # comparisons here before the first x was tested
+        costs = []
+        for n in (100, 1000):
+            instance = early_pierced(n)
+            envelopes, solve = QueryCounter(), QueryCounter()
+            build_envelopes(instance, envelopes)
+            verdict = solve_piercing(instance, solve)
+            assert verdict.witness == (0, 0)
+            costs.append(solve.comparisons - envelopes.comparisons)
+        assert costs[0] == costs[1]
 
 
 class TestSolvePiercing:
