@@ -39,7 +39,6 @@ from .piercing import (
     gen_random_piercing,
     gen_staircase_literal,
     gen_staircase_minimal,
-    oracle_grid_points,
     oracle_piercing,
     solve_piercing,
 )

@@ -76,23 +76,24 @@ def _random_parity_perm(n: int, rng) -> Permutation:
 
 
 # Family name -> generator (n, rng) -> instance, shared by ``run_bench`` and
-# ``coverpierce generate`` through ``generate_instance``.  The generators look
-# the library functions up at call time, so rebinding a module attribute
-# reaches them.
+# ``coverpierce generate`` through ``generate_instance``.  ``rng()`` builds the
+# seeded random state; a family that draws nothing does not call it.  The
+# generators look the library functions up at call time, so rebinding a
+# module attribute reaches them.
 FAMILIES = {
-    "chain": lambda n, rng: coverage.gen_chain(rng.permutation(n) + 1),
+    "chain": lambda n, rng: coverage.gen_chain(rng().permutation(n) + 1),
     "staircase": lambda n, rng: piercing.gen_staircase_minimal(n),
     "staircase-literal": lambda n, rng: piercing.gen_staircase_literal(
-        n, _random_parity_perm(n, rng)),
+        n, _random_parity_perm(n, rng())),
     "disjoint": lambda n, rng: coverage.gen_disjoint(n),
-    "random-coverage": lambda n, rng: coverage.gen_random_coverage(n, rng),
-    "random-piercing": lambda n, rng: piercing.gen_random_piercing(n, rng),
+    "random-coverage": lambda n, rng: coverage.gen_random_coverage(n, rng()),
+    "random-piercing": lambda n, rng: piercing.gen_random_piercing(n, rng()),
 }
 
 
 def generate_instance(family: str, n: int, seed: int):
     """The ``family`` instance of size ``n`` for ``seed`` (taken mod 2^32)."""
-    return FAMILIES[family](n, np.random.RandomState(seed & 0xFFFFFFFF))
+    return FAMILIES[family](n, lambda: np.random.RandomState(seed & 0xFFFFFFFF))
 
 
 def _solve_timed(instance):

@@ -7,8 +7,9 @@ the y-domain, is nonempty at some x.  :func:`build_envelopes` splits those
 bounds by corner box into four monotone step functions of x, each holding
 the best two (value, index) pairs of a y-end, and :func:`solve_piercing`
 sweeps a0 and the a values over them, so deciding the family and each of
-its leave-one-out subfamilies at once.  Also houses the generators for
-minimal non-pierceable families.
+its leave-one-out subfamilies at once.  From ``BULK_MIN_N`` crosses on, both
+run in bulk with numpy and count the same comparisons.  Also houses the
+generators for minimal non-pierceable families.
 """
 
 from __future__ import annotations
@@ -32,19 +33,31 @@ from .core import (
 from .sorting import merge_sort_counted, merge_unique_counted
 
 
+# measured crossover: below it numpy's fixed cost per call loses to the scalar
+# aggregates and sweep (shuffled staircases broke even near N=160)
+BULK_MIN_N = 192
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 class Envelopes(NamedTuple):
     """The sorted a values, the sorted b + 1, and four corner envelopes, each
     listing for k = 0..N the best two (value, index) pairs, best first, of one
     y-end over the crosses on one side of x and the y-domain end (index None).
     Entry k applies on [ends[k-1], ends[k]) of its side's ends, the first from
-    -inf and the last to +inf; equal ends leave the entries between unreached."""
+    -inf and the last to +inf; equal ends leave the entries between unreached.
 
-    a_ends: tuple
-    b_ends: tuple
-    f_nw: tuple  # min d over a > x   (nondecreasing)
-    f_ne: tuple  # min d over b < x   (nonincreasing)
-    g_sw: tuple  # max c over a > x   (nonincreasing)
-    g_se: tuple  # max c over b < x   (nondecreasing)
+    Below ``BULK_MIN_N`` crosses the fields are tuples.  From ``BULK_MIN_N``
+    on, when every coordinate and every b + 1 fits int64, they are int64
+    arrays of the same nesting: the ends have shape (N,), each envelope shape
+    (N+1, 2, 2) as ``[[first value, first index], [second value, second
+    index]]``, and index -1 stands for None."""
+
+    a_ends: tuple | np.ndarray
+    b_ends: tuple | np.ndarray
+    f_nw: tuple | np.ndarray  # min d over a > x   (nondecreasing)
+    f_ne: tuple | np.ndarray  # min d over b < x   (nonincreasing)
+    g_sw: tuple | np.ndarray  # max c over a > x   (nonincreasing)
+    g_se: tuple | np.ndarray  # max c over b < x   (nondecreasing)
 
 
 def _best_two(top, entries, counter: QueryCounter, better: str):
@@ -62,21 +75,102 @@ def _best_two(top, entries, counter: QueryCounter, better: str):
     return first, second
 
 
+def _tally(counter: QueryCounter, left, right, made=None) -> None:
+    """Count the outcomes of comparing each of ``left`` with ``right`` (or its
+    peer in it), only where ``made`` when it is given."""
+    lt, gt = np.less(left, right), np.greater(left, right)
+    if made is not None:
+        lt &= made
+        gt &= made
+    lt, gt = int(np.count_nonzero(lt)), int(np.count_nonzero(gt))
+    counter.lt += lt
+    counter.eq += (np.size(left) if made is None else int(np.count_nonzero(made))) - lt - gt
+    counter.gt += gt
+
+
+def _running_best_two(order, values, seed, better: str, counter: QueryCounter):
+    """``aggregate`` of :func:`build_envelopes` in bulk: entry k holds what
+    ``_best_two`` keeps after the first k crosses of ``order``, with the same
+    tallies.
+
+    Entry k is a record when it beats the best so far; a tie keeps the earlier
+    holder.  Each entry is compared with the best, and each non-record also
+    with the runner-up.  At a record the runner-up becomes the old best, which
+    no earlier entry beats, so the runner-up is a running best of the entries
+    with each record replaced by the best before it.
+    """
+    beats, best = (np.greater, np.maximum) if better == GT else (np.less, np.minimum)
+    n = len(order)
+    tops = np.empty((n + 1, 2, 2), dtype=np.int64)
+    (first, first_at), (second, second_at) = tops[:, 0].T, tops[:, 1].T
+    entry = np.concatenate(([seed], values[order]))
+    holder = np.concatenate(([-1], order))
+    best.accumulate(entry, out=first)
+    record = np.ones(n + 1, dtype=bool)
+    beats(entry[1:], first[:-1], out=record[1:])
+    _tally(counter, entry[1:], first[:-1])
+    # each step's holder is the entry at the last step where the best changed hands
+    steps = np.arange(n + 1)
+    took_over = steps * record
+    np.maximum.accumulate(took_over, out=took_over)
+    np.take(holder, took_over, out=first_at)
+    # the runner-up takes the old best at a record, and the best entry elsewhere
+    entry[1:][record[1:]] = first[:-1][record[1:]]
+    holder[1:][record[1:]] = first_at[:-1][record[1:]]
+    best.accumulate(entry, out=second)
+    _tally(counter, entry[1:], second[:-1], ~record[1:])
+    record[1:] |= beats(entry[1:], second[:-1])
+    np.multiply(steps, record, out=took_over)
+    np.maximum.accumulate(took_over, out=took_over)
+    np.take(holder, took_over, out=second_at)
+    return tops
+
+
+def _int64_columns(instance: PiercingInstance, a, b, c, d):
+    """a, b + 1, c and d as int64 arrays, or None when a coordinate or a b + 1
+    leaves int64."""
+    domains = (instance.xdomain.lo, instance.xdomain.hi, instance.ydomain.lo, instance.ydomain.hi)
+    try:
+        a, b, c, d, _ = (np.fromiter(v, dtype=np.int64, count=len(v)) for v in (a, b, c, d, domains))
+    except OverflowError:  # an int beyond int64
+        return None
+    if np.any(b == _INT64_MAX):
+        return None
+    b += 1
+    return a, b, c, d
+
+
 def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = None) -> Envelopes:
     """Sort a and b, then take running best-two aggregates of c and d.
 
     Value k of an a-side envelope covers the crosses ``by_a[k:]``, the k-th
-    of a b-side one ``by_b[:k]``.  O(N log N) comparisons.
+    of a b-side one ``by_b[:k]``.  O(N log N) comparisons.  The path is
+    picked from N alone, as ``merge_sort_counted`` picks its own: below
+    ``BULK_MIN_N`` crosses ``_best_two`` takes one entry at a time and is the
+    reference; from there on, unless a value leaves int64, the aggregates
+    are computed in bulk with the same values, holders and tallies.
     """
     if counter is None:
         counter = QueryCounter()
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
-    a = [cr.h.lo for cr in instance.crosses]
-    b = [cr.h.hi for cr in instance.crosses]
-    c = [cr.v.lo for cr in instance.crosses]
-    d = [cr.v.hi for cr in instance.crosses]
+    crosses = instance.crosses
+    a = [cr.h.lo for cr in crosses]
+    b = [cr.h.hi for cr in crosses]
+    c = [cr.v.lo for cr in crosses]
+    d = [cr.v.hi for cr in crosses]
     by_a = merge_sort_counted(a, counter)
     by_b = merge_sort_counted(b, counter)
+    columns = _int64_columns(instance, a, b, c, d) if len(a) >= BULK_MIN_N else None
+    if columns is not None:
+        a, b_ends, c, d = columns
+        by_a, by_b = np.array(by_a, dtype=np.int64), np.array(by_b, dtype=np.int64)
+        return Envelopes(
+            a_ends=a[by_a],
+            b_ends=b_ends[by_b],
+            f_nw=_running_best_two(by_a[::-1], d, d0, LT, counter)[::-1],
+            f_ne=_running_best_two(by_b, d, d0, LT, counter),
+            g_sw=_running_best_two(by_a[::-1], c, c0, GT, counter)[::-1],
+            g_se=_running_best_two(by_b, c, c0, GT, counter))
 
     def aggregate(order, values, seed, better):
         tops = [((seed, None), (seed, None))]
@@ -85,8 +179,8 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
         return tops
 
     return Envelopes(
-        a_ends=tuple(a[i] for i in by_a),
-        b_ends=tuple(b[i] + 1 for i in by_b),
+        a_ends=tuple([a[i] for i in by_a]),
+        b_ends=tuple([b[i] + 1 for i in by_b]),
         f_nw=tuple(aggregate(by_a[::-1], d, d0, LT)[::-1]),
         f_ne=tuple(aggregate(by_b, d, d0, LT)),
         g_sw=tuple(aggregate(by_a[::-1], c, c0, GT)[::-1]),
@@ -162,12 +256,6 @@ def oracle_piercing(instance: PiercingInstance) -> PiercingVerdict:
     return PiercingVerdict(True, (xs[i], ys[lo[i]]), 0)
 
 
-def oracle_grid_points(instance: PiercingInstance) -> list:
-    """All piercing points on the endpoint grid (for boundary-anomaly checks)."""
-    xs, ys, lo, hi = _grid_hits(instance)
-    return [(x, ys[j]) for x, j_lo, j_hi in zip(xs, lo, hi) for j in range(j_lo, j_hi)]
-
-
 @dataclass(frozen=True, slots=True)
 class MinimalityReport:
     """``blocking`` names, in order, the crosses whose deletion leaves the
@@ -204,16 +292,28 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
     the witness takes the clamped max c there as its y.  Each subfamily's
     candidates are among them too, and if the family pierces, so does every
     subfamily, so ``blocking`` is then empty.  From x = a0 on, the next x is
-    the least a right of x, on which the a pointer rests.  O(N log N) comparisons.
+    the least a right of x, on which the a pointer rests.  O(N log N)
+    comparisons; the sweep runs in bulk on the envelopes' bulk form, with
+    the same tallies.
     """
     if counter is None:
         counter = QueryCounter()
     before = counter.comparisons
-    a_ends, b_ends, lo_a, lo_b, hi_a, hi_b = build_envelopes(instance, counter)
-    n = instance.n
-    a0, b0 = instance.xdomain.lo, instance.xdomain.hi
-    if n == 0:
-        return PiercingVerdict(True, (a0, instance.ydomain.lo), 0, ())
+    envelopes = build_envelopes(instance, counter)
+    if instance.n == 0:
+        return PiercingVerdict(True, (instance.xdomain.lo, instance.ydomain.lo), 0, ())
+    sweep = _sweep if isinstance(envelopes.a_ends, tuple) else _sweep_bulk
+    witness, blocking = sweep(envelopes, instance.xdomain.lo, instance.xdomain.hi, counter)
+    verdict = PiercingVerdict(witness is not None, witness, counter.comparisons - before, blocking)
+    if witness is not None and not verdict.witness_sound(instance):
+        raise RuntimeError(f"solver produced an unsound witness {verdict.witness}")
+    return verdict
+
+
+def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter):
+    """The witness (or None) and ``blocking``, one ``compare`` at a time."""
+    a_ends, b_ends, lo_a, lo_b, hi_a, hi_b = envelopes
+    n = len(a_ends)
     pierced = [False] * n
     pa = pb = 0
     x = a0
@@ -225,10 +325,7 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
         hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)
         lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)
         if counter.compare(hi[0][0], lo[0][0]) != GT:
-            verdict = PiercingVerdict(True, (x, hi[0][0]), counter.comparisons - before, ())
-            if not verdict.witness_sound(instance):
-                raise RuntimeError(f"solver produced an unsound witness {verdict.witness}")
-            return verdict
+            return (x, hi[0][0]), ()
         for i in (hi[0][1], lo[0][1]):
             if i is None or pierced[i]:
                 continue
@@ -236,10 +333,76 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
             upper = lo[1][0] if i == lo[0][1] else lo[0][0]
             pierced[i] = counter.compare(lower, upper) != GT
         if pa == n or counter.compare(a_ends[pa], b0) == GT:
-            break
+            return None, tuple([i for i in range(n) if not pierced[i]])
         x = a_ends[pa]
-    return PiercingVerdict(False, None, counter.comparisons - before,
-                           tuple(i for i in range(n) if not pierced[i]))
+
+
+def _merge_bulk(tops, at, entries, entries_at, better: str, counter: QueryCounter):
+    """``_best_two(tops[at[k]], entries[entries_at[k]])`` at every step k, with
+    its tallies: the merged first value, its index and the second value."""
+    beats = np.greater if better == GT else np.less
+    first, first_at, second = tops[at, 0, 0], tops[at, 0, 1], tops[at, 1, 0]
+    for k in (0, 1):
+        value, value_at = entries[entries_at, k, 0], entries[entries_at, k, 1]
+        wins = beats(value, first)
+        _tally(counter, value, first)
+        _tally(counter, value, second, ~wins)
+        second = np.where(wins, first, np.where(beats(value, second), value, second))
+        first = np.where(wins, value, first)
+        first_at = np.where(wins, value_at, first_at)
+    return first, first_at, second
+
+
+def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter):
+    """``_sweep``'s witness, ``blocking`` and tallies, computed over all xs at once.
+
+    The xs are a0 and the distinct a values in (a0, b0], and at each x the
+    pointers rest after the ends at most x.  Each end a pointer passes is
+    compared once with the first x it does not exceed; each step whose
+    pointer is below N makes one more comparison, which comes out greater.
+    Only the steps up to the first feasible x are made, and the leave-one-out
+    tests and the b0 test only before it.
+    """
+    a_ends, b_ends, lo_a, lo_b, hi_a, hi_b = envelopes
+    n = len(a_ends)
+    inside = a_ends[(a_ends > a0) & (a_ends <= b0)]
+    distinct = np.ones(len(inside), dtype=bool)
+    distinct[1:] = inside[1:] != inside[:-1]
+    xs = np.concatenate(([a0], inside[distinct]))
+    pa = np.searchsorted(a_ends, xs, side="right")
+    pb = np.searchsorted(b_ends, xs, side="right")
+    # no runner-up beats its first, so a merge's first is the better first
+    feasible = (np.maximum(hi_a[pa, 0, 0], hi_b[pb, 0, 0])
+                <= np.minimum(lo_a[pa, 0, 0], lo_b[pb, 0, 0]))
+    found = int(np.argmax(feasible))
+    pierceable = bool(feasible[found])
+    if pierceable:
+        xs, pa, pb = xs[:found + 1], pa[:found + 1], pb[:found + 1]
+    for ends, pointer in ((a_ends, pa), (b_ends, pb)):
+        passed = ends[:pointer[-1]]
+        _tally(counter, passed, xs[np.searchsorted(xs, passed)])
+        counter.gt += int(np.count_nonzero(pointer < n))
+    hi, hi_at, hi2 = _merge_bulk(hi_a, pa, hi_b, pb, GT, counter)
+    lo, lo_at, lo2 = _merge_bulk(lo_a, pa, lo_b, pb, LT, counter)
+    _tally(counter, hi, lo)
+    swept = len(xs) - pierceable  # the steps that test deletions and b0
+    ahead = pa[:swept]
+    _tally(counter, a_ends[ahead[ahead < n]], b0)
+    # Test 2t deletes the max c holder at step t, test 2t + 1 the min d
+    # holder, and each cross is tested until its first success.  No cross
+    # holds both at a step swept, where max c > min d, since each has c <= d.
+    tests = ((hi_at[:swept], hi2[:swept], lo[:swept]), (lo_at[:swept], hi[:swept], lo2[:swept]))
+    first_hit = np.full(n + 1, 2 * swept)
+    first_hit[-1] = -1  # a y-domain end, as holder -1, is never tested
+    for slot, (holder, lower, upper) in enumerate(tests):
+        hits = np.flatnonzero((lower <= upper) & (holder >= 0))
+        crosses, first = np.unique(holder[hits], return_index=True)
+        first_hit[crosses] = np.minimum(first_hit[crosses], 2 * hits[first] + slot)
+    for slot, (holder, lower, upper) in enumerate(tests):
+        _tally(counter, lower, upper, 2 * np.arange(swept) + slot <= first_hit[holder])
+    if pierceable:
+        return (int(xs[-1]), int(hi[-1])), ()
+    return None, tuple(np.flatnonzero(first_hit[:n] == 2 * swept).tolist())
 
 
 def check_minimality(instance: PiercingInstance) -> MinimalityReport:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import record_acceptance
+from conftest import oracle_grid_points, record_acceptance
 
 from coverpierce.bounds import lb_piercing, lb_union, lb_union_ceil
 from coverpierce.cli import main
@@ -34,7 +34,6 @@ from coverpierce.piercing import (
     gen_random_piercing,
     gen_staircase_literal,
     gen_staircase_minimal,
-    oracle_grid_points,
     oracle_piercing,
     solve_piercing,
 )

@@ -3,9 +3,10 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
-from coverpierce import bounds, coverage
+from coverpierce import bounds, coverage, piercing
 from coverpierce.bounds import (
     BenchRecord,
     lb_piercing,
@@ -154,6 +155,18 @@ class TestRunBench:
         assert seen == [1, 2, 3, 4]
         assert out.getvalue().count("\n") == 5
 
+
+def test_families_that_draw_nothing_build_no_random_state(monkeypatch):
+    # building a RandomState once took most of a disjoint bench row
+    def refuse(seed):
+        raise AssertionError("RandomState built")
+
+    monkeypatch.setattr(np.random, "RandomState", refuse)
+    assert bounds.generate_instance("disjoint", 5, 1) == coverage.gen_disjoint(5)
+    assert bounds.generate_instance("staircase", 6, 1) == piercing.gen_staircase_minimal(6)
+    assert len(list(run_bench(["disjoint", "staircase"], [3, 4], trials=2))) == 8
+    with pytest.raises(AssertionError, match="RandomState built"):
+        bounds.generate_instance("chain", 5, 1)
 
 def test_csv_format():
     records = [BenchRecord("chain", 4, 0, 17, "covered", lb_union(4), 0)]

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_grid_points
+
 import coverpierce
 from coverpierce import piercing
 from coverpierce.cli import EXIT_OK, EXIT_USAGE, main
@@ -27,7 +29,7 @@ from coverpierce.core import (
     dump_instance,
 )
 from coverpierce.coverage import oracle_coverage
-from coverpierce.piercing import gen_random_piercing, oracle_grid_points, oracle_piercing
+from coverpierce.piercing import gen_random_piercing, oracle_piercing
 
 
 def defined_coverage(instance):

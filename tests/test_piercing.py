@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import oracle_grid_points
+
 from coverpierce import piercing
 from coverpierce.core import (
     Cross,
@@ -24,7 +26,6 @@ from coverpierce.piercing import (
     gen_random_piercing,
     gen_staircase_literal,
     gen_staircase_minimal,
-    oracle_grid_points,
     oracle_piercing,
     solve_piercing,
 )
@@ -476,6 +477,119 @@ class TestCheckMinimality:
         assert report.blocking == (3, 4)
         assert report.each_deletion_pierceable == (True, True, True, False, False)
         assert not report.is_minimal_nonpierceable
+
+
+SCALAR = 1 << 62  # a crossover no instance reaches: the scalar reference
+
+
+def counted(routine, instance, bulk_min_n):
+    """``routine(instance, counter)`` and the counter's lt/eq/gt tallies, with
+    the crossover at ``bulk_min_n``."""
+    counter = QueryCounter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(piercing, "BULK_MIN_N", bulk_min_n)
+        out = routine(instance, counter)
+    return out, (counter.lt, counter.eq, counter.gt)
+
+
+def as_tuples(envelopes):
+    """Bulk envelopes in the scalar form: tuples of ints, None for index -1."""
+    a_ends, b_ends, *tops = (field.tolist() for field in envelopes)
+    return piercing.Envelopes(
+        tuple(a_ends), tuple(b_ends),
+        *(tuple(tuple((v, None if i < 0 else i) for v, i in top) for top in field)
+          for field in tops))
+
+
+def moved(instance, dx, dy):
+    """``instance`` translated by dx along x and dy along y."""
+    def move(iv, by):
+        return Interval(iv.lo + by, iv.hi + by)
+
+    return PiercingInstance(move(instance.xdomain, dx), move(instance.ydomain, dy),
+                            [Cross(move(cr.h, dx), move(cr.v, dy)) for cr in instance.crosses])
+
+
+def bulk_cases(n):
+    """Families of N crosses: a shuffled staircase, which no point pierces;
+    the same with one cross repeated in place of another, whose witness lies
+    inside the sweep; random crosses with many ties that poke out of the
+    domains; and crosses pierced at a0."""
+    base = gen_staircase_minimal(n, verify=False)
+    crosses = list(base.crosses)
+    random.Random(n).shuffle(crosses)
+    rng = random.Random(n)
+    ties = [(sorted(rng.choices(range(-1, 9), k=2)), sorted(rng.choices(range(-1, 9), k=2)))
+            for _ in range(n)]
+    return [PiercingInstance(base.xdomain, base.ydomain, crosses),
+            PiercingInstance(base.xdomain, base.ydomain, crosses[1:] + crosses[-1:]),
+            inst((0, 7), (0, 7), ties), early_pierced(n)]
+
+
+def took_bulk(instance):
+    """Whether ``solve_piercing`` sweeps ``instance`` in bulk."""
+    taken, sweep = [], piercing._sweep_bulk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(piercing, "_sweep_bulk", lambda *args: taken.append(True) or sweep(*args))
+        solve_piercing(instance)
+    return bool(taken)
+
+
+class TestBulkPath:
+    """From ``BULK_MIN_N`` crosses on, ``build_envelopes`` and the sweep run
+    in bulk; the scalar path below it is their reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(random_families(), perturbed_staircases()))
+    @example(inst((0, 3), (0, 3), []))
+    @example(inst((0, 3), (0, 3), [((5, 6), (-2, -1))]))
+    @example(PiercingInstance(QUAD4.xdomain, QUAD4.ydomain, QUAD4.crosses * 2))
+    # cross 0 is pierced as the max c holder at x = 0, then holds the min d at
+    # x = 1, where the sweep tests it no more
+    @example(inst((0, 2), (0, 9), [((5, 6), (5, 6)), ((1, 2), (0, 3)), ((0, 0), (8, 9))]))
+    def test_bulk_routines_match_scalar_at_every_size(self, instance):
+        # the crossover at 0 sends even tiny and empty families down the bulk path
+        envelopes, tallies = counted(build_envelopes, instance, 0)
+        assert isinstance(envelopes.a_ends, np.ndarray)
+        assert (as_tuples(envelopes), tallies) == counted(build_envelopes, instance, SCALAR)
+        assert counted(solve_piercing, instance, 0) == counted(solve_piercing, instance, SCALAR)
+
+    def test_crossover_both_sides(self):
+        n0 = piercing.BULK_MIN_N
+        sizes = (n0 - 1, n0, n0 + 1, 4 * n0 + 3)
+        for n in sizes:
+            for instance in bulk_cases(n):
+                assert took_bulk(instance) == (n >= n0), n
+                assert (counted(solve_piercing, instance, n0)
+                        == counted(solve_piercing, instance, SCALAR)), n
+
+    @pytest.mark.parametrize("shift, bulk", [
+        (lambda xs, ys: (-2**63 - min(xs), -2**63 - min(ys)), True),
+        # the greatest y is 2^63 - 1, and the greatest b + 1 at most that
+        (lambda xs, ys: (2**63 - 2 - max(xs), 2**63 - 1 - max(ys)), True),
+        # a b of 2^63 - 1 puts b + 1 outside int64
+        (lambda xs, ys: (2**63 - 1 - max(xs), 2**63 - 1 - max(ys)), None),
+        (lambda xs, ys: (10**30, 10**30), False),
+    ], ids=["least-2^63", "greatest-2^63-1", "b-2^63-1", "10^30"])
+    def test_extreme_coordinates(self, shift, bulk):
+        for instance in bulk_cases(piercing.BULK_MIN_N):
+            xs = [instance.xdomain.lo, instance.xdomain.hi,
+                  *(e for cr in instance.crosses for e in (cr.h.lo, cr.h.hi))]
+            ys = [instance.ydomain.lo, instance.ydomain.hi,
+                  *(e for cr in instance.crosses for e in (cr.v.lo, cr.v.hi))]
+            dx, dy = shift(xs, ys)
+            far = moved(instance, dx, dy)
+            b_max = max(cr.h.hi for cr in far.crosses)
+            assert took_bulk(far) == (b_max < 2**63 - 1 if bulk is None else bulk)
+            verdict, tallies = counted(solve_piercing, far, piercing.BULK_MIN_N)
+            assert (verdict, tallies) == counted(solve_piercing, far, SCALAR)
+            near, near_tallies = counted(solve_piercing, instance, SCALAR)
+            assert tallies == near_tallies
+            assert verdict.blocking == near.blocking
+            if verdict.pierceable:
+                assert verdict.witness == (near.witness[0] + dx, near.witness[1] + dy)
+            assert all(type(v) is int for v in (*(verdict.witness or ()), *verdict.blocking))
+            json.dumps(verdict.to_dict())
 
 
 class TestScaling:
