@@ -26,6 +26,9 @@ fell, and with the ``"queries"`` values and the comparison columns masked
 their texts did not change.  ``build_envelopes`` then came to hold each
 breakpoint list once; ``ENVELOPES_50`` and demo 02 rebuild the earlier
 (breakpoints, values) pairs from its fields and kept their digests.
+``GENERATE_LARGE`` pins ``generate`` and ``solve`` at N=2^16, where the bulk
+sort, envelopes and sweep run; it was recorded before instances were stored
+as columns.
 """
 
 import hashlib
@@ -104,6 +107,15 @@ DEMOS = {
     "03_query_counts_vs_bounds":
         "0fbfb6afe5d50eecb8b7ddaa1128bf46b2dcefec165f108d5d9cfdc1f4332a30",
 }
+# `generate --seed 1 --n 65536`: (sha256 of its stdout, `solve`'s stdout on it)
+GENERATE_LARGE = {
+    "random-piercing": ("8222ea5ea71ada725124e79723b44c90adb059f8ee9f2ec081b20b1e54c628dc",
+        '{"pierceable":false,"queries":3253269}'),
+    "random-coverage": ("b440495e15b08ebda29bb601be1c55616ef60a68d2b72bb79c31b051ae5f30f1",
+        '{"covered":false,"queries":1096868,"gap":[131071,131072]}'),
+    "chain": ("89d10c5123c85faca6d6139ca05f249e4a3b0806bfe728cf9848708c03608d85",
+        '{"covered":true,"queries":1096801}'),
+}
 LITERAL_ALL_PERMS = {
     8: (576, "4e60ee259ad8f7878fc4514bf532c3e2bd4f4b12bed11477d7695002edd17755"),
     9: (2880, "6d3897de30acf37067771d852bd63d46b7f0c98786119c4c79ab194feb491af4"),
@@ -128,6 +140,18 @@ def test_generate_solve_verify(family, tmp_path, capsys):
     text += run(["solve", "--in", str(path)], capsys)
     text += run(["verify", "--in", str(path)], capsys)
     assert digest(text) == expected
+
+
+@pytest.mark.parametrize("family", sorted(GENERATE_LARGE))
+def test_generate_and_solve_at_scale(family, tmp_path, capsys):
+    expected_digest, expected_verdict = GENERATE_LARGE[family]
+    assert main(["generate", "--family", family, "--n", "65536", "--seed", "1"]) == 0
+    text = capsys.readouterr().out
+    assert digest(text) == expected_digest
+    path = tmp_path / "inst.json"
+    path.write_text(text, encoding="utf-8")
+    main(["solve", "--in", str(path)])
+    assert capsys.readouterr().out == expected_verdict + "\n"
 
 
 @pytest.mark.parametrize("family", sorted(BENCH))
