@@ -10,6 +10,7 @@ from .core import (
     Permutation,
     PiercingInstance,
     QueryCounter,
+    dump_chunks,
     dump_instance,
     dumps_instance,
     instance_from_dict,

@@ -15,8 +15,8 @@ from .core import (
     CoverageInstance,
     InstanceError,
     QueryCounter,
+    dump_chunks,
     dump_instance,
-    dumps_instance,
     loads_instance,
     validate,
 )
@@ -50,7 +50,7 @@ def cmd_generate(args) -> int:
         print(f"generate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out is None:
-        sys.stdout.write(dumps_instance(instance))
+        sys.stdout.writelines(dump_chunks(instance))
         return EXIT_OK
     try:
         dump_instance(instance, args.out)

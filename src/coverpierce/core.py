@@ -2,15 +2,21 @@
 
 All geometry is done on integer ranks.  Raw decimal coordinates are densely
 ranked on load, after which every decision procedure works with exact integer
-comparisons routed through a :class:`QueryCounter`.
+comparisons routed through a :class:`QueryCounter`.  An instance stores its
+members as (N, 2) columns of [lo, hi] ends, one per axis: int64 arrays, or
+object arrays of Python ints for an axis with a value outside int64.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 LT = "<"
 EQ = "="
@@ -97,31 +103,106 @@ class Cross:
         return self.h.contains(x) or self.v.contains(y)
 
 
-@dataclass(frozen=True)
+_INT64_MIN, _INT64_MAX = -1 << 63, (1 << 63) - 1
+
+
+def _int_array(values) -> np.ndarray:
+    """Ints as an int64 array, or as an object array of the same Python ints
+    when one leaves int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _axis(column: np.ndarray, domain: Interval) -> np.ndarray:
+    """``column`` made read-only, as an object array when an end of ``domain``
+    leaves int64: an int64 column means the whole axis fits int64."""
+    if column.dtype != object and not (_INT64_MIN <= domain.lo and domain.hi <= _INT64_MAX):
+        column = column.astype(object)
+    column.setflags(write=False)
+    return column
+
+
+def _check_rows(*columns) -> None:
+    """Raise as :class:`Interval` does on the first row with lo > hi in any
+    column, the columns of a row taken in order."""
+    flipped = [column[:, 0] > column[:, 1] for column in columns]
+    if any(f.any() for f in flipped):
+        row = int(np.argmax(np.logical_or.reduce(flipped)))
+        for column in columns:
+            Interval(*column[row].tolist())
+
+
 class CoverageInstance:
-    domain: Interval
-    intervals: tuple = ()
+    """A domain and N closed intervals, stored as the (N, 2) column ``ends``.
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+    Pass the intervals as :class:`Interval` objects, or pass ``ends`` (int64,
+    or Python ints in an object array) in their place.  ``intervals`` gives
+    them back as objects, built on first use."""
+
+    def __init__(self, domain: Interval, intervals=(), *, ends: np.ndarray | None = None):
+        self.domain = domain
+        if ends is None:
+            ivs = self.intervals = tuple(intervals)
+            ends = _int_array([iv.lo for iv in ivs] + [iv.hi for iv in ivs]).reshape(2, -1).T
+        else:
+            _check_rows(ends)
+        self.ends = _axis(ends, domain)
+
+    @cached_property
+    def intervals(self) -> tuple:
+        return tuple(itertools.starmap(Interval, self.ends.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self.ends)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.domain == other.domain
+                and np.array_equal(self.ends, other.ends))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(domain={self.domain!r}, intervals={self.intervals!r})"
 
 
-@dataclass(frozen=True)
 class PiercingInstance:
-    xdomain: Interval
-    ydomain: Interval
-    crosses: tuple = ()
+    """Two domains and N crosses, stored as the (N, 2) columns ``h`` and
+    ``v`` of their horizontal and vertical arms.
 
-    def __post_init__(self):
-        object.__setattr__(self, "crosses", tuple(self.crosses))
+    Pass the crosses as :class:`Cross` objects, or pass ``h`` and ``v`` (each
+    int64, or Python ints in an object array) in their place.  ``crosses``
+    gives them back as objects, built on first use."""
+
+    def __init__(self, xdomain: Interval, ydomain: Interval, crosses=(), *,
+                 h: np.ndarray | None = None, v: np.ndarray | None = None):
+        self.xdomain, self.ydomain = xdomain, ydomain
+        if h is None:
+            crs = self.crosses = tuple(crosses)
+            arms = _int_array([cr.h.lo for cr in crs] + [cr.h.hi for cr in crs]
+                              + [cr.v.lo for cr in crs] + [cr.v.hi for cr in crs]).reshape(4, -1).T
+            h, v = arms[:, :2], arms[:, 2:]
+        else:
+            _check_rows(h, v)
+        self.h, self.v = _axis(h, xdomain), _axis(v, ydomain)
+
+    @cached_property
+    def crosses(self) -> tuple:
+        return tuple(Cross(Interval(*h), Interval(*v))
+                     for h, v in zip(self.h.tolist(), self.v.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.crosses)
+        return len(self.h)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.xdomain == other.xdomain
+                and self.ydomain == other.ydomain
+                and np.array_equal(self.h, other.h) and np.array_equal(self.v, other.v))
+
+    def __repr__(self):
+        return (f"PiercingInstance(xdomain={self.xdomain!r}, ydomain={self.ydomain!r},"
+                f" crosses={self.crosses!r})")
 
 
 @dataclass(frozen=True)
@@ -167,25 +248,46 @@ def normalize_ranks(coords):
     return rank_map, len(distinct) - 1
 
 
+def _escapes(column: np.ndarray, domain: Interval) -> np.ndarray:
+    return (column[:, 0] < domain.lo) | (column[:, 1] > domain.hi)
+
+
+def _degenerate(column: np.ndarray) -> np.ndarray:
+    return column[:, 0] == column[:, 1]
+
+
 def validate(instance, strict: bool = False):
-    """Check containment invariants; with ``strict`` also forbid zero-length members."""
+    """Check containment invariants; with ``strict`` also forbid zero-length
+    domains and members.  The first member at fault, in order, is reported."""
     if isinstance(instance, CoverageInstance):
-        if instance.domain.lo >= instance.domain.hi and strict:
+        domain, ends = instance.domain, instance.ends
+        if strict and domain.degenerate:
             raise DegenerateInterval("degenerate domain")
-        for iv in instance.intervals:
-            if not instance.domain.contains_interval(iv):
-                raise ContainmentViolation(f"{iv} escapes domain {instance.domain}")
-            if strict and iv.degenerate:
-                raise DegenerateInterval(f"degenerate interval {iv}")
+        bad = _escapes(ends, domain)
+        if strict:
+            bad |= _degenerate(ends)
+        if bad.any():
+            iv = Interval(*ends[np.argmax(bad)].tolist())
+            if not domain.contains_interval(iv):
+                raise ContainmentViolation(f"{iv} escapes domain {domain}")
+            raise DegenerateInterval(f"degenerate interval {iv}")
         return instance
     if isinstance(instance, PiercingInstance):
-        for cr in instance.crosses:
-            if not instance.xdomain.contains_interval(cr.h):
-                raise ContainmentViolation(f"{cr.h} escapes x-domain {instance.xdomain}")
-            if not instance.ydomain.contains_interval(cr.v):
-                raise ContainmentViolation(f"{cr.v} escapes y-domain {instance.ydomain}")
-            if strict and (cr.h.degenerate or cr.v.degenerate):
-                raise DegenerateInterval(f"degenerate cross arm in {cr}")
+        xdomain, ydomain, h, v = instance.xdomain, instance.ydomain, instance.h, instance.v
+        for axis, domain in (("x", xdomain), ("y", ydomain)):
+            if strict and domain.degenerate:
+                raise DegenerateInterval(f"degenerate {axis}-domain {domain}")
+        bad = _escapes(h, xdomain) | _escapes(v, ydomain)
+        if strict:
+            bad |= _degenerate(h) | _degenerate(v)
+        if bad.any():
+            i = np.argmax(bad)
+            cr = Cross(Interval(*h[i].tolist()), Interval(*v[i].tolist()))
+            if not xdomain.contains_interval(cr.h):
+                raise ContainmentViolation(f"{cr.h} escapes x-domain {xdomain}")
+            if not ydomain.contains_interval(cr.v):
+                raise ContainmentViolation(f"{cr.v} escapes y-domain {ydomain}")
+            raise DegenerateInterval(f"degenerate cross arm in {cr}")
         return instance
     raise TypeError(f"not an instance: {instance!r}")
 
@@ -200,26 +302,41 @@ def validate(instance, strict: bool = False):
 # ranked per axis on load.
 
 
-def _as_ranks(pairs):
-    """Flatten one axis worth of [lo, hi] pairs to ints, ranking if any is fractional.
+def _column(pairs) -> np.ndarray:
+    """One axis worth of [lo, hi] pairs as an (n, 2) column of ints, ranked
+    densely if any value is fractional.
 
     Each pair must be a list of exactly two numbers; bools and strings are not
-    numbers here, although ``float()`` would accept them.
+    numbers here, although ``float()`` and numpy would accept them.
     """
-    flat = []
-    for pair in pairs:
-        if type(pair) is not list or len(pair) != 2:
-            raise InstanceError(f"expected a [lo, hi] pair, got {pair!r}")
-        flat += pair
-    kinds = set(map(type, flat)) - {int, float}
-    if kinds:
-        names = sorted(k.__name__ for k in kinds)
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        pair = next(p for p in pairs if type(p) is not list or len(p) != 2)
+        raise InstanceError(f"expected a [lo, hi] pair, got {pair!r}")
+    flat = list(itertools.chain.from_iterable(pairs))
+    kinds = set(map(type, flat))
+    if kinds - {int, float}:
+        names = sorted(k.__name__ for k in kinds - {int, float})
         raise InstanceError(f"coordinates must be numbers, not {names}")
+    return _int_array(_ints(flat) if float in kinds else flat).reshape(-1, 2)
+
+
+def _ints(flat: list):
+    """Numbers, one of them a float, as ints: the values themselves when all
+    are integral, else their dense ranks."""
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        values = None
+    # below 2^53 every value converts exactly, so float64 orders them as Python does
+    if values is not None and np.all(np.abs(values) < 2.0 ** 53):
+        if np.all(values == np.trunc(values)):
+            return values.astype(np.int64)
+        return np.unique(values, return_inverse=True)[1]
     # ints are tested by type: float() overflows on a huge one, and ranking
     # compares int with float exactly
     if all(type(v) is int or v.is_integer() for v in flat):
         return [int(v) for v in flat]
-    rank_map, _ = normalize_ranks(flat)
+    rank_map, _ = normalize_ranks(flat)  # raises on NaN and infinities
     return [rank_map[v] for v in flat]
 
 
@@ -227,21 +344,13 @@ def instance_from_dict(obj) -> CoverageInstance | PiercingInstance:
     try:
         problem = obj["problem"]
         if problem == "coverage":
-            ranks = _as_ranks([obj["domain"], *obj["intervals"]])
-            domain = Interval(ranks[0], ranks[1])
-            ivs = [Interval(ranks[i], ranks[i + 1]) for i in range(2, len(ranks), 2)]
-            return CoverageInstance(domain, ivs)
+            ends = _column([obj["domain"], *obj["intervals"]])
+            return CoverageInstance(Interval(*ends[0].tolist()), ends=ends[1:])
         if problem == "piercing":
-            xr = _as_ranks([obj["xdomain"], *(cr["h"] for cr in obj["crosses"])])
-            yr = _as_ranks([obj["ydomain"], *(cr["v"] for cr in obj["crosses"])])
-            xdomain = Interval(xr[0], xr[1])
-            ydomain = Interval(yr[0], yr[1])
-            crosses = [
-                Cross(Interval(xr[2 + 2 * i], xr[3 + 2 * i]),
-                      Interval(yr[2 + 2 * i], yr[3 + 2 * i]))
-                for i in range(len(obj["crosses"]))
-            ]
-            return PiercingInstance(xdomain, ydomain, crosses)
+            xs = _column([obj["xdomain"], *map(operator.itemgetter("h"), obj["crosses"])])
+            ys = _column([obj["ydomain"], *map(operator.itemgetter("v"), obj["crosses"])])
+            return PiercingInstance(Interval(*xs[0].tolist()), Interval(*ys[0].tolist()),
+                                    h=xs[1:], v=ys[1:])
         raise InstanceError(f"unknown problem kind {problem!r}")
     except (KeyError, TypeError, IndexError) as exc:
         raise InstanceError(f"malformed instance object: {exc}") from exc
@@ -252,23 +361,46 @@ def instance_to_dict(instance) -> dict:
         return {
             "problem": "coverage",
             "domain": [instance.domain.lo, instance.domain.hi],
-            "intervals": [[iv.lo, iv.hi] for iv in instance.intervals],
+            "intervals": instance.ends.tolist(),
         }
     if isinstance(instance, PiercingInstance):
         return {
             "problem": "piercing",
             "xdomain": [instance.xdomain.lo, instance.xdomain.hi],
             "ydomain": [instance.ydomain.lo, instance.ydomain.hi],
-            "crosses": [
-                {"h": [c.h.lo, c.h.hi], "v": [c.v.lo, c.v.hi]}
-                for c in instance.crosses
-            ],
+            "crosses": [{"h": h, "v": v}
+                        for h, v in zip(instance.h.tolist(), instance.v.tolist())],
         }
     raise TypeError(f"not an instance: {instance!r}")
 
 
+_CHUNK_ROWS = 1 << 14  # members per piece of JSON text
+
+
+def dump_chunks(instance):
+    """The JSON text of ``instance_to_dict(instance)``, compact and ending in a
+    newline, in pieces of at most ``_CHUNK_ROWS`` members each, written
+    straight from the columns."""
+    if isinstance(instance, CoverageInstance):
+        d = instance.domain
+        yield f'{{"problem":"coverage","domain":[{d.lo},{d.hi}],"intervals":['
+        columns, row = (instance.ends,), "[%d,%d]"
+    elif isinstance(instance, PiercingInstance):
+        x, y = instance.xdomain, instance.ydomain
+        yield (f'{{"problem":"piercing","xdomain":[{x.lo},{x.hi}],'
+               f'"ydomain":[{y.lo},{y.hi}],"crosses":[')
+        columns, row = (instance.h, instance.v), '{"h":[%d,%d],"v":[%d,%d]}'
+    else:
+        raise TypeError(f"not an instance: {instance!r}")
+    for start in range(0, instance.n, _CHUNK_ROWS):
+        chunk = np.concatenate([c[start:start + _CHUNK_ROWS] for c in columns], axis=1)
+        text = ",".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+        yield "," + text if start else text
+    yield "]}\n"
+
+
 def dumps_instance(instance) -> str:
-    return json.dumps(instance_to_dict(instance), separators=(",", ":")) + "\n"
+    return "".join(dump_chunks(instance))
 
 
 def loads_instance(text: str):
@@ -277,4 +409,4 @@ def loads_instance(text: str):
 
 def dump_instance(instance, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dumps_instance(instance))
+        fh.writelines(dump_chunks(instance))

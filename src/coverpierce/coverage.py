@@ -21,7 +21,7 @@ from .core import (
     QueryCounter,
     as_int,
 )
-from .sorting import merge_sort_counted
+from .sorting import BULK_MIN_N, merge_sort_counted
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class CoverageVerdict:
             return instance.domain.lo == instance.domain.hi
         g_lo, g_hi = self.gap_witness
         return (instance.domain.lo <= g_lo < g_hi <= instance.domain.hi
-                and all(iv.hi <= g_lo or iv.lo >= g_hi for iv in instance.intervals))
+                and all(hi <= g_lo or lo >= g_hi for lo, hi in instance.ends.tolist()))
 
 
 def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = None) -> CoverageVerdict:
@@ -59,25 +59,29 @@ def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = No
     if counter is None:
         counter = QueryCounter()
     before = counter.comparisons
-    domain = instance.domain
+    domain, ends = instance.domain, instance.ends
     if domain.lo == domain.hi:
         # point domain: covered iff some member interval holds the point
-        covered = any(counter.compare(iv.lo, domain.lo) != GT
-                      and counter.compare(iv.hi, domain.lo) != LT for iv in instance.intervals)
+        covered = any(counter.compare(lo, domain.lo) != GT
+                      and counter.compare(hi, domain.lo) != LT for lo, hi in ends.tolist())
         return CoverageVerdict(covered, None, counter.comparisons - before)
-    los = [iv.lo for iv in instance.intervals]
-    his = [iv.hi for iv in instance.intervals]
-    order = merge_sort_counted(los, counter)
-    if order and los[order[-1]] > domain.hi:
+    if len(ends) >= BULK_MIN_N and ends.dtype == np.int64:
+        # the bulk sort takes the column as it is
+        los, his = ends[merge_sort_counted(ends[:, 0], counter)].T.tolist()
+    else:  # the scalar sort, or Python ints beyond int64: lists throughout
+        los, his = ends.T.tolist()
+        order = merge_sort_counted(los, counter)
+        los, his = [los[i] for i in order], [his[i] for i in order]
+    if los and los[-1] > domain.hi:
         # one uncounted check, like validate's, so in-domain counts stay as they are
-        raise ContainmentViolation(
-            f"{instance.intervals[order[-1]]} starts right of domain {domain}")
+        raise ContainmentViolation(f"{Interval(los[-1], his[-1])} starts right of domain {domain}")
     reach = domain.lo
-    for pos in order:
-        if counter.compare(los[pos], reach) == GT:
-            return CoverageVerdict(False, (reach, los[pos]), counter.comparisons - before)
-        if counter.compare(his[pos], reach) == GT:
-            reach = his[pos]
+    compare = counter.compare
+    for lo, hi in zip(los, his):
+        if compare(lo, reach) == GT:
+            return CoverageVerdict(False, (reach, lo), counter.comparisons - before)
+        if compare(hi, reach) == GT:
+            reach = hi
     if counter.compare(reach, domain.hi) == LT:
         return CoverageVerdict(False, (reach, domain.hi), counter.comparisons - before)
     return CoverageVerdict(True, None, counter.comparisons - before)
@@ -92,15 +96,14 @@ def oracle_coverage(instance: CoverageInstance) -> CoverageVerdict:
     witness is the interior of the leftmost maximal uncovered run.
     O((N+V) log V) time and O(N+V) memory.
     """
-    domain = instance.domain
-    values = sorted({domain.lo, domain.hi}
-                    | {iv.lo for iv in instance.intervals}
-                    | {iv.hi for iv in instance.intervals})
+    domain, ends = instance.domain, instance.ends
+    los, his = ends.T.tolist()
+    values = sorted({domain.lo, domain.hi, *los, *his})
     values = [v for v in values if domain.lo <= v <= domain.hi]
     v = np.asarray(values)
     cells = 2 * len(values) - 1
-    first = np.searchsorted(v, [iv.lo for iv in instance.intervals], side="left")
-    last = np.searchsorted(v, [iv.hi for iv in instance.intervals], side="right") - 1
+    first = np.searchsorted(v, ends[:, 0], side="left")
+    last = np.searchsorted(v, ends[:, 1], side="right") - 1
     meets = first <= last  # an interval outside the domain holds no value
     delta = (np.bincount(2 * first[meets], minlength=cells + 1)
              - np.bincount(2 * last[meets] + 1, minlength=cells + 1))
@@ -115,11 +118,16 @@ def oracle_coverage(instance: CoverageInstance) -> CoverageVerdict:
     return CoverageVerdict(False, (values[i], values[i + 1]) if i + 1 < len(values) else None, 0)
 
 
-@dataclass(frozen=True)
 class ChainInstance(CoverageInstance):
     """A chain covering family that remembers the permutation that built it."""
 
-    permutation: Permutation = None
+    def __init__(self, domain: Interval, intervals=(), permutation: Permutation = None, *,
+                 ends: np.ndarray | None = None):
+        super().__init__(domain, intervals, ends=ends)
+        self.permutation = permutation
+
+    def __eq__(self, other):
+        return super().__eq__(other) and self.permutation == other.permutation
 
 
 def gen_chain(perm) -> ChainInstance:
@@ -133,16 +141,12 @@ def gen_chain(perm) -> ChainInstance:
     N = len(perm)
     if N < 2:
         raise ValueError("chain needs N >= 2")
-    a = [0] * (N + 1)
-    b = [0] * (N + 1)
-    a[perm[0]] = 0
-    for k in range(2, N + 1):
-        a[perm[k - 1]] = 2 * k - 3
-    for k in range(1, N):
-        b[perm[k - 1]] = 2 * k
-    b[perm[N - 1]] = 2 * N - 1
-    intervals = [Interval(a[i], b[i]) for i in range(1, N + 1)]
-    return ChainInstance(Interval(0, 2 * N - 1), tuple(intervals), permutation=perm)
+    at = np.array(perm.order, dtype=np.int64) - 1  # interval index of each link
+    ends = np.empty((N, 2), dtype=np.int64)
+    # link 1 starts at 0 and link k >= 2 at 2k - 3; link k < N ends at 2k, link N at 2N - 1
+    ends[at, 0] = np.concatenate(([0], 2 * np.arange(2, N + 1) - 3))
+    ends[at, 1] = np.concatenate((2 * np.arange(1, N), [2 * N - 1]))
+    return ChainInstance(Interval(0, 2 * N - 1), permutation=perm, ends=ends)
 
 
 def flip_link(chain: ChainInstance, k: int) -> CoverageInstance:
@@ -153,13 +157,11 @@ def flip_link(chain: ChainInstance, k: int) -> CoverageInstance:
     N = len(perm)
     if not 2 <= k <= N:
         raise ValueError(f"flip position {k} out of range 2..{N}")
-    intervals = list(chain.intervals)
-    i_k = perm[k - 1]
-    i_prev = perm[k - 2]
+    ends = chain.ends.copy()
     # ranks 2k-3 (start of link k) and 2k-2 (end of link k-1) change places
-    intervals[i_k - 1] = Interval(2 * k - 2, intervals[i_k - 1].hi)
-    intervals[i_prev - 1] = Interval(intervals[i_prev - 1].lo, 2 * k - 3)
-    return CoverageInstance(chain.domain, tuple(intervals))
+    ends[perm[k - 1] - 1, 0] = 2 * k - 2
+    ends[perm[k - 2] - 1, 1] = 2 * k - 3
+    return CoverageInstance(chain.domain, ends=ends)
 
 
 def check_equality_by_coverage(values, counter: QueryCounter | None = None) -> bool:
@@ -177,10 +179,8 @@ def gen_disjoint(n: int) -> CoverageInstance:
     """N separated unit intervals over [0, 2N]; uncovered for every N."""
     if n < 1:
         raise ValueError("disjoint family needs N >= 1")
-    return CoverageInstance(
-        Interval(0, 2 * n),
-        [Interval(2 * k, 2 * k + 1) for k in range(n)],
-    )
+    return CoverageInstance(Interval(0, 2 * n),
+                            ends=np.arange(2 * n, dtype=np.int64).reshape(n, 2))
 
 
 def gen_random_coverage(n: int, rng) -> CoverageInstance:
@@ -188,8 +188,5 @@ def gen_random_coverage(n: int, rng) -> CoverageInstance:
     if n < 0:
         raise ValueError("negative size")
     span = max(2 * n, 1)
-    pts = np.sort(rng.randint(0, span + 1, size=(n, 2)), axis=1)
-    return CoverageInstance(
-        Interval(0, span),
-        [Interval(int(lo), int(hi)) for lo, hi in pts],
-    )
+    ends = np.sort(rng.randint(0, span + 1, size=(n, 2)).astype(np.int64, copy=False), axis=1)
+    return CoverageInstance(Interval(0, span), ends=ends)

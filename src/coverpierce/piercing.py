@@ -61,18 +61,20 @@ class Envelopes(NamedTuple):
 
 
 def _best_two(top, entries, counter: QueryCounter, better: str):
-    """The best two (value, index) pairs of ``top`` (best first) and ``entries``.
+    """Yield, after each of ``entries``, the best two (value, index) pairs
+    (best first) of ``top`` and the entries so far.
 
     ``better`` is GT to keep maxima and LT to keep minima.  A tie keeps the
     earlier holder first, so a runner-up can equal the best.
     """
     first, second = top
+    compare = counter.compare  # looked up once, not once per comparison
     for entry in entries:
-        if counter.compare(entry[0], first[0]) == better:
+        if compare(entry[0], first[0]) == better:
             first, second = entry, first
-        elif counter.compare(entry[0], second[0]) == better:
+        elif compare(entry[0], second[0]) == better:
             second = entry
-    return first, second
+        yield first, second
 
 
 def _tally(counter: QueryCounter, left, right, made=None) -> None:
@@ -90,7 +92,7 @@ def _tally(counter: QueryCounter, left, right, made=None) -> None:
 
 def _running_best_two(order, values, seed, better: str, counter: QueryCounter):
     """``aggregate`` of :func:`build_envelopes` in bulk: entry k holds what
-    ``_best_two`` keeps after the first k crosses of ``order``, with the same
+    ``_best_two`` yields after the first k crosses of ``order``, with the same
     tallies.
 
     Entry k is a record when it beats the best so far; a tie keeps the earlier
@@ -126,20 +128,6 @@ def _running_best_two(order, values, seed, better: str, counter: QueryCounter):
     return tops
 
 
-def _int64_columns(instance: PiercingInstance, a, b, c, d):
-    """a, b + 1, c and d as int64 arrays, or None when a coordinate or a b + 1
-    leaves int64."""
-    domains = (instance.xdomain.lo, instance.xdomain.hi, instance.ydomain.lo, instance.ydomain.hi)
-    try:
-        a, b, c, d, _ = (np.fromiter(v, dtype=np.int64, count=len(v)) for v in (a, b, c, d, domains))
-    except OverflowError:  # an int beyond int64
-        return None
-    if np.any(b == _INT64_MAX):
-        return None
-    b += 1
-    return a, b, c, d
-
-
 def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = None) -> Envelopes:
     """Sort a and b, then take running best-two aggregates of c and d.
 
@@ -147,36 +135,35 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
     of a b-side one ``by_b[:k]``.  O(N log N) comparisons.  The path is
     picked from N alone, as ``merge_sort_counted`` picks its own: below
     ``BULK_MIN_N`` crosses ``_best_two`` takes one entry at a time and is the
-    reference; from there on, unless a value leaves int64, the aggregates
-    are computed in bulk with the same values, holders and tallies.
+    reference; from there on, unless a value or a b + 1 leaves int64, the
+    columns are sorted and aggregated in bulk with the same values, holders
+    and tallies.
     """
     if counter is None:
         counter = QueryCounter()
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
-    crosses = instance.crosses
-    a = [cr.h.lo for cr in crosses]
-    b = [cr.h.hi for cr in crosses]
-    c = [cr.v.lo for cr in crosses]
-    d = [cr.v.hi for cr in crosses]
-    by_a = merge_sort_counted(a, counter)
-    by_b = merge_sort_counted(b, counter)
-    columns = _int64_columns(instance, a, b, c, d) if len(a) >= BULK_MIN_N else None
-    if columns is not None:
-        a, b_ends, c, d = columns
-        by_a, by_b = np.array(by_a, dtype=np.int64), np.array(by_b, dtype=np.int64)
+    h, v = instance.h, instance.v
+    if (len(h) >= BULK_MIN_N and h.dtype == v.dtype == np.int64
+            and not np.any(h[:, 1] == _INT64_MAX)):
+        by_a = merge_sort_counted(h[:, 0], counter)
+        by_b = merge_sort_counted(h[:, 1], counter)
+        c, d = v[:, 0], v[:, 1]
         return Envelopes(
-            a_ends=a[by_a],
-            b_ends=b_ends[by_b],
+            a_ends=h[by_a, 0],
+            b_ends=h[by_b, 1] + 1,
             f_nw=_running_best_two(by_a[::-1], d, d0, LT, counter)[::-1],
             f_ne=_running_best_two(by_b, d, d0, LT, counter),
             g_sw=_running_best_two(by_a[::-1], c, c0, GT, counter)[::-1],
             g_se=_running_best_two(by_b, c, c0, GT, counter))
 
+    a, b = h.T.tolist()
+    c, d = v.T.tolist()
+    by_a = merge_sort_counted(a, counter)
+    by_b = merge_sort_counted(b, counter)
+
     def aggregate(order, values, seed, better):
-        tops = [((seed, None), (seed, None))]
-        for i in order:
-            tops.append(_best_two(tops[-1], [(values[i], i)], counter, better))
-        return tops
+        top = ((seed, None), (seed, None))
+        return [top, *_best_two(top, [(values[i], i) for i in order], counter, better)]
 
     return Envelopes(
         a_ends=tuple([a[i] for i in by_a]),
@@ -206,7 +193,8 @@ class PiercingVerdict:
             return self.witness is None
         x, y = self.witness
         return (instance.xdomain.contains(x) and instance.ydomain.contains(y)
-                and all(cr.contains(x, y) for cr in instance.crosses))
+                and all(a <= x <= b or c <= y <= d
+                        for (a, b), (c, d) in zip(instance.h.tolist(), instance.v.tolist())))
 
 
 # The most (cross, grid x) cells the grid oracle takes: `verify` peaked at 434 MiB
@@ -227,22 +215,21 @@ def _grid_hits(instance: PiercingInstance):
     """
     a0, b0 = instance.xdomain.lo, instance.xdomain.hi
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
-    xs = sorted({a0, b0} | {v for cr in instance.crosses for v in (cr.h.lo, cr.h.hi)})
+    (a, b), (c, d) = instance.h.T.tolist(), instance.v.T.tolist()
+    xs = sorted({a0, b0, *a, *b})
     xr = {x: i for i, x in enumerate(xs)}
     n_x = xr[b0] - xr[a0] + 1
     if instance.n * n_x > GRID_CELLS_MAX:
         raise InstanceError(f"{instance.n} crosses times {n_x} grid xs make {instance.n * n_x}"
                             f" cells, more than the grid oracle's budget of {GRID_CELLS_MAX}")
-    ys = sorted({c0, d0} | {v for cr in instance.crosses for v in (cr.v.lo, cr.v.hi)})
+    ys = sorted({c0, d0, *c, *d})
     yr = {y: i for i, y in enumerate(ys)}
     xv = np.arange(xr[a0], xr[b0] + 1)
-    h_lo = np.array([xr[cr.h.lo] for cr in instance.crosses], dtype=np.int64)[:, None]
-    h_hi = np.array([xr[cr.h.hi] for cr in instance.crosses], dtype=np.int64)[:, None]
-    v_lo = np.array([yr[cr.v.lo] for cr in instance.crosses], dtype=np.int64)[:, None]
-    v_hi = np.array([yr[cr.v.hi] for cr in instance.crosses], dtype=np.int64)[:, None]
-    miss = (xv < h_lo) | (h_hi < xv)  # (N, n_x): the y arm must hold y
-    lower = np.where(miss, v_lo, yr[c0]).max(axis=0, initial=yr[c0])
-    upper = np.where(miss, v_hi, yr[d0]).min(axis=0, initial=yr[d0])
+    a, b, c, d = (np.array([rank[e] for e in ends], dtype=np.int64)[:, None]
+                  for rank, ends in ((xr, a), (xr, b), (yr, c), (yr, d)))
+    miss = (xv < a) | (b < xv)  # (N, n_x): the y arm must hold y
+    lower = np.where(miss, c, yr[c0]).max(axis=0, initial=yr[c0])
+    upper = np.where(miss, d, yr[d0]).min(axis=0, initial=yr[d0])
     return xs[xr[a0]:xr[b0] + 1], ys, lower, upper + 1
 
 
@@ -322,8 +309,8 @@ def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter):
             pa += 1
         while pb < n and counter.compare(b_ends[pb], x) != GT:
             pb += 1
-        hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)
-        lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)
+        *_, hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)
+        *_, lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)
         if counter.compare(hi[0][0], lo[0][0]) != GT:
             return (x, hi[0][0]), ()
         for i in (hi[0][1], lo[0][1]):
@@ -338,7 +325,7 @@ def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter):
 
 
 def _merge_bulk(tops, at, entries, entries_at, better: str, counter: QueryCounter):
-    """``_best_two(tops[at[k]], entries[entries_at[k]])`` at every step k, with
+    """The last of ``_best_two(tops[at[k]], entries[entries_at[k]])`` at every step k, with
     its tallies: the merged first value, its index and the second value."""
     beats = np.greater if better == GT else np.less
     first, first_at, second = tops[at, 0, 0], tops[at, 0, 1], tops[at, 1, 0]
@@ -522,12 +509,7 @@ def gen_random_piercing(n: int, rng) -> PiercingInstance:
     if n < 0:
         raise ValueError("negative size")
     span = max(2 * n, 1)
-    hx = np.sort(rng.randint(0, span + 1, size=(n, 2)), axis=1)
-    vy = np.sort(rng.randint(0, span + 1, size=(n, 2)), axis=1)
+    h = np.sort(rng.randint(0, span + 1, size=(n, 2)).astype(np.int64, copy=False), axis=1)
+    v = np.sort(rng.randint(0, span + 1, size=(n, 2)).astype(np.int64, copy=False), axis=1)
     dom = Interval(0, span)
-    crosses = [
-        Cross(Interval(int(hx[k, 0]), int(hx[k, 1])),
-              Interval(int(vy[k, 0]), int(vy[k, 1])))
-        for k in range(n)
-    ]
-    return PiercingInstance(dom, dom, crosses)
+    return PiercingInstance(dom, dom, h=h, v=v)

@@ -22,13 +22,17 @@ from .core import GT, QueryCounter
 BULK_MIN_N = 64
 
 
-def merge_sort_counted(items, counter: QueryCounter | None = None) -> tuple:
+def merge_sort_counted(items, counter: QueryCounter | None = None):
     """Stable merge sort returning positions; odd lengths split into uneven halves.
 
-    Keys must be totally ordered.  The path is picked from the input size
-    alone; both give the bottom-up merge's order and tallies."""
+    Keys must be totally ordered.  An int64 array of keys is sorted in bulk as
+    it is, and its order comes back as an int64 array.  The order of any other
+    keys comes back as a tuple, from the path their count picks.  All paths
+    give the bottom-up merge's order and tallies."""
     if counter is None:
         counter = QueryCounter()
+    if isinstance(items, np.ndarray) and items.dtype == np.int64:
+        return _merge_sort_bulk(items, counter)
     keys = list(items)
     sort = _merge_sort_scalar if len(keys) < BULK_MIN_N else _merge_sort_bulk
     return sort(keys, counter)
@@ -37,20 +41,22 @@ def merge_sort_counted(items, counter: QueryCounter | None = None) -> tuple:
 def _merge_sort_scalar(keys: list, counter: QueryCounter) -> tuple:
     n = len(keys)
     order = list(range(n))
+    compare = counter.compare  # looked up once, not once per comparison
     width = 1
     while width < n:
         merged = []
+        take = merged.append
         for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
+            mid = lo + width if lo + width < n else n
+            hi = mid + width if mid + width < n else n
             i, j = lo, mid
             while i < mid and j < hi:
                 # take left on ties: stability
-                if counter.compare(keys[order[i]], keys[order[j]]) == GT:
-                    merged.append(order[j])
+                if compare(keys[order[i]], keys[order[j]]) == GT:
+                    take(order[j])
                     j += 1
                 else:
-                    merged.append(order[i])
+                    take(order[i])
                     i += 1
             merged.extend(order[i:mid])
             merged.extend(order[j:hi])
@@ -59,9 +65,13 @@ def _merge_sort_scalar(keys: list, counter: QueryCounter) -> tuple:
     return tuple(order)
 
 
-def _stable_ranks(keys: list) -> tuple:
-    """The stable sorting order of ``keys`` and the dense rank of each sorted key."""
-    values = np.array(keys) if set(map(type, keys)) == {int} else None
+def _stable_ranks(keys) -> tuple:
+    """The stable sorting order of ``keys`` (a list or an int64 array) and the
+    dense rank of each sorted key."""
+    if isinstance(keys, np.ndarray):
+        values = keys
+    else:
+        values = np.array(keys) if set(map(type, keys)) == {int} else None
     if values is not None and values.dtype.kind in "iu":
         order = np.argsort(values, kind="stable")
         ordered = values[order]
@@ -78,8 +88,19 @@ def _stable_ranks(keys: list) -> tuple:
     return order, ranks
 
 
-def _merge_sort_bulk(keys: list, counter: QueryCounter) -> tuple:
-    """The scalar merge's order and tallies, computed level by level.
+def _merge_sort_bulk(keys, counter: QueryCounter):
+    """The scalar merge's order and tallies, computed level by level; the
+    order is an int64 array for an int64 array of keys, else a tuple."""
+    order, ranks = _stable_ranks(keys)
+    n = len(order)
+    if n >= 2:
+        _count_merges(order, ranks, counter)
+    return order if isinstance(keys, np.ndarray) else tuple(order.tolist())
+
+
+def _count_merges(order, ranks, counter: QueryCounter) -> None:
+    """Add the merges' tallies to ``counter``, from the stable order of n >= 2
+    keys and their dense ranks in that order.
 
     At width w the merge of runs L and R (the keys at index ranges
     [lo, lo+w) and [lo+w, lo+2w)) makes one ``gt`` per key of R below max L
@@ -89,10 +110,7 @@ def _merge_sort_bulk(keys: list, counter: QueryCounter) -> tuple:
     2^e, e the bit length of i ^ j; there each equal key from the start of
     that output run up to i makes one ``eq``.
     """
-    n = len(keys)
-    if n < 2:
-        return tuple(range(n))
-    order, ranks = _stable_ranks(keys)
+    n = len(order)
     # pad to a power of two: -1 never raises a run's maximum, n never falls below one
     size = 1 << (n - 1).bit_length()
     maxima = np.full(size, -1, dtype=np.int64)
@@ -118,7 +136,6 @@ def _merge_sort_bulk(keys: list, counter: QueryCounter) -> tuple:
     counter.lt += at_most - eq
     counter.eq += eq
     counter.gt += gt
-    return tuple(order.tolist())
 
 
 def merge_unique_counted(lists, counter: QueryCounter) -> list:

@@ -110,6 +110,18 @@ class TestSolve:
         assert main(["solve", "--in", path]) == EXIT_OK
         assert main(["solve", "--in", path, "--strict"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("xdomain, ydomain", [((3, 3), (0, 0)), ((3, 3), (0, 9)),
+                                                  ((0, 9), (4, 4))])
+    def test_strict_rejects_a_zero_length_piercing_domain(self, xdomain, ydomain,
+                                                          tmp_path, capsys):
+        # a point domain once passed --strict for piercing, though not for coverage
+        path = write_piercing(tmp_path / "p.json", [], xdomain, ydomain)
+        assert main(["solve", "--in", path]) == EXIT_OK
+        assert main(["solve", "--in", path, "--strict"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1  # the verdict of the first solve only
+        assert "degenerate" in captured.err
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import reference_instance_from_dict
+
+from coverpierce import core
 from coverpierce.core import (
     ContainmentViolation,
     CoverageInstance,
@@ -15,6 +18,7 @@ from coverpierce.core import (
     PiercingInstance,
     QueryCounter,
     dumps_instance,
+    instance_from_dict,
     instance_to_dict,
     loads_instance,
     normalize_ranks,
@@ -191,3 +195,119 @@ class TestInstanceJson:
             loads_instance('{"problem":"sudoku"}')
         with pytest.raises(json.JSONDecodeError):
             loads_instance('{"problem":')
+
+
+# --- the columnar loader against the object-by-object reference --------------
+
+EDGES = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30, -(10**30), 2**53 + 1,
+         -(2**53) - 1, 0.5, -0.5, -0.0, 2.0**53, 2.0**53 + 2, 1e300, -1e300]
+finite = st.one_of(
+    st.integers(-3, 12),
+    st.integers(-3, 12).map(float),  # integral floats
+    st.integers(-12, 24).map(lambda k: k / 4),  # fractions
+    st.sampled_from(EDGES),  # beyond int64, at float's integer limit, -0.0
+)
+numbers = finite | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+coordinates = numbers | st.sampled_from([True, False, None, "5", ""])
+
+
+def pairs_of(values):
+    return st.lists(values, min_size=2, max_size=2).map(sorted)
+
+
+clean_pairs = pairs_of(finite)
+rough_pairs = st.one_of(
+    pairs_of(numbers),
+    st.lists(coordinates, min_size=2, max_size=2),  # unordered, or not numbers
+    st.lists(finite, max_size=3),  # ragged
+    st.lists(coordinates, max_size=3),
+    st.lists(st.lists(finite, max_size=2), min_size=2, max_size=2),  # nested
+    coordinates,
+)
+
+
+def rarely(draw) -> bool:
+    return draw(st.integers(0, 7)) == 5
+
+
+@st.composite
+def instance_documents(draw):
+    """Instance-like JSON documents: mostly loadable ones, some with rough
+    pairs, and a key missing from one in eight."""
+    pairs = clean_pairs | rough_pairs if rarely(draw) or rarely(draw) else clean_pairs
+    members = st.lists(pairs, max_size=6)
+    if draw(st.booleans()):
+        doc = {"problem": "coverage", "domain": draw(pairs), "intervals": draw(members)}
+    else:
+        crosses = st.lists(st.fixed_dictionaries({"h": pairs, "v": pairs}), max_size=6)
+        doc = {"problem": "piercing", "xdomain": draw(pairs), "ydomain": draw(pairs),
+               "crosses": draw(crosses)}
+    if rarely(draw):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    if doc.get("crosses") and rarely(draw):
+        del draw(st.sampled_from(doc["crosses"]))[draw(st.sampled_from(["h", "v"]))]
+    return doc
+
+
+def load(loader, text):
+    """``loader``'s instance_to_dict of the parsed text, or its error's class and message."""
+    try:
+        return instance_to_dict(loader(json.loads(text)))
+    except ValueError as exc:  # InstanceError is a ValueError
+        return type(exc), str(exc)
+
+
+class TestColumnarLoader:
+    @settings(max_examples=400, deadline=None)
+    @given(instance_documents())
+    @example({"problem": "coverage", "domain": [0.5, 10**400],
+              "intervals": [[0.5, 3], [2, 10**400]]})
+    @example({"problem": "coverage", "domain": [-0.0, 2.0], "intervals": [[-0.0, 1.5]]})
+    @example({"problem": "piercing", "xdomain": [0, 2**63], "ydomain": [0, 1],
+              "crosses": [{"h": [0, 1], "v": [0, 1]}]})
+    @example({"problem": "coverage", "domain": [0, 2**53 + 1], "intervals": [[0.5, 2**53]]})
+    @example({"problem": "coverage", "domain": [0, 9], "intervals": [[0.5, float("nan")]]})
+    @example({"problem": "coverage", "domain": [0, 5], "intervals": [[0, 1, 2], [3]]})
+    @example({"problem": "coverage", "domain": [0, 5], "intervals": [[0, 1], [4, 3]]})
+    @example({"problem": "piercing", "xdomain": [0, 9], "ydomain": [0, 9],
+              "crosses": [{"h": [0, 1], "v": [0, 1]}, {"h": [2, 2.5], "v": [3, 2]}]})
+    def test_matches_the_object_by_object_reference(self, doc):
+        text = json.dumps(doc)  # NaN and Infinity pass through
+        assert load(instance_from_dict, text) == load(reference_instance_from_dict, text)
+
+    def test_bools_are_not_coordinates(self):
+        # numpy takes a bool for an int without complaint
+        assert np.array([True, 1], dtype=np.int64).tolist() == [1, 1]
+        for doc in [
+            {"problem": "coverage", "domain": [True, 1], "intervals": []},
+            {"problem": "coverage", "domain": [0, 5], "intervals": [[0, True]]},
+            {"problem": "coverage", "domain": [0.5, 5], "intervals": [[False, 1.5]]},
+            {"problem": "piercing", "xdomain": [0, 5], "ydomain": [0, 5],
+             "crosses": [{"h": [0, 1], "v": [False, 1]}]},
+        ]:
+            with pytest.raises(InstanceError, match="bool"):
+                loads_instance(json.dumps(doc))
+
+    def test_axes_beyond_int64_hold_python_ints(self):
+        inst = loads_instance(json.dumps({
+            "problem": "piercing", "xdomain": [0, 2**63], "ydomain": [0, 9],
+            "crosses": [{"h": [1, 2], "v": [3, 4]}]}))
+        assert inst.h.dtype == object and inst.v.dtype == np.int64
+        assert [type(v) for v in inst.h.ravel()] == [int, int]
+        assert not inst.h.flags.writeable and not inst.v.flags.writeable
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 5])
+    def test_dump_is_json_dumps_of_the_dict_across_chunks(self, rows, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 2)
+        big = 10**30
+        dom = Interval(-big, big)
+        ivs = [Interval(-k, k * big) for k in range(rows)]
+        crosses = [Cross(Interval(-k, k), Interval(k, big)) for k in range(rows)]
+        small = [Interval(-k, 2 * k) for k in range(rows)]
+        for inst in (CoverageInstance(dom, ivs), CoverageInstance(Interval(-9, 9), small),
+                     PiercingInstance(dom, Interval(0, big), crosses),
+                     PiercingInstance(Interval(-9, 9), Interval(-9, 9),
+                                      [Cross(iv, iv) for iv in small])):
+            text = dumps_instance(inst)
+            assert text == json.dumps(instance_to_dict(inst), separators=(",", ":")) + "\n"
+            assert instance_to_dict(loads_instance(text)) == instance_to_dict(inst)
