@@ -126,9 +126,6 @@ class ChainInstance(CoverageInstance):
         super().__init__(domain, intervals, ends=ends)
         self.permutation = permutation
 
-    def __eq__(self, other):
-        return super().__eq__(other) and self.permutation == other.permutation
-
 
 def gen_chain(perm) -> ChainInstance:
     """Chain of overlapping intervals on ranks 0..2N-1, ordered by ``perm``.

@@ -325,8 +325,9 @@ def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter):
 
 
 def _merge_bulk(tops, at, entries, entries_at, better: str, counter: QueryCounter):
-    """The last of ``_best_two(tops[at[k]], entries[entries_at[k]])`` at every step k, with
-    its tallies: the merged first value, its index and the second value."""
+    """The last that ``_best_two(tops[at[k]], entries[entries_at[k]])`` yields
+    at every step k, with its tallies: the merged first value, its index and
+    the second value."""
     beats = np.greater if better == GT else np.less
     first, first_at, second = tops[at, 0, 0], tops[at, 0, 1], tops[at, 1, 0]
     for k in (0, 1):

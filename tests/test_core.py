@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_instance_from_dict
 
-from coverpierce import core
+from coverpierce import core, piercing
 from coverpierce.core import (
     ContainmentViolation,
     CoverageInstance,
@@ -295,6 +295,16 @@ class TestColumnarLoader:
         assert inst.h.dtype == object and inst.v.dtype == np.int64
         assert [type(v) for v in inst.h.ravel()] == [int, int]
         assert not inst.h.flags.writeable and not inst.v.flags.writeable
+
+    def test_a_domain_beyond_int64_makes_its_axis_python_ints(self, monkeypatch):
+        # the bulk envelopes would seed their int64 aggregates with the y-domain ends
+        n = piercing.BULK_MIN_N
+        crosses = [Cross(Interval(k, k + 1), Interval(k, k + 1)) for k in range(n)]
+        inst = PiercingInstance(Interval(0, n), Interval(0, 2**63), crosses)
+        assert inst.h.dtype == np.int64 and inst.v.dtype == object
+        verdict = piercing.solve_piercing(inst)
+        monkeypatch.setattr(piercing, "BULK_MIN_N", n + 1)
+        assert verdict == piercing.solve_piercing(inst)
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 5])
     def test_dump_is_json_dumps_of_the_dict_across_chunks(self, rows, monkeypatch):
