@@ -179,8 +179,8 @@ class PiercingInstance:
         self.xdomain, self.ydomain = xdomain, ydomain
         if h is None:
             crs = self.crosses = tuple(crosses)
-            arms = _int_array([cr.h.lo for cr in crs] + [cr.h.hi for cr in crs]
-                              + [cr.v.lo for cr in crs] + [cr.v.hi for cr in crs]).reshape(4, -1).T
+            arms = _int_array([e for cr in crs for e in (cr.h.lo, cr.h.hi, cr.v.lo, cr.v.hi)])
+            arms = arms.reshape(-1, 4)
             h, v = arms[:, :2], arms[:, 2:]
         else:
             _check_rows(h, v)

@@ -60,21 +60,22 @@ class Envelopes(NamedTuple):
     g_se: tuple | np.ndarray  # max c over b < x   (nondecreasing)
 
 
-def _best_two(top, entries, counter: QueryCounter, better: str):
-    """Yield, after each of ``entries``, the best two (value, index) pairs
-    (best first) of ``top`` and the entries so far.
+def _best_two(top, entries, counter: QueryCounter, better: str) -> list:
+    """``top`` and, after each of ``entries``, the best two (value, index)
+    pairs so far, best first.
 
     ``better`` is GT to keep maxima and LT to keep minima.  A tie keeps the
     earlier holder first, so a runner-up can equal the best.
     """
-    first, second = top
+    (first, second), tops = top, [top]
     compare = counter.compare  # looked up once, not once per comparison
     for entry in entries:
         if compare(entry[0], first[0]) == better:
             first, second = entry, first
         elif compare(entry[0], second[0]) == better:
             second = entry
-        yield first, second
+        tops.append((first, second))
+    return tops
 
 
 def _tally(counter: QueryCounter, left, right, made=None) -> None:
@@ -92,7 +93,7 @@ def _tally(counter: QueryCounter, left, right, made=None) -> None:
 
 def _running_best_two(order, values, seed, better: str, counter: QueryCounter):
     """``aggregate`` of :func:`build_envelopes` in bulk: entry k holds what
-    ``_best_two`` yields after the first k crosses of ``order``, with the same
+    ``_best_two`` keeps after the first k crosses of ``order``, with the same
     tallies.
 
     Entry k is a record when it beats the best so far; a tie keeps the earlier
@@ -162,8 +163,8 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
     by_b = merge_sort_counted(b, counter)
 
     def aggregate(order, values, seed, better):
-        top = ((seed, None), (seed, None))
-        return [top, *_best_two(top, [(values[i], i) for i in order], counter, better)]
+        return _best_two(((seed, None), (seed, None)), [(values[i], i) for i in order],
+                         counter, better)
 
     return Envelopes(
         a_ends=tuple([a[i] for i in by_a]),
@@ -225,8 +226,8 @@ def _grid_hits(instance: PiercingInstance):
     ys = sorted({c0, d0, *c, *d})
     yr = {y: i for i, y in enumerate(ys)}
     xv = np.arange(xr[a0], xr[b0] + 1)
-    a, b, c, d = (np.array([rank[e] for e in ends], dtype=np.int64)[:, None]
-                  for rank, ends in ((xr, a), (xr, b), (yr, c), (yr, d)))
+    a, b, c, d = np.array([[xr[e] for e in a], [xr[e] for e in b], [yr[e] for e in c],
+                           [yr[e] for e in d]], dtype=np.int64)[:, :, None]
     miss = (xv < a) | (b < xv)  # (N, n_x): the y arm must hold y
     lower = np.where(miss, c, yr[c0]).max(axis=0, initial=yr[c0])
     upper = np.where(miss, d, yr[d0]).min(axis=0, initial=yr[d0])
@@ -309,8 +310,8 @@ def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter):
             pa += 1
         while pb < n and counter.compare(b_ends[pb], x) != GT:
             pb += 1
-        *_, hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)
-        *_, lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)
+        hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)[-1]
+        lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)[-1]
         if counter.compare(hi[0][0], lo[0][0]) != GT:
             return (x, hi[0][0]), ()
         for i in (hi[0][1], lo[0][1]):
@@ -325,9 +326,9 @@ def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter):
 
 
 def _merge_bulk(tops, at, entries, entries_at, better: str, counter: QueryCounter):
-    """The last that ``_best_two(tops[at[k]], entries[entries_at[k]])`` yields
-    at every step k, with its tallies: the merged first value, its index and
-    the second value."""
+    """The last of ``_best_two(tops[at[k]], entries[entries_at[k]])`` at every
+    step k, with its tallies: the merged first value, its index and the
+    second value."""
     beats = np.greater if better == GT else np.less
     first, first_at, second = tops[at, 0, 0], tops[at, 0, 1], tops[at, 1, 0]
     for k in (0, 1):
