@@ -81,7 +81,7 @@ def _random_parity_perm(n: int, rng) -> Permutation:
 # generators look the library functions up at call time, so rebinding a
 # module attribute reaches them.
 FAMILIES = {
-    "chain": lambda n, rng: coverage.gen_chain(rng().permutation(n) + 1),
+    "chain": lambda n, rng: coverage.gen_chain((rng().permutation(n) + 1).tolist()),
     "staircase": lambda n, rng: piercing.gen_staircase_minimal(n),
     "staircase-literal": lambda n, rng: piercing.gen_staircase_literal(
         n, _random_parity_perm(n, rng())),

@@ -4,7 +4,8 @@ All geometry is done on integer ranks.  Raw decimal coordinates are densely
 ranked on load, after which every decision procedure works with exact integer
 comparisons routed through a :class:`QueryCounter`.  An instance stores its
 members as (N, 2) columns of [lo, hi] ends, one per axis: int64 arrays, or
-object arrays of Python ints for an axis with a value outside int64.
+object arrays of Python ints for an axis with a value outside int64.  The
+solvers take both down the same paths; only N picks scalar or bulk.
 """
 
 from __future__ import annotations
@@ -124,14 +125,29 @@ def _axis(column: np.ndarray, domain: Interval) -> np.ndarray:
     return column
 
 
-def _check_rows(*columns) -> None:
-    """Raise as :class:`Interval` does on the first row with lo > hi in any
-    column, the columns of a row taken in order."""
-    flipped = [column[:, 0] > column[:, 1] for column in columns]
+def _columns(*columns) -> list:
+    """The columns as (N, 2) int64 or Python-int columns, of one N.  Raises
+    :class:`InstanceError` on floats, bools and other shapes, and as
+    :class:`Interval` does on the first row with lo > hi in any column, the
+    columns of a row taken in order."""
+    ints = []
+    for column in columns:
+        shaped = isinstance(column, np.ndarray) and column.ndim == 2 and column.shape[1] == 2
+        if not shaped or column.dtype.kind not in "iuO" or (  # bool is kind "b"
+                column.dtype == object and set(map(type, column.ravel().tolist())) - {int}):
+            raise InstanceError("ends must be an (N, 2) array of int ranks, got "
+                                f"{getattr(column, 'dtype', type(column).__name__)}"
+                                f" of shape {getattr(column, 'shape', None)}")
+        # other widths become int64, or Python ints beyond it: the bulk paths add 1 to a b
+        ints.append(column if column.dtype in (np.int64, object) else _int_array(column.tolist()))
+    if len(set(map(len, ints))) > 1:
+        raise InstanceError(f"arms of different counts: {list(map(len, ints))}")
+    flipped = [column[:, 0] > column[:, 1] for column in ints]
     if any(f.any() for f in flipped):
         row = int(np.argmax(np.logical_or.reduce(flipped)))
-        for column in columns:
+        for column in ints:
             Interval(*column[row].tolist())
+    return ints
 
 
 class CoverageInstance:
@@ -147,7 +163,7 @@ class CoverageInstance:
             ivs = self.intervals = tuple(intervals)
             ends = _int_array([iv.lo for iv in ivs] + [iv.hi for iv in ivs]).reshape(2, -1).T
         else:
-            _check_rows(ends)
+            ends, = _columns(ends)
         self.ends = _axis(ends, domain)
 
     @cached_property
@@ -183,7 +199,7 @@ class PiercingInstance:
             arms = arms.reshape(-1, 4)
             h, v = arms[:, :2], arms[:, 2:]
         else:
-            _check_rows(h, v)
+            h, v = _columns(h, v)
         self.h, self.v = _axis(h, xdomain), _axis(v, ydomain)
 
     @cached_property
@@ -212,10 +228,13 @@ class Permutation:
     order: tuple
 
     def __post_init__(self):
-        order = tuple(as_int(i) for i in self.order)
+        order = tuple(self.order)
+        if set(map(type, order)) - {int}:
+            order = tuple(map(as_int, order))  # numpy ints pass; floats and bools raise
         object.__setattr__(self, "order", order)
         n = len(order)
-        if sorted(order) != list(range(1, n + 1)):
+        # n distinct images in 1..n are 1..n; numpy's fixed cost would triple it at N=3
+        if len(set(order)) != n or min(order, default=1) < 1 or max(order, default=n) > n:
             raise ValueError(f"not a permutation of 1..{n}: {order}")
 
     def __len__(self):

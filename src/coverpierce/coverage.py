@@ -65,10 +65,9 @@ def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = No
         covered = any(counter.compare(lo, domain.lo) != GT
                       and counter.compare(hi, domain.lo) != LT for lo, hi in ends.tolist())
         return CoverageVerdict(covered, None, counter.comparisons - before)
-    if len(ends) >= BULK_MIN_N and ends.dtype == np.int64:
-        # the bulk sort takes the column as it is
+    if len(ends) >= BULK_MIN_N:  # the bulk sort takes the column as it is
         los, his = ends[merge_sort_counted(ends[:, 0], counter)].T.tolist()
-    else:  # the scalar sort, or Python ints beyond int64: lists throughout
+    else:
         los, his = ends.T.tolist()
         order = merge_sort_counted(los, counter)
         los, his = [los[i] for i in order], [his[i] for i in order]

@@ -8,7 +8,8 @@ bounds by corner box into four monotone step functions of x, each holding
 the best two (value, index) pairs of a y-end, and :func:`solve_piercing`
 sweeps a0 and the a values over them, so deciding the family and each of
 its leave-one-out subfamilies at once.  From ``BULK_MIN_N`` crosses on, both
-run in bulk with numpy and count the same comparisons.  Also houses the
+run in bulk with numpy and count the same comparisons; N alone picks the
+path, for int64 columns and Python ints beyond int64 alike.  Also houses the
 generators for minimal non-pierceable families.
 """
 
@@ -20,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    _INT64_MAX,
     GT,
     LT,
     Cross,
@@ -34,9 +36,8 @@ from .sorting import merge_sort_counted, merge_unique_counted
 
 
 # measured crossover: below it numpy's fixed cost per call loses to the scalar
-# aggregates and sweep (shuffled staircases broke even near N=160)
-BULK_MIN_N = 192
-_INT64_MAX = np.iinfo(np.int64).max
+# sorts, aggregates and sweep (shuffled staircases broke even near N=108)
+BULK_MIN_N = 112
 
 
 class Envelopes(NamedTuple):
@@ -47,10 +48,10 @@ class Envelopes(NamedTuple):
     -inf and the last to +inf; equal ends leave the entries between unreached.
 
     Below ``BULK_MIN_N`` crosses the fields are tuples.  From ``BULK_MIN_N``
-    on, when every coordinate and every b + 1 fits int64, they are int64
-    arrays of the same nesting: the ends have shape (N,), each envelope shape
-    (N+1, 2, 2) as ``[[first value, first index], [second value, second
-    index]]``, and index -1 stands for None."""
+    on they are arrays of the same nesting: the ends have shape (N,), each
+    envelope shape (N+1, 2, 2) as ``[[first value, first index], [second
+    value, second index]]``, and index -1 stands for None.  An axis beyond
+    int64 gives object arrays of Python ints, as does a b + 1 beyond it."""
 
     a_ends: tuple | np.ndarray
     b_ends: tuple | np.ndarray
@@ -104,7 +105,7 @@ def _running_best_two(order, values, seed, better: str, counter: QueryCounter):
     """
     beats, best = (np.greater, np.maximum) if better == GT else (np.less, np.minimum)
     n = len(order)
-    tops = np.empty((n + 1, 2, 2), dtype=np.int64)
+    tops = np.empty((n + 1, 2, 2), dtype=values.dtype)
     (first, first_at), (second, second_at) = tops[:, 0].T, tops[:, 1].T
     entry = np.concatenate(([seed], values[order]))
     holder = np.concatenate(([-1], order))
@@ -114,18 +115,14 @@ def _running_best_two(order, values, seed, better: str, counter: QueryCounter):
     _tally(counter, entry[1:], first[:-1])
     # each step's holder is the entry at the last step where the best changed hands
     steps = np.arange(n + 1)
-    took_over = steps * record
-    np.maximum.accumulate(took_over, out=took_over)
-    np.take(holder, took_over, out=first_at)
+    first_at[:] = holder[np.maximum.accumulate(steps * record)]
     # the runner-up takes the old best at a record, and the best entry elsewhere
     entry[1:][record[1:]] = first[:-1][record[1:]]
     holder[1:][record[1:]] = first_at[:-1][record[1:]]
     best.accumulate(entry, out=second)
     _tally(counter, entry[1:], second[:-1], ~record[1:])
     record[1:] |= beats(entry[1:], second[:-1])
-    np.multiply(steps, record, out=took_over)
-    np.maximum.accumulate(took_over, out=took_over)
-    np.take(holder, took_over, out=second_at)
+    second_at[:] = holder[np.maximum.accumulate(steps * record)]
     return tops
 
 
@@ -134,24 +131,25 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
 
     Value k of an a-side envelope covers the crosses ``by_a[k:]``, the k-th
     of a b-side one ``by_b[:k]``.  O(N log N) comparisons.  The path is
-    picked from N alone, as ``merge_sort_counted`` picks its own: below
-    ``BULK_MIN_N`` crosses ``_best_two`` takes one entry at a time and is the
-    reference; from there on, unless a value or a b + 1 leaves int64, the
-    columns are sorted and aggregated in bulk with the same values, holders
-    and tallies.
+    picked from N alone: below ``BULK_MIN_N`` crosses the lists are sorted by
+    the scalar merge and ``_best_two`` takes one entry at a time, which is the
+    reference; from there on the columns are sorted and aggregated in bulk
+    with the same values, holders and tallies.
     """
     if counter is None:
         counter = QueryCounter()
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
     h, v = instance.h, instance.v
-    if (len(h) >= BULK_MIN_N and h.dtype == v.dtype == np.int64
-            and not np.any(h[:, 1] == _INT64_MAX)):
+    if len(h) >= BULK_MIN_N:
         by_a = merge_sort_counted(h[:, 0], counter)
         by_b = merge_sort_counted(h[:, 1], counter)
+        b_ends = h[by_b, 1]
+        if b_ends[-1:].tolist() == [_INT64_MAX]:  # b + 1 leaves int64: Python ints
+            b_ends = b_ends.astype(object)
         c, d = v[:, 0], v[:, 1]
         return Envelopes(
             a_ends=h[by_a, 0],
-            b_ends=h[by_b, 1] + 1,
+            b_ends=b_ends + 1,
             f_nw=_running_best_two(by_a[::-1], d, d0, LT, counter)[::-1],
             f_ne=_running_best_two(by_b, d, d0, LT, counter),
             g_sw=_running_best_two(by_a[::-1], c, c0, GT, counter)[::-1],
@@ -290,7 +288,7 @@ def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = No
     envelopes = build_envelopes(instance, counter)
     if instance.n == 0:
         return PiercingVerdict(True, (instance.xdomain.lo, instance.ydomain.lo), 0, ())
-    sweep = _sweep if isinstance(envelopes.a_ends, tuple) else _sweep_bulk
+    sweep = _sweep_bulk if instance.n >= BULK_MIN_N else _sweep
     witness, blocking = sweep(envelopes, instance.xdomain.lo, instance.xdomain.hi, counter)
     verdict = PiercingVerdict(witness is not None, witness, counter.comparisons - before, blocking)
     if witness is not None and not verdict.witness_sound(instance):
@@ -339,7 +337,7 @@ def _merge_bulk(tops, at, entries, entries_at, better: str, counter: QueryCounte
         second = np.where(wins, first, np.where(beats(value, second), value, second))
         first = np.where(wins, value, first)
         first_at = np.where(wins, value_at, first_at)
-    return first, first_at, second
+    return first, first_at.astype(np.int64, copy=False), second  # object tops hold ints
 
 
 def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter):

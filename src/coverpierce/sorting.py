@@ -3,20 +3,19 @@
 Every key comparison is counted in a :class:`~coverpierce.core.QueryCounter`,
 so the sort doubles as the measuring instrument for the query-cost experiments.
 For N = 2^n inputs it performs at most n*N comparisons.  The tallies are
-exactly those of the bottom-up merge.  Below ``BULK_MIN_N`` keys the scalar
-merge runs and routes each comparison through ``counter.compare``; it is the
-reference.  From ``BULK_MIN_N`` keys on, the same order and the same ``lt``,
-``eq`` and ``gt`` are computed per merge level with numpy.
+exactly those of the bottom-up merge.  Keys in a list or tuple take the scalar
+merge, which makes each comparison in turn; it is the reference.  Keys in a
+numpy column, int64 or Python ints in an object array, are sorted in bulk,
+with the same order and the same ``lt``, ``eq`` and ``gt`` computed per merge
+level with numpy.  Callers pick the form by N: from ``BULK_MIN_N`` keys on,
+they pass a column.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
-
 import numpy as np
 
-from .core import GT, QueryCounter
+from .core import QueryCounter
 
 # measured crossover: below it numpy's fixed cost per call loses to the scalar merge
 BULK_MIN_N = 64
@@ -25,23 +24,21 @@ BULK_MIN_N = 64
 def merge_sort_counted(items, counter: QueryCounter | None = None):
     """Stable merge sort returning positions; odd lengths split into uneven halves.
 
-    Keys must be totally ordered.  An int64 array of keys is sorted in bulk as
-    it is, and its order comes back as an int64 array.  The order of any other
-    keys comes back as a tuple, from the path their count picks.  All paths
-    give the bottom-up merge's order and tallies."""
+    Keys must be totally ordered.  A numpy column of keys is sorted in bulk
+    and its order comes back as an int64 array; the order of any other keys
+    comes back as a tuple, from the scalar merge.  Both give the bottom-up
+    merge's order and tallies."""
     if counter is None:
         counter = QueryCounter()
-    if isinstance(items, np.ndarray) and items.dtype == np.int64:
+    if isinstance(items, np.ndarray):
         return _merge_sort_bulk(items, counter)
-    keys = list(items)
-    sort = _merge_sort_scalar if len(keys) < BULK_MIN_N else _merge_sort_bulk
-    return sort(keys, counter)
+    return _merge_sort_scalar(list(items), counter)
 
 
 def _merge_sort_scalar(keys: list, counter: QueryCounter) -> tuple:
     n = len(keys)
     order = list(range(n))
-    compare = counter.compare  # looked up once, not once per comparison
+    made = lt = gt = 0  # comparisons tallied as counter.compare would, without the call
     width = 1
     while width < n:
         merged = []
@@ -51,55 +48,40 @@ def _merge_sort_scalar(keys: list, counter: QueryCounter) -> tuple:
             hi = mid + width if mid + width < n else n
             i, j = lo, mid
             while i < mid and j < hi:
-                # take left on ties: stability
-                if compare(keys[order[i]], keys[order[j]]) == GT:
+                left, right = keys[order[i]], keys[order[j]]
+                if left > right:
+                    gt += 1
                     take(order[j])
                     j += 1
-                else:
+                else:  # take left on ties: stability
+                    if left < right:  # a bool added to lt could be a numpy one
+                        lt += 1
                     take(order[i])
                     i += 1
+            made += i - lo + j - mid
             merged.extend(order[i:mid])
             merged.extend(order[j:hi])
         order = merged
         width *= 2
+    counter.lt += lt
+    counter.eq += made - lt - gt
+    counter.gt += gt
     return tuple(order)
 
 
-def _stable_ranks(keys) -> tuple:
-    """The stable sorting order of ``keys`` (a list or an int64 array) and the
-    dense rank of each sorted key."""
-    if isinstance(keys, np.ndarray):
-        values = keys
-    else:
-        values = np.array(keys) if set(map(type, keys)) == {int} else None
-    if values is not None and values.dtype.kind in "iu":
-        order = np.argsort(values, kind="stable")
-        ordered = values[order]
-        rises = ordered[1:] != ordered[:-1]
-    else:
-        # ints beyond int64 or keys of other types: Python's stable sort
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        ordered = [keys[i] for i in order]
-        rises = np.fromiter(map(operator.lt, ordered, itertools.islice(ordered, 1, None)),
-                            dtype=bool, count=len(keys) - 1)
-        order = np.array(order, dtype=np.int64)
+def _merge_sort_bulk(keys: np.ndarray, counter: QueryCounter) -> np.ndarray:
+    """The scalar merge's order and tallies, computed level by level from the
+    stable order of ``keys`` and the dense rank of each sorted key."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
     ranks = np.zeros(len(keys), dtype=np.int64)
-    np.cumsum(rises, out=ranks[1:])
-    return order, ranks
-
-
-def _merge_sort_bulk(keys, counter: QueryCounter):
-    """The scalar merge's order and tallies, computed level by level; the
-    order is an int64 array for an int64 array of keys, else a tuple."""
-    order, ranks = _stable_ranks(keys)
-    n = len(order)
-    if n >= 2:
-        _count_merges(order, ranks, counter)
-    return order if isinstance(keys, np.ndarray) else tuple(order.tolist())
+    np.cumsum(ordered[1:] != ordered[:-1], out=ranks[1:])
+    _count_merges(order, ranks, counter)
+    return order
 
 
 def _count_merges(order, ranks, counter: QueryCounter) -> None:
-    """Add the merges' tallies to ``counter``, from the stable order of n >= 2
+    """Add the merges' tallies to ``counter``, from the stable order of n
     keys and their dense ranks in that order.
 
     At width w the merge of runs L and R (the keys at index ranges

@@ -136,6 +136,8 @@ class TestPermutation:
             Permutation((1, 1, 3))
         with pytest.raises(ValueError):
             Permutation((0, 1, 2))
+        with pytest.raises(ValueError):
+            Permutation((2**64 + 1, 1))
 
     @pytest.mark.parametrize("order", [(1.9, 2.2, 3), (1.0, 2.0), (True, 2), (2, False)])
     def test_rejects_floats_and_bools(self, order):
@@ -321,3 +323,53 @@ class TestColumnarLoader:
             text = dumps_instance(inst)
             assert text == json.dumps(instance_to_dict(inst), separators=(",", ":")) + "\n"
             assert instance_to_dict(loads_instance(text)) == instance_to_dict(inst)
+
+
+class TestColumnConstructors:
+    """``ends=``, ``h=`` and ``v=`` take what :class:`Interval` takes: ints only."""
+
+    @pytest.mark.parametrize("column", [
+        np.array([[0.0, 1.5], [1.5, 3.0]]),  # was written as [[0,1],[1,3]]
+        np.array([[0.0, 1.0]]),
+        np.array([[False, True]]),  # was the gap (0, True)
+        np.array([[0, 1, 2]]),
+        np.array([0, 1]),
+        np.zeros((1, 2, 1), dtype=np.int64),
+        np.array([[0, True]], dtype=object),
+        np.array([[0, 1.0]], dtype=object),
+        np.array([[0, np.int64(1)]], dtype=object),
+        [[0, 1]],
+    ], ids=["fractional", "float", "bool", "three-wide", "1-D", "3-D", "object-bool",
+            "object-float", "object-numpy-int", "list"])
+    def test_rejects_anything_but_n_by_2_ints(self, column):
+        dom, good = Interval(0, 3), np.array([[0, 1]])
+        with pytest.raises(InstanceError):
+            CoverageInstance(dom, ends=column)
+        with pytest.raises(InstanceError):
+            PiercingInstance(dom, dom, h=column, v=good)
+        with pytest.raises(InstanceError):
+            PiercingInstance(dom, dom, h=good, v=column)
+
+    def test_rejects_arms_of_different_counts(self):
+        dom = Interval(0, 3)
+        with pytest.raises(InstanceError):
+            PiercingInstance(dom, dom, h=np.zeros((2, 2), dtype=np.int64),
+                             v=np.zeros((3, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, np.uint64])
+    def test_other_integer_widths_become_int64_or_python_ints(self, dtype, monkeypatch):
+        # an int32 b of 2^31 - 1 would wrap in the bulk path's b + 1
+        top = int(np.iinfo(dtype).max)
+        column = np.array([[0, top], [top - 1, top], [1, 1]], dtype=dtype)
+        dom = Interval(0, top)
+        inst = PiercingInstance(dom, dom, h=column, v=column[::-1])
+        cover = CoverageInstance(dom, ends=column)
+        for ends in (inst.h, inst.v, cover.ends):
+            assert ends.dtype == (np.int64 if top < 2**63 else object)
+            assert all(type(e) is int for e in ends.ravel().tolist())
+        assert inst.h.tolist() == cover.ends.tolist() == column.tolist()
+        monkeypatch.setattr(piercing, "BULK_MIN_N", 0)
+        crosses = [Cross(Interval(*h), Interval(*v))
+                   for h, v in zip(column.tolist(), column[::-1].tolist())]
+        assert (piercing.solve_piercing(inst)
+                == piercing.solve_piercing(PiercingInstance(dom, dom, crosses)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coverpierce import coverage
 from coverpierce.core import (
     ContainmentViolation,
     CoverageInstance,
@@ -12,6 +13,7 @@ from coverpierce.core import (
     Interval,
     Permutation,
     QueryCounter,
+    _int_array,
 )
 from coverpierce.coverage import (
     check_equality_by_coverage,
@@ -22,6 +24,7 @@ from coverpierce.coverage import (
     oracle_coverage,
     solve_coverage,
 )
+from coverpierce.sorting import BULK_MIN_N, merge_sort_counted
 
 
 def inst(domain, pairs):
@@ -282,3 +285,55 @@ def test_gen_disjoint_never_covers():
     for n in (1, 2, 9):
         v = solve_coverage(gen_disjoint(n), QueryCounter())
         assert not v.covered
+
+
+def solved(instance):
+    counter = QueryCounter()
+    verdict = solve_coverage(instance, counter)
+    return verdict, (counter.lt, counter.eq, counter.gt)
+
+
+def moved(instance, by):
+    """``instance`` translated by ``by``: int64 columns where they fit, else Python ints."""
+    d = instance.domain
+    return CoverageInstance(Interval(d.lo + by, d.hi + by),
+                            ends=_int_array([[lo + by, hi + by] for lo, hi in instance.ends.tolist()]))
+
+
+def bulk_cases(n):
+    """A shuffled chain, which covers; the chain with one link flipped, which
+    leaves a gap; and short random intervals with many ties."""
+    rng = np.random.RandomState(n)
+    chain = gen_chain((rng.permutation(n) + 1).tolist())
+    lo = rng.randint(0, n // 2, size=n)
+    ties = np.stack([lo, lo + rng.randint(0, 2, size=n)], axis=1)
+    return [chain, flip_link(chain, n // 2), CoverageInstance(Interval(0, n // 2), ends=ties)]
+
+
+class TestBulkPath:
+    """From ``sorting.BULK_MIN_N`` intervals on, ``solve_coverage`` sorts the
+    column in bulk, int64 or Python ints alike; below it, the scalar merge."""
+
+    @pytest.mark.parametrize("n", [BULK_MIN_N - 1, BULK_MIN_N, 4 * BULK_MIN_N + 3])
+    def test_extreme_coordinates(self, n, monkeypatch):
+        took_bulk = []
+
+        def spy(keys, counter):
+            took_bulk.append(isinstance(keys, np.ndarray))
+            return merge_sort_counted(keys, counter)
+
+        monkeypatch.setattr(coverage, "merge_sort_counted", spy)
+        for instance in bulk_cases(n):
+            near, near_tallies = solved(instance)
+            d = instance.domain
+            # beyond int64, and up to its least and greatest values
+            for by in (10**30, -2**63 - d.lo, 2**63 - 1 - d.hi):
+                far = moved(instance, by)
+                verdict, tallies = solved(far)
+                assert tallies == near_tallies
+                assert verdict.covered == near.covered
+                if not near.covered:
+                    assert verdict.gap_witness == (near.gap_witness[0] + by, near.gap_witness[1] + by)
+                    assert all(type(g) is int for g in verdict.gap_witness)
+                assert verdict.witness_sound(far)
+        assert took_bulk == [n >= BULK_MIN_N] * 12

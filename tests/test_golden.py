@@ -12,7 +12,8 @@ The ``BENCH`` digests were re-recorded again when trial t of ``bench --seed
 S`` became the instance ``generate --seed S+t`` writes and the CSV's
 ``trial`` column became ``seed``; for ``staircase`` and ``disjoint``, whose
 generators take no randomness, only that third column changed.  ``SORT_LARGE``
-pins ``merge_sort_counted`` at sizes where its bulk path runs; it was recorded
+pins ``merge_sort_counted`` at scale on a list, which takes the scalar merge,
+and on the same keys as a column, which takes the bulk sort; it was recorded
 with the scalar merge alone, before the bulk path existed.  ``ENVELOPES_50``
 was re-recorded when ``build_envelopes`` became the sweep's own step: its
 values became best-two (value, index) pairs seeded with the y-domain ends,
@@ -197,10 +198,12 @@ def sort_keys(name):
 
 @pytest.mark.parametrize("name", sorted(SORT_LARGE))
 def test_merge_sort_counted_at_scale(name):
-    counter = QueryCounter()
-    order = merge_sort_counted(sort_keys(name), counter)
-    assert (digest(",".join(map(str, order))), counter.lt, counter.eq,
-            counter.gt) == SORT_LARGE[name]
+    keys = sort_keys(name)
+    for items in (keys, np.array(keys, dtype=np.int64)):
+        counter = QueryCounter()
+        order = merge_sort_counted(items, counter)
+        assert (digest(",".join(map(str, order))), counter.lt, counter.eq,
+                counter.gt) == SORT_LARGE[name]
 
 
 def test_staircase_minimal_instances():

@@ -563,15 +563,16 @@ class TestBulkPath:
                 assert (counted(solve_piercing, instance, n0)
                         == counted(solve_piercing, instance, SCALAR)), n
 
-    @pytest.mark.parametrize("shift, bulk", [
-        (lambda xs, ys: (-2**63 - min(xs), -2**63 - min(ys)), True),
+    @pytest.mark.parametrize("shift", [
+        lambda xs, ys: (-2**63 - min(xs), -2**63 - min(ys)),
         # the greatest y is 2^63 - 1, and the greatest b + 1 at most that
-        (lambda xs, ys: (2**63 - 2 - max(xs), 2**63 - 1 - max(ys)), True),
+        lambda xs, ys: (2**63 - 2 - max(xs), 2**63 - 1 - max(ys)),
         # a b of 2^63 - 1 puts b + 1 outside int64
-        (lambda xs, ys: (2**63 - 1 - max(xs), 2**63 - 1 - max(ys)), None),
-        (lambda xs, ys: (10**30, 10**30), False),
+        lambda xs, ys: (2**63 - 1 - max(xs), 2**63 - 1 - max(ys)),
+        lambda xs, ys: (10**30, 10**30),
     ], ids=["least-2^63", "greatest-2^63-1", "b-2^63-1", "10^30"])
-    def test_extreme_coordinates(self, shift, bulk):
+    def test_extreme_coordinates(self, shift):
+        # every shift takes the bulk path, int64 or Python ints alike
         for instance in bulk_cases(piercing.BULK_MIN_N):
             xs = [instance.xdomain.lo, instance.xdomain.hi,
                   *(e for cr in instance.crosses for e in (cr.h.lo, cr.h.hi))]
@@ -579,8 +580,7 @@ class TestBulkPath:
                   *(e for cr in instance.crosses for e in (cr.v.lo, cr.v.hi))]
             dx, dy = shift(xs, ys)
             far = moved(instance, dx, dy)
-            b_max = max(cr.h.hi for cr in far.crosses)
-            assert took_bulk(far) == (b_max < 2**63 - 1 if bulk is None else bulk)
+            assert took_bulk(far)
             verdict, tallies = counted(solve_piercing, far, piercing.BULK_MIN_N)
             assert (verdict, tallies) == counted(solve_piercing, far, SCALAR)
             near, near_tallies = counted(solve_piercing, instance, SCALAR)

@@ -1,10 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from coverpierce import sorting
-from coverpierce.core import QueryCounter
+from coverpierce.core import QueryCounter, _int_array
 from coverpierce.sorting import (
     BULK_MIN_N,
     _merge_sort_bulk,
@@ -81,8 +82,16 @@ def test_counter_accumulates_across_sorts():
 
 def sort_and_tally(sort, keys):
     c = QueryCounter()
-    order = sort(list(keys), c)
-    return order, (c.lt, c.eq, c.gt)
+    order = sort(keys, c)
+    return tuple(int(i) for i in order), (c.lt, c.eq, c.gt)
+
+
+def column(keys):
+    """``keys`` as the bulk sort takes them: an int64 column when they fit it,
+    else an object column of the keys themselves."""
+    if all(type(k) is int for k in keys):
+        return _int_array(keys)
+    return np.array(keys, dtype=object)
 
 
 small_keys = st.integers(min_value=0, max_value=5)
@@ -100,8 +109,10 @@ key_lists = st.one_of(
 
 @given(key_lists)
 def test_bulk_matches_scalar_merge(keys):
-    # the bulk routine is called directly, so its tiny inputs are covered too
-    assert sort_and_tally(_merge_sort_bulk, keys) == sort_and_tally(_merge_sort_scalar, keys)
+    # the bulk routine is called directly, so its tiny columns are covered too
+    expected = sort_and_tally(_merge_sort_scalar, keys)
+    assert sort_and_tally(_merge_sort_bulk, column(keys)) == expected
+    assert sort_and_tally(_merge_sort_bulk, np.array(keys, dtype=object)) == expected
 
 
 def test_bulk_matches_scalar_merge_on_edge_lists():
@@ -109,10 +120,11 @@ def test_bulk_matches_scalar_merge_on_edge_lists():
         for keys in ([0] * n, list(range(n)), list(range(n, 0, -1)),
                      [i % 3 for i in range(n)], [10**30 - i % 2 for i in range(n)],
                      [-(2**63) + i % 4 for i in range(n)]):
-            assert sort_and_tally(_merge_sort_bulk, keys) == sort_and_tally(_merge_sort_scalar, keys)
+            assert sort_and_tally(_merge_sort_bulk, column(keys)) == sort_and_tally(_merge_sort_scalar, keys)
 
 
 def test_crossover_both_sides(monkeypatch):
+    # the caller picks the path by N: lists never reach the bulk sort, columns always do
     bulk_sizes = []
 
     def spy(keys, counter):
@@ -121,11 +133,16 @@ def test_crossover_both_sides(monkeypatch):
 
     monkeypatch.setattr(sorting, "_merge_sort_bulk", spy)
     rng = random.Random(5)
-    sizes = (BULK_MIN_N - 1, BULK_MIN_N, BULK_MIN_N + 1, 4 * BULK_MIN_N + 3)
-    for n in sizes:
-        keys = [rng.randrange(n // 4) for _ in range(n)]
-        assert sort_and_tally(merge_sort_counted, keys) == sort_and_tally(_merge_sort_scalar, keys)
-    assert bulk_sizes == [n for n in sizes if n >= BULK_MIN_N]
+    for n in (0, 1, BULK_MIN_N - 1, BULK_MIN_N, BULK_MIN_N + 1, 4 * BULK_MIN_N + 3):
+        keys = [rng.randrange(n // 4 + 1) for _ in range(n)]
+        expected = sort_and_tally(_merge_sort_scalar, keys)
+        assert sort_and_tally(merge_sort_counted, keys) == expected
+        assert sort_and_tally(merge_sort_counted, tuple(keys)) == expected
+        assert bulk_sizes == []
+        for col in (column(keys), np.array([k + 10**30 for k in keys], dtype=object)):
+            assert sort_and_tally(merge_sort_counted, col) == expected
+        assert bulk_sizes == [n, n]
+        bulk_sizes.clear()
 
 
 def test_merge_unique_counted():
