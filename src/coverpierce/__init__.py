@@ -12,7 +12,6 @@ from .core import (
     QueryCounter,
     dump_chunks,
     dump_instance,
-    dumps_instance,
     instance_from_dict,
     instance_to_dict,
     loads_instance,
@@ -21,7 +20,6 @@ from .core import (
 )
 from .sorting import merge_sort_counted
 from .coverage import (
-    ChainInstance,
     CoverageVerdict,
     check_equality_by_coverage,
     flip_link,

@@ -22,11 +22,15 @@ _LN6 = math.log(6)
 _CEIL_MARGIN = 1e-12  # relative to lb_union(n)
 
 
+def _ln_factorial(n: int) -> float:
+    return math.fsum(math.log(k) for k in range(2, n + 1))
+
+
 def lb_union(n: int) -> float:
     """log_6(N!), the union/coverage worst-case query bound."""
     if n < 0:
         raise ValueError("negative size")
-    return math.fsum(math.log(k) for k in range(2, n + 1)) / _LN6
+    return _ln_factorial(n) / _LN6
 
 
 def lb_union_ceil(n: int) -> int:
@@ -49,8 +53,7 @@ def lb_piercing(n: int) -> float:
     """2 * log_6( floor(N/2)! / 2 ), clamped below at zero."""
     if n < 2:
         raise ValueError("piercing bound defined for N >= 2")
-    half = n // 2
-    value = 2.0 * (math.fsum(math.log(k) for k in range(2, half + 1)) - math.log(2)) / _LN6
+    value = 2.0 * (_ln_factorial(n // 2) - math.log(2)) / _LN6
     return max(0.0, value)
 
 

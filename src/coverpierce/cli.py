@@ -69,9 +69,7 @@ def _load(path, strict: bool):
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    # bad UTF-8, bad JSON and bad instances raise ValueErrors; deep nesting
-    # exhausts the JSON decoder's recursion limit
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:  # bad UTF-8, or InstanceError for bad JSON and bad instances
         print(f"malformed instance {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 

@@ -195,9 +195,13 @@ class PiercingInstance:
         self.xdomain, self.ydomain = xdomain, ydomain
         if h is None:
             crs = self.crosses = tuple(crosses)
-            arms = _int_array([e for cr in crs for e in (cr.h.lo, cr.h.hi, cr.v.lo, cr.v.hi)])
-            arms = arms.reshape(-1, 4)
-            h, v = arms[:, :2], arms[:, 2:]
+            try:  # one int64 array holds both axes
+                arms = np.array([e for cr in crs for e in (cr.h.lo, cr.h.hi, cr.v.lo, cr.v.hi)],
+                                dtype=np.int64).reshape(-1, 4)
+                h, v = arms[:, :2], arms[:, 2:]
+            except OverflowError:  # each axis keeps int64 if it fits, as on load
+                h = _int_array([(cr.h.lo, cr.h.hi) for cr in crs])
+                v = _int_array([(cr.v.lo, cr.v.hi) for cr in crs])
         else:
             h, v = _columns(h, v)
         self.h, self.v = _axis(h, xdomain), _axis(v, ydomain)
@@ -261,54 +265,38 @@ def normalize_ranks(coords):
     for v in values:
         # an int is finite, and float() would overflow on a huge one
         if type(v) is not int and not math.isfinite(v):
-            raise ValueError(f"non-finite coordinate: {v!r}")
+            raise InstanceError(f"non-finite coordinate: {v!r}")
     distinct = sorted(set(values))
     rank_map = {v: r for r, v in enumerate(distinct)}
     return rank_map, len(distinct) - 1
-
-
-def _escapes(column: np.ndarray, domain: Interval) -> np.ndarray:
-    return (column[:, 0] < domain.lo) | (column[:, 1] > domain.hi)
-
-
-def _degenerate(column: np.ndarray) -> np.ndarray:
-    return column[:, 0] == column[:, 1]
 
 
 def validate(instance, strict: bool = False):
     """Check containment invariants; with ``strict`` also forbid zero-length
     domains and members.  The first member at fault, in order, is reported."""
     if isinstance(instance, CoverageInstance):
-        domain, ends = instance.domain, instance.ends
+        axes = (("", instance.domain, instance.ends),)
+    elif isinstance(instance, PiercingInstance):
+        axes = (("x-", instance.xdomain, instance.h), ("y-", instance.ydomain, instance.v))
+    else:
+        raise TypeError(f"not an instance: {instance!r}")
+    bad = None
+    for axis, domain, ends in axes:
         if strict and domain.degenerate:
-            raise DegenerateInterval("degenerate domain")
-        bad = _escapes(ends, domain)
+            raise DegenerateInterval(f"degenerate {axis}domain {domain}")
+        faults = (ends[:, 0] < domain.lo) | (ends[:, 1] > domain.hi)
         if strict:
-            bad |= _degenerate(ends)
-        if bad.any():
-            iv = Interval(*ends[np.argmax(bad)].tolist())
+            faults |= ends[:, 0] == ends[:, 1]
+        bad = faults if bad is None else bad | faults
+    if np.count_nonzero(bad):  # a quarter of bad.any()'s fixed cost on a tiny array
+        i = np.argmax(bad)
+        arms = [(axis, domain, Interval(*ends[i].tolist())) for axis, domain, ends in axes]
+        for axis, domain, iv in arms:
             if not domain.contains_interval(iv):
-                raise ContainmentViolation(f"{iv} escapes domain {domain}")
-            raise DegenerateInterval(f"degenerate interval {iv}")
-        return instance
-    if isinstance(instance, PiercingInstance):
-        xdomain, ydomain, h, v = instance.xdomain, instance.ydomain, instance.h, instance.v
-        for axis, domain in (("x", xdomain), ("y", ydomain)):
-            if strict and domain.degenerate:
-                raise DegenerateInterval(f"degenerate {axis}-domain {domain}")
-        bad = _escapes(h, xdomain) | _escapes(v, ydomain)
-        if strict:
-            bad |= _degenerate(h) | _degenerate(v)
-        if bad.any():
-            i = np.argmax(bad)
-            cr = Cross(Interval(*h[i].tolist()), Interval(*v[i].tolist()))
-            if not xdomain.contains_interval(cr.h):
-                raise ContainmentViolation(f"{cr.h} escapes x-domain {xdomain}")
-            if not ydomain.contains_interval(cr.v):
-                raise ContainmentViolation(f"{cr.v} escapes y-domain {ydomain}")
-            raise DegenerateInterval(f"degenerate cross arm in {cr}")
-        return instance
-    raise TypeError(f"not an instance: {instance!r}")
+                raise ContainmentViolation(f"{iv} escapes {axis}domain {domain}")
+        axis, _, iv = next(arm for arm in arms if arm[2].degenerate)
+        raise DegenerateInterval(f"degenerate {axis}interval {iv}")
+    return instance
 
 
 # --- JSON instance format ---------------------------------------------------
@@ -418,12 +406,12 @@ def dump_chunks(instance):
     yield "]}\n"
 
 
-def dumps_instance(instance) -> str:
-    return "".join(dump_chunks(instance))
-
-
 def loads_instance(text: str):
-    return instance_from_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, or nesting too deep to decode
+        raise InstanceError(str(exc)) from exc
+    return instance_from_dict(obj)
 
 
 def dump_instance(instance, path):

@@ -117,16 +117,13 @@ def oracle_coverage(instance: CoverageInstance) -> CoverageVerdict:
     return CoverageVerdict(False, (values[i], values[i + 1]) if i + 1 < len(values) else None, 0)
 
 
-class ChainInstance(CoverageInstance):
-    """A chain covering family that remembers the permutation that built it."""
-
-    def __init__(self, domain: Interval, intervals=(), permutation: Permutation = None, *,
-                 ends: np.ndarray | None = None):
-        super().__init__(domain, intervals, ends=ends)
-        self.permutation = permutation
+def _links(n: int) -> np.ndarray:
+    """Links 1..N of a chain, in order: [0, 2], then [2k - 3, 2k], and [2N - 3, 2N - 1]."""
+    k = np.arange(1, n + 1)
+    return np.stack((np.maximum(2 * k - 3, 0), np.minimum(2 * k, 2 * n - 1)), axis=1)
 
 
-def gen_chain(perm) -> ChainInstance:
+def gen_chain(perm) -> CoverageInstance:
     """Chain of overlapping intervals on ranks 0..2N-1, ordered by ``perm``.
 
     Link k starts before link k-1 ends, so the union covers the whole domain
@@ -137,26 +134,25 @@ def gen_chain(perm) -> ChainInstance:
     N = len(perm)
     if N < 2:
         raise ValueError("chain needs N >= 2")
-    at = np.array(perm.order, dtype=np.int64) - 1  # interval index of each link
     ends = np.empty((N, 2), dtype=np.int64)
-    # link 1 starts at 0 and link k >= 2 at 2k - 3; link k < N ends at 2k, link N at 2N - 1
-    ends[at, 0] = np.concatenate(([0], 2 * np.arange(2, N + 1) - 3))
-    ends[at, 1] = np.concatenate((2 * np.arange(1, N), [2 * N - 1]))
-    return ChainInstance(Interval(0, 2 * N - 1), permutation=perm, ends=ends)
+    ends[np.array(perm.order, dtype=np.int64) - 1] = _links(N)  # link k is interval perm[k-1]
+    return CoverageInstance(Interval(0, 2 * N - 1), ends=ends)
 
 
-def flip_link(chain: ChainInstance, k: int) -> CoverageInstance:
-    """Swap the ranks of link k's start and link k-1's end, breaking the chain."""
-    perm = getattr(chain, "permutation", None)
-    if perm is None:
-        raise ValueError("flip_link needs a chain with a known permutation")
-    N = len(perm)
+def flip_link(chain: CoverageInstance, k: int) -> CoverageInstance:
+    """Swap the ranks of link k's start and link k-1's end, breaking the chain.
+    The links are taken in order of their starts; a non-chain raises ``ValueError``."""
+    N, ends = chain.n, chain.ends
+    at = np.argsort(ends[:, 0])  # interval index of each link
+    if (chain.domain.lo, chain.domain.hi) != (0, 2 * N - 1) or not np.array_equal(
+            ends[at], _links(N)):
+        raise ValueError(f"flip_link needs a chain of {N} links over [0, {2 * N - 1}]")
     if not 2 <= k <= N:
         raise ValueError(f"flip position {k} out of range 2..{N}")
-    ends = chain.ends.copy()
+    ends = ends.copy()
     # ranks 2k-3 (start of link k) and 2k-2 (end of link k-1) change places
-    ends[perm[k - 1] - 1, 0] = 2 * k - 2
-    ends[perm[k - 2] - 1, 1] = 2 * k - 3
+    ends[at[k - 1], 0] = 2 * k - 2
+    ends[at[k - 2], 1] = 2 * k - 3
     return CoverageInstance(chain.domain, ends=ends)
 
 

@@ -31,6 +31,7 @@ from .core import (
     PiercingInstance,
     QueryCounter,
 )
+from .coverage import gen_random_coverage
 # merge_unique_counted is called nowhere here; perfbench's tracer rebinds this name
 from .sorting import merge_sort_counted, merge_unique_counted
 
@@ -143,34 +144,30 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
     if len(h) >= BULK_MIN_N:
         by_a = merge_sort_counted(h[:, 0], counter)
         by_b = merge_sort_counted(h[:, 1], counter)
-        b_ends = h[by_b, 1]
+        a_ends, b_ends = h[by_a, 0], h[by_b, 1]
         if b_ends[-1:].tolist() == [_INT64_MAX]:  # b + 1 leaves int64: Python ints
             b_ends = b_ends.astype(object)
+        b_ends = b_ends + 1
         c, d = v[:, 0], v[:, 1]
-        return Envelopes(
-            a_ends=h[by_a, 0],
-            b_ends=b_ends + 1,
-            f_nw=_running_best_two(by_a[::-1], d, d0, LT, counter)[::-1],
-            f_ne=_running_best_two(by_b, d, d0, LT, counter),
-            g_sw=_running_best_two(by_a[::-1], c, c0, GT, counter)[::-1],
-            g_se=_running_best_two(by_b, c, c0, GT, counter))
 
-    a, b = h.T.tolist()
-    c, d = v.T.tolist()
-    by_a = merge_sort_counted(a, counter)
-    by_b = merge_sort_counted(b, counter)
+        def aggregate(order, values, seed, better):
+            return _running_best_two(order, values, seed, better, counter)
+    else:
+        a, b = h.T.tolist()
+        c, d = v.T.tolist()
+        by_a = merge_sort_counted(a, counter)
+        by_b = merge_sort_counted(b, counter)
+        a_ends, b_ends = tuple([a[i] for i in by_a]), tuple([b[i] + 1 for i in by_b])
 
-    def aggregate(order, values, seed, better):
-        return _best_two(((seed, None), (seed, None)), [(values[i], i) for i in order],
-                         counter, better)
+        def aggregate(order, values, seed, better):
+            return tuple(_best_two(((seed, None), (seed, None)),
+                                   [(values[i], i) for i in order], counter, better))
 
-    return Envelopes(
-        a_ends=tuple([a[i] for i in by_a]),
-        b_ends=tuple([b[i] + 1 for i in by_b]),
-        f_nw=tuple(aggregate(by_a[::-1], d, d0, LT)[::-1]),
-        f_ne=tuple(aggregate(by_b, d, d0, LT)),
-        g_sw=tuple(aggregate(by_a[::-1], c, c0, GT)[::-1]),
-        g_se=tuple(aggregate(by_b, c, c0, GT)))
+    return Envelopes(a_ends, b_ends,
+                     f_nw=aggregate(by_a[::-1], d, d0, LT)[::-1],
+                     f_ne=aggregate(by_b, d, d0, LT),
+                     g_sw=aggregate(by_a[::-1], c, c0, GT)[::-1],
+                     g_se=aggregate(by_b, c, c0, GT))
 
 
 @dataclass(frozen=True)
@@ -378,15 +375,13 @@ def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter):
     # Test 2t deletes the max c holder at step t, test 2t + 1 the min d
     # holder, and each cross is tested until its first success.  No cross
     # holds both at a step swept, where max c > min d, since each has c <= d.
-    tests = ((hi_at[:swept], hi2[:swept], lo[:swept]), (lo_at[:swept], hi[:swept], lo2[:swept]))
+    holder, lower, upper = (np.stack((slot0[:swept], slot1[:swept]), axis=1).ravel()
+                            for slot0, slot1 in ((hi_at, lo_at), (hi2, hi), (lo, lo2)))
     first_hit = np.full(n + 1, 2 * swept)
     first_hit[-1] = -1  # a y-domain end, as holder -1, is never tested
-    for slot, (holder, lower, upper) in enumerate(tests):
-        hits = np.flatnonzero((lower <= upper) & (holder >= 0))
-        crosses, first = np.unique(holder[hits], return_index=True)
-        first_hit[crosses] = np.minimum(first_hit[crosses], 2 * hits[first] + slot)
-    for slot, (holder, lower, upper) in enumerate(tests):
-        _tally(counter, lower, upper, 2 * np.arange(swept) + slot <= first_hit[holder])
+    hits = np.flatnonzero((lower <= upper) & (holder >= 0))
+    np.minimum.at(first_hit, holder[hits], hits)
+    _tally(counter, lower, upper, np.arange(2 * swept) <= first_hit[holder])
     if pierceable:
         return (int(xs[-1]), int(hi[-1])), ()
     return None, tuple(np.flatnonzero(first_hit[:n] == 2 * swept).tolist())
@@ -505,11 +500,6 @@ def gen_staircase_literal(n: int, perm: Permutation | None = None) -> PiercingIn
 
 
 def gen_random_piercing(n: int, rng) -> PiercingInstance:
-    """Random crosses over [0, 2N]^2 with i.i.d. endpoints."""
-    if n < 0:
-        raise ValueError("negative size")
-    span = max(2 * n, 1)
-    h = np.sort(rng.randint(0, span + 1, size=(n, 2)).astype(np.int64, copy=False), axis=1)
-    v = np.sort(rng.randint(0, span + 1, size=(n, 2)).astype(np.int64, copy=False), axis=1)
-    dom = Interval(0, span)
-    return PiercingInstance(dom, dom, h=h, v=v)
+    """Random crosses over [0, 2N]^2: two ``gen_random_coverage`` draws, h then v."""
+    h, v = gen_random_coverage(n, rng), gen_random_coverage(n, rng)
+    return PiercingInstance(h.domain, v.domain, h=h.ends, v=v.ends)

@@ -13,7 +13,7 @@ from coverpierce.cli import (
     EXIT_USAGE,
     main,
 )
-from coverpierce.core import dumps_instance, loads_instance
+from coverpierce.core import dump_chunks, loads_instance
 from coverpierce.coverage import CoverageVerdict
 
 
@@ -51,7 +51,7 @@ class TestGenerate:
         instance = loads_instance(out.read_text(encoding="utf-8"))
         assert instance.n == n
         # writing back reproduces the file byte for byte
-        assert dumps_instance(instance) == out.read_text(encoding="utf-8")
+        assert "".join(dump_chunks(instance)) == out.read_text(encoding="utf-8")
 
     def test_stdout_when_no_out(self, capsys):
         code = main(["generate", "--family", "chain", "--n", "3"])

@@ -17,7 +17,7 @@ from coverpierce.core import (
     Permutation,
     PiercingInstance,
     QueryCounter,
-    dumps_instance,
+    dump_chunks,
     instance_from_dict,
     instance_to_dict,
     loads_instance,
@@ -159,13 +159,13 @@ class TestInstanceJson:
     def test_coverage_round_trip_is_byte_stable(self):
         text = '{"problem":"coverage","domain":[0,5],"intervals":[[0,2],[1,4],[3,5]]}\n'
         inst = loads_instance(text)
-        assert dumps_instance(inst) == text
+        assert "".join(dump_chunks(inst)) == text
 
     def test_piercing_round_trip_is_byte_stable(self):
         text = ('{"problem":"piercing","xdomain":[0,3],"ydomain":[0,3],'
                 '"crosses":[{"h":[0,1],"v":[0,1]},{"h":[2,3],"v":[2,3]}]}\n')
         inst = loads_instance(text)
-        assert dumps_instance(inst) == text
+        assert "".join(dump_chunks(inst)) == text
 
     def test_decimals_are_rank_normalized(self):
         inst = loads_instance(
@@ -195,8 +195,30 @@ class TestInstanceJson:
             loads_instance('{"problem":"coverage","domain":[0,5]}')
         with pytest.raises(InstanceError):
             loads_instance('{"problem":"sudoku"}')
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(InstanceError):
             loads_instance('{"problem":')
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000, '{"problem":', "", '{"problem": "coverage",}',
+    ], ids=["deep", "cut", "empty", "trailing-comma"])
+    def test_undecodable_text_raises_instance_error_with_the_decoders_text(self, text):
+        # once a RecursionError or a JSONDecodeError
+        with pytest.raises((ValueError, RecursionError)) as decoded:
+            json.loads(text)
+        with pytest.raises(InstanceError) as loaded:
+            loads_instance(text)
+        assert str(loaded.value) == str(decoded.value)
+
+    @pytest.mark.parametrize("text", [
+        '{"problem":"coverage","domain":[0,NaN],"intervals":[]}',
+        '{"problem":"coverage","domain":[0,9],"intervals":[[0.5,Infinity]]}',
+        '{"problem":"piercing","xdomain":[0,9],"ydomain":[0,9],'
+        '"crosses":[{"h":[0,1],"v":[-Infinity,0.5]}]}',
+    ])
+    def test_non_finite_coordinates_raise_instance_error(self, text):
+        # once a bare ValueError from normalize_ranks
+        with pytest.raises(InstanceError, match="non-finite coordinate"):
+            loads_instance(text)
 
 
 # --- the columnar loader against the object-by-object reference --------------
@@ -298,6 +320,14 @@ class TestColumnarLoader:
         assert [type(v) for v in inst.h.ravel()] == [int, int]
         assert not inst.h.flags.writeable and not inst.v.flags.writeable
 
+    def test_crosses_beyond_int64_on_one_axis_leave_the_other_int64(self):
+        # built from Cross objects, both axes once became Python ints
+        inst = PiercingInstance(Interval(0, 2**70), Interval(0, 5),
+                                [Cross(Interval(0, 2**70), Interval(0, 1))])
+        assert inst.h.dtype == object and inst.v.dtype == np.int64
+        loaded = loads_instance("".join(dump_chunks(inst)))
+        assert loaded == inst and loaded.v.dtype == np.int64
+
     def test_a_domain_beyond_int64_makes_its_axis_python_ints(self, monkeypatch):
         # the bulk envelopes would seed their int64 aggregates with the y-domain ends
         n = piercing.BULK_MIN_N
@@ -320,7 +350,7 @@ class TestColumnarLoader:
                      PiercingInstance(dom, Interval(0, big), crosses),
                      PiercingInstance(Interval(-9, 9), Interval(-9, 9),
                                       [Cross(iv, iv) for iv in small])):
-            text = dumps_instance(inst)
+            text = "".join(dump_chunks(inst))
             assert text == json.dumps(instance_to_dict(inst), separators=(",", ":")) + "\n"
             assert instance_to_dict(loads_instance(text)) == instance_to_dict(inst)
 

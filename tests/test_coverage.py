@@ -14,6 +14,8 @@ from coverpierce.core import (
     Permutation,
     QueryCounter,
     _int_array,
+    dump_chunks,
+    loads_instance,
 )
 from coverpierce.coverage import (
     check_equality_by_coverage,
@@ -245,10 +247,24 @@ class TestFlipLink:
         with pytest.raises(ValueError):
             flip_link(ch, 4)
 
-    def test_requires_known_permutation(self):
-        plain = inst((0, 5), [(0, 2), (1, 4), (3, 5)])
-        with pytest.raises((ValueError, AttributeError)):
-            flip_link(plain, 2)
+    @pytest.mark.parametrize("domain,pairs", [
+        ((0, 6), [(0, 2), (1, 4), (3, 5)]),
+        ((0, 5), [(0, 2), (3, 4), (4, 5)]),
+        ((0, 5), [(0, 2), (1, 3), (3, 5)]),
+        ((0, 5), [(0, 2), (1, 5), (3, 5)]),
+    ], ids=["wrong-domain", "gap", "moved-link", "repeated-end"])
+    def test_rejects_non_chains(self, domain, pairs):
+        assert inst((0, 5), [(0, 2), (1, 4), (3, 5)]) == gen_chain((1, 2, 3))
+        with pytest.raises(ValueError):
+            flip_link(inst(domain, pairs), 2)
+
+    def test_flips_a_chain_reloaded_from_json(self):
+        rng = np.random.RandomState(3)
+        for n in (2, 3, 9, 70):
+            perm = (rng.permutation(n) + 1).tolist()
+            text = "".join(dump_chunks(gen_chain(perm)))
+            for k in range(2, n + 1):
+                assert flip_link(loads_instance(text), k) == flip_link(gen_chain(perm), k)
 
 
 class TestEqualityByCoverage:

@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 from coverpierce.cli import main
-from coverpierce.core import QueryCounter, dumps_instance
+from coverpierce.core import QueryCounter, dump_chunks
 from coverpierce.piercing import (
     build_envelopes,
     gen_random_piercing,
@@ -207,13 +207,13 @@ def test_merge_sort_counted_at_scale(name):
 
 
 def test_staircase_minimal_instances():
-    text = "".join(dumps_instance(gen_staircase_minimal(n, verify=False))
+    text = "".join("".join(dump_chunks(gen_staircase_minimal(n, verify=False)))
                    for n in range(3, 301))
     assert digest(text) == STAIRCASE_3_300
 
 
 def test_staircase_minimal_self_verified_instances():
-    text = "".join(dumps_instance(gen_staircase_minimal(n)) for n in range(3, 21))
+    text = "".join("".join(dump_chunks(gen_staircase_minimal(n))) for n in range(3, 21))
     assert digest(text) == STAIRCASE_VERIFIED_3_20
 
 
@@ -230,7 +230,7 @@ def parity_preserving_orders(n):
 @pytest.mark.parametrize("n", sorted(LITERAL_ALL_PERMS))
 def test_staircase_literal_every_parity_preserving_permutation(n):
     count, expected = LITERAL_ALL_PERMS[n]
-    texts = [dumps_instance(gen_staircase_literal(n, order))
+    texts = ["".join(dump_chunks(gen_staircase_literal(n, order)))
              for order in parity_preserving_orders(n)]
     assert len(texts) == count
     assert digest("".join(texts)) == expected
