@@ -15,7 +15,6 @@ from .core import (
     instance_from_dict,
     instance_to_dict,
     loads_instance,
-    normalize_ranks,
     validate,
 )
 from .sorting import merge_sort_counted

@@ -1,4 +1,4 @@
-"""Instance data model, rank normalization, validation and the counting comparator.
+"""Instance data model, validation, the JSON loader and the counting comparator.
 
 All geometry is done on integer ranks.  Raw decimal coordinates are densely
 ranked on load, after which every decision procedure works with exact integer
@@ -138,8 +138,10 @@ def _columns(*columns) -> list:
             raise InstanceError("ends must be an (N, 2) array of int ranks, got "
                                 f"{getattr(column, 'dtype', type(column).__name__)}"
                                 f" of shape {getattr(column, 'shape', None)}")
-        # other widths become int64, or Python ints beyond it: the bulk paths add 1 to a b
-        ints.append(column if column.dtype in (np.int64, object) else _int_array(column.tolist()))
+        # other widths and object ints that fit become int64, the rest Python ints:
+        # the bulk paths add 1 to a b; the reshape keeps an empty column (0, 2)
+        ints.append(column if column.dtype == np.int64
+                    else _int_array(column.tolist()).reshape(-1, 2))
     if len(set(map(len, ints))) > 1:
         raise InstanceError(f"arms of different counts: {list(map(len, ints))}")
     flipped = [column[:, 0] > column[:, 1] for column in ints]
@@ -195,13 +197,11 @@ class PiercingInstance:
         self.xdomain, self.ydomain = xdomain, ydomain
         if h is None:
             crs = self.crosses = tuple(crosses)
-            try:  # one int64 array holds both axes
-                arms = np.array([e for cr in crs for e in (cr.h.lo, cr.h.hi, cr.v.lo, cr.v.hi)],
-                                dtype=np.int64).reshape(-1, 4)
-                h, v = arms[:, :2], arms[:, 2:]
-            except OverflowError:  # each axis keeps int64 if it fits, as on load
-                h = _int_array([(cr.h.lo, cr.h.hi) for cr in crs])
-                v = _int_array([(cr.v.lo, cr.v.hi) for cr in crs])
+            arms = _int_array([e for cr in crs for e in (cr.h.lo, cr.h.hi, cr.v.lo, cr.v.hi)]
+                              ).reshape(-1, 4)
+            h, v = arms[:, :2], arms[:, 2:]
+            if arms.dtype.hasobject:  # each axis keeps int64 if it fits, as on load
+                h, v = _int_array(h.tolist()), _int_array(v.tolist())
         else:
             h, v = _columns(h, v)
         self.h, self.v = _axis(h, xdomain), _axis(v, ydomain)
@@ -244,31 +244,12 @@ class Permutation:
     def __len__(self):
         return len(self.order)
 
-    def __getitem__(self, k):
-        return self.order[k]
-
     def preserves_parity(self) -> bool:
         return all((k + 1) % 2 == i % 2 for k, i in enumerate(self.order))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
-
-
-def normalize_ranks(coords):
-    """Densely rank raw coordinates.
-
-    Returns ``(rank_map, max_rank)`` where equal inputs share a rank, ranks
-    run 0..K over the distinct values, and all order relations are preserved.
-    """
-    values = list(coords)
-    for v in values:
-        # an int is finite, and float() would overflow on a huge one
-        if type(v) is not int and not math.isfinite(v):
-            raise InstanceError(f"non-finite coordinate: {v!r}")
-    distinct = sorted(set(values))
-    rank_map = {v: r for r, v in enumerate(distinct)}
-    return rank_map, len(distinct) - 1
 
 
 def validate(instance, strict: bool = False):
@@ -343,8 +324,11 @@ def _ints(flat: list):
     # compares int with float exactly
     if all(type(v) is int or v.is_integer() for v in flat):
         return [int(v) for v in flat]
-    rank_map, _ = normalize_ranks(flat)  # raises on NaN and infinities
-    return [rank_map[v] for v in flat]
+    for v in flat:  # NaN and infinities are not integral, so only ranking meets them
+        if type(v) is not int and not math.isfinite(v):
+            raise InstanceError(f"non-finite coordinate: {v!r}")
+    rank = {v: r for r, v in enumerate(sorted(set(flat)))}
+    return [rank[v] for v in flat]
 
 
 def instance_from_dict(obj) -> CoverageInstance | PiercingInstance:

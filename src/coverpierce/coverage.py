@@ -135,7 +135,7 @@ def gen_chain(perm) -> CoverageInstance:
     if N < 2:
         raise ValueError("chain needs N >= 2")
     ends = np.empty((N, 2), dtype=np.int64)
-    ends[np.array(perm.order, dtype=np.int64) - 1] = _links(N)  # link k is interval perm[k-1]
+    ends[np.array(perm.order, dtype=np.int64) - 1] = _links(N)  # link k: interval perm.order[k-1]
     return CoverageInstance(Interval(0, 2 * N - 1), ends=ends)
 
 

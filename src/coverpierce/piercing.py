@@ -372,16 +372,17 @@ def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter):
     swept = len(xs) - pierceable  # the steps that test deletions and b0
     ahead = pa[:swept]
     _tally(counter, a_ends[ahead[ahead < n]], b0)
-    # Test 2t deletes the max c holder at step t, test 2t + 1 the min d
-    # holder, and each cross is tested until its first success.  No cross
-    # holds both at a step swept, where max c > min d, since each has c <= d.
-    holder, lower, upper = (np.stack((slot0[:swept], slot1[:swept]), axis=1).ravel()
-                            for slot0, slot1 in ((hi_at, lo_at), (hi2, hi), (lo, lo2)))
+    # Test 2t + s deletes slot s's holder at step t: slot 0 holds the max c,
+    # slot 1 the min d, and each cross is tested until its first success.  No
+    # cross holds both at a step swept, where max c > min d, since each has c <= d.
+    slots = [[a[:swept] for a in slot] for slot in ((hi_at, hi2, lo), (lo_at, hi, lo2))]
     first_hit = np.full(n + 1, 2 * swept)
     first_hit[-1] = -1  # a y-domain end, as holder -1, is never tested
-    hits = np.flatnonzero((lower <= upper) & (holder >= 0))
-    np.minimum.at(first_hit, holder[hits], hits)
-    _tally(counter, lower, upper, np.arange(2 * swept) <= first_hit[holder])
+    for s, (holder, lower, upper) in enumerate(slots):
+        hits = np.flatnonzero((lower <= upper) & (holder >= 0))
+        np.minimum.at(first_hit, holder[hits], 2 * hits + s)
+    for s, (holder, lower, upper) in enumerate(slots):
+        _tally(counter, lower, upper, np.arange(s, 2 * swept, 2) <= first_hit[holder])
     if pierceable:
         return (int(xs[-1]), int(hi[-1])), ()
     return None, tuple(np.flatnonzero(first_hit[:n] == 2 * swept).tolist())
@@ -467,7 +468,7 @@ def gen_staircase_minimal(n: int, verify: bool = True) -> PiercingInstance:
 def gen_staircase_literal(n: int, perm: Permutation | None = None) -> PiercingInstance:
     """Rank rule for the displayed N=8 / N=9 staircase preorders.
 
-    The cross at chain position k (``perm[k-1]``) gets, for odd k, the arms
+    The cross at chain position k (``perm.order[k-1]``) gets, for odd k, the arms
     h = [0, max(k-2, 0)] and v = [min(k, 8), 8]; for even k, h = [min(k, X), X]
     and v = [0, k-2]; X is 7 for N=8 and 9 for N=9, and the domains are
     [0, X] x [0, 8].  The ``test_golden`` pins hold this rule to the ranks of

@@ -1,10 +1,11 @@
+import math
+
 from coverpierce.core import (
     CoverageInstance,
     Cross,
     InstanceError,
     Interval,
     PiercingInstance,
-    normalize_ranks,
 )
 from coverpierce.piercing import _grid_hits
 
@@ -19,6 +20,22 @@ def oracle_grid_points(instance) -> list:
     """All piercing points on the endpoint grid (for boundary-anomaly checks)."""
     xs, ys, lo, hi = _grid_hits(instance)
     return [(x, ys[j]) for x, j_lo, j_hi in zip(xs, lo, hi) for j in range(j_lo, j_hi)]
+
+
+def normalize_ranks(coords):
+    """Densely rank raw coordinates.
+
+    Returns ``(rank_map, max_rank)`` where equal inputs share a rank, ranks
+    run 0..K over the distinct values, and all order relations are preserved.
+    """
+    values = list(coords)
+    for v in values:
+        # an int is finite, and float() would overflow on a huge one
+        if type(v) is not int and not math.isfinite(v):
+            raise InstanceError(f"non-finite coordinate: {v!r}")
+    distinct = sorted(set(values))
+    rank_map = {v: r for r, v in enumerate(distinct)}
+    return rank_map, len(distinct) - 1
 
 
 def _as_ranks(pairs):

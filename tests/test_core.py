@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_instance_from_dict
+from conftest import normalize_ranks, reference_instance_from_dict
 
 from coverpierce import core, piercing
 from coverpierce.core import (
@@ -21,7 +21,6 @@ from coverpierce.core import (
     instance_from_dict,
     instance_to_dict,
     loads_instance,
-    normalize_ranks,
     validate,
 )
 
@@ -385,6 +384,28 @@ class TestColumnConstructors:
         with pytest.raises(InstanceError):
             PiercingInstance(dom, dom, h=np.zeros((2, 2), dtype=np.int64),
                              v=np.zeros((3, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 5]], []])
+    def test_object_ints_that_fit_become_int64(self, rows):
+        # once kept as objects, which took the slower Python-int bulk paths
+        dom = Interval(0, 5)
+        column = np.array(rows, dtype=object).reshape(-1, 2)
+        cover = CoverageInstance(dom, ends=column)
+        inst = PiercingInstance(dom, dom, h=column, v=column)
+        for ends in (cover.ends, inst.h, inst.v):
+            assert ends.dtype == np.int64 and ends.shape == (len(rows), 2)
+            assert ends.tolist() == column.tolist()
+
+    def test_object_ints_beyond_int64_stay_exact(self):
+        big = 10**30
+        wide = np.array([[0, big - 1], [big - 1, big]], dtype=object)
+        narrow = np.array([[0, 1], [1, 5]], dtype=object)
+        cover = CoverageInstance(Interval(0, big), ends=wide)
+        inst = PiercingInstance(Interval(0, big), Interval(0, 5), h=wide, v=narrow)
+        for ends in (cover.ends, inst.h):
+            assert ends.dtype == object and ends.tolist() == [[0, big - 1], [big - 1, big]]
+            assert all(type(e) is int for e in ends.ravel().tolist())
+        assert inst.v.dtype == np.int64 and inst.v.tolist() == narrow.tolist()
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, np.uint64])
     def test_other_integer_widths_become_int64_or_python_ints(self, dtype, monkeypatch):
