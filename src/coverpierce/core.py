@@ -3,9 +3,9 @@
 All geometry is done on integer ranks.  Raw decimal coordinates are densely
 ranked on load, after which every decision procedure works with exact integer
 comparisons routed through a :class:`QueryCounter`.  An instance stores its
-members as (N, 2) columns of [lo, hi] ends, one per axis: int64 arrays, or
-object arrays of Python ints for an axis with a value outside int64.  The
-solvers take both down the same paths; only N picks scalar or bulk.
+members as new read-only (N, 2) columns of [lo, hi] ends, one per axis:
+int64 while every b + 1 of the axis fits, else object arrays of Python ints.
+The solvers take both down the same paths; only N picks scalar or bulk.
 """
 
 from __future__ import annotations
@@ -108,29 +108,30 @@ _INT64_MIN, _INT64_MAX = -1 << 63, (1 << 63) - 1
 
 
 def _int_array(values) -> np.ndarray:
-    """Ints as an int64 array, or as an object array of the same Python ints
-    when one leaves int64."""
+    """Ints as a new int64 array, else as an object array of the same Python ints."""
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
 
 
-def _axis(column: np.ndarray, domain: Interval) -> np.ndarray:
-    """``column`` made read-only, as an object array when an end of ``domain``
-    leaves int64: an int64 column means the whole axis fits int64."""
-    if column.dtype != object and not (_INT64_MIN <= domain.lo and domain.hi <= _INT64_MAX):
+def _axis(pairs, domain: Interval) -> np.ndarray:
+    """[lo, hi] ``pairs`` as a new read-only (N, 2) column: int64 when every
+    value and both ends of ``domain`` lie in [-2^63, 2^63 - 2], so that every
+    b + 1 fits, else an object array of the exact Python ints."""
+    column = _int_array(pairs).reshape(-1, 2)
+    fits = _INT64_MIN <= domain.lo and domain.hi < _INT64_MAX
+    if column.dtype != object and not (fits and column.max(initial=domain.hi) < _INT64_MAX):
         column = column.astype(object)
     column.setflags(write=False)
     return column
 
 
 def _columns(*columns) -> list:
-    """The columns as (N, 2) int64 or Python-int columns, of one N.  Raises
-    :class:`InstanceError` on floats, bools and other shapes, and as
-    :class:`Interval` does on the first row with lo > hi in any column, the
-    columns of a row taken in order."""
-    ints = []
+    """The columns, of one N, as int64 or object arrays, other widths as
+    lists of Python ints.  Raises :class:`InstanceError` on floats, bools and
+    other shapes, and as :class:`Interval` does on the first row with lo > hi
+    in any column, the columns of a row taken in order."""
     for column in columns:
         shaped = isinstance(column, np.ndarray) and column.ndim == 2 and column.shape[1] == 2
         if not shaped or column.dtype.kind not in "iuO" or (  # bool is kind "b"
@@ -138,18 +139,16 @@ def _columns(*columns) -> list:
             raise InstanceError("ends must be an (N, 2) array of int ranks, got "
                                 f"{getattr(column, 'dtype', type(column).__name__)}"
                                 f" of shape {getattr(column, 'shape', None)}")
-        # other widths and object ints that fit become int64, the rest Python ints:
-        # the bulk paths add 1 to a b; the reshape keeps an empty column (0, 2)
-        ints.append(column if column.dtype == np.int64
-                    else _int_array(column.tolist()).reshape(-1, 2))
-    if len(set(map(len, ints))) > 1:
-        raise InstanceError(f"arms of different counts: {list(map(len, ints))}")
-    flipped = [column[:, 0] > column[:, 1] for column in ints]
+    if len(set(map(len, columns))) > 1:
+        raise InstanceError(f"arms of different counts: {list(map(len, columns))}")
+    flipped = [column[:, 0] > column[:, 1] for column in columns]
     if any(f.any() for f in flipped):
         row = int(np.argmax(np.logical_or.reduce(flipped)))
-        for column in ints:
+        for column in columns:
             Interval(*column[row].tolist())
-    return ints
+    # a cast from another width would wrap a uint64 beyond int64 silently
+    return [column if column.dtype in (np.int64, object) else column.tolist()
+            for column in columns]
 
 
 class CoverageInstance:
@@ -162,8 +161,8 @@ class CoverageInstance:
     def __init__(self, domain: Interval, intervals=(), *, ends: np.ndarray | None = None):
         self.domain = domain
         if ends is None:
-            ivs = self.intervals = tuple(intervals)
-            ends = _int_array([iv.lo for iv in ivs] + [iv.hi for iv in ivs]).reshape(2, -1).T
+            self.intervals = tuple(intervals)
+            ends = [(iv.lo, iv.hi) for iv in self.intervals]
         else:
             ends, = _columns(ends)
         self.ends = _axis(ends, domain)
@@ -197,11 +196,7 @@ class PiercingInstance:
         self.xdomain, self.ydomain = xdomain, ydomain
         if h is None:
             crs = self.crosses = tuple(crosses)
-            arms = _int_array([e for cr in crs for e in (cr.h.lo, cr.h.hi, cr.v.lo, cr.v.hi)]
-                              ).reshape(-1, 4)
-            h, v = arms[:, :2], arms[:, 2:]
-            if arms.dtype.hasobject:  # each axis keeps int64 if it fits, as on load
-                h, v = _int_array(h.tolist()), _int_array(v.tolist())
+            h, v = [(cr.h.lo, cr.h.hi) for cr in crs], [(cr.v.lo, cr.v.hi) for cr in crs]
         else:
             h, v = _columns(h, v)
         self.h, self.v = _axis(h, xdomain), _axis(v, ydomain)
@@ -331,14 +326,21 @@ def _ints(flat: list):
     return [rank[v] for v in flat]
 
 
+def _members(obj, key) -> list:
+    """``obj[key]``, which must be an array: an object or a string would unpack as members."""
+    if type(obj[key]) is not list:
+        raise InstanceError(f"{key!r} must be an array, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
 def instance_from_dict(obj) -> CoverageInstance | PiercingInstance:
     try:
         problem = obj["problem"]
         if problem == "coverage":
-            ends = _column([obj["domain"], *obj["intervals"]])
+            ends = _column([obj["domain"], *_members(obj, "intervals")])
             return CoverageInstance(Interval(*ends[0].tolist()), ends=ends[1:])
         if problem == "piercing":
-            xs = _column([obj["xdomain"], *map(operator.itemgetter("h"), obj["crosses"])])
+            xs = _column([obj["xdomain"], *map(operator.itemgetter("h"), _members(obj, "crosses"))])
             ys = _column([obj["ydomain"], *map(operator.itemgetter("v"), obj["crosses"])])
             return PiercingInstance(Interval(*xs[0].tolist()), Interval(*ys[0].tolist()),
                                     h=xs[1:], v=ys[1:])

@@ -163,8 +163,8 @@ def check_equality_by_coverage(values, counter: QueryCounter | None = None) -> b
     for v in values:
         if not 0 <= v <= N - 1:
             raise ValueError(f"value {v} out of range 0..{N - 1}")
-    instance = CoverageInstance(Interval(0, N), [Interval(v, v + 1) for v in values])
-    return solve_coverage(instance, counter).covered
+    return N == 0 or solve_coverage(  # no values: all distinct, though none cover [0, 0]
+        CoverageInstance(Interval(0, N), [Interval(v, v + 1) for v in values]), counter).covered
 
 
 def gen_disjoint(n: int) -> CoverageInstance:

@@ -9,7 +9,7 @@ the best two (value, index) pairs of a y-end, and :func:`solve_piercing`
 sweeps a0 and the a values over them, so deciding the family and each of
 its leave-one-out subfamilies at once.  From ``BULK_MIN_N`` crosses on, both
 run in bulk with numpy and count the same comparisons; N alone picks the
-path, for int64 columns and Python ints beyond int64 alike.  Also houses the
+path, for int64 columns and columns of Python ints alike.  Also houses the
 generators for minimal non-pierceable families.
 """
 
@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _INT64_MAX,
     GT,
     LT,
     Cross,
@@ -51,8 +50,8 @@ class Envelopes(NamedTuple):
     Below ``BULK_MIN_N`` crosses the fields are tuples.  From ``BULK_MIN_N``
     on they are arrays of the same nesting: the ends have shape (N,), each
     envelope shape (N+1, 2, 2) as ``[[first value, first index], [second
-    value, second index]]``, and index -1 stands for None.  An axis beyond
-    int64 gives object arrays of Python ints, as does a b + 1 beyond it."""
+    value, second index]]``, and index -1 stands for None.  A column of Python
+    ints gives object arrays, and an int64 one never holds 2^63 - 1: b + 1 fits."""
 
     a_ends: tuple | np.ndarray
     b_ends: tuple | np.ndarray
@@ -144,10 +143,7 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
     if len(h) >= BULK_MIN_N:
         by_a = merge_sort_counted(h[:, 0], counter)
         by_b = merge_sort_counted(h[:, 1], counter)
-        a_ends, b_ends = h[by_a, 0], h[by_b, 1]
-        if b_ends[-1:].tolist() == [_INT64_MAX]:  # b + 1 leaves int64: Python ints
-            b_ends = b_ends.astype(object)
-        b_ends = b_ends + 1
+        a_ends, b_ends = h[by_a, 0], h[by_b, 1] + 1
         c, d = v[:, 0], v[:, 1]
 
         def aggregate(order, values, seed, better):

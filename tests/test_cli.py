@@ -142,6 +142,10 @@ class TestSolve:
          "crosses": [{"h": [0, 1, 2], "v": [0, 1]}]},
         {"problem": "piercing", "xdomain": [0, 9], "ydomain": [0, 9],
          "crosses": [{"h": [0, 1], "v": [True, 1]}]},
+        # an object or a string in place of the member array once loaded as no members
+        {"problem": "coverage", "domain": [0, 5], "intervals": {}},
+        {"problem": "coverage", "domain": [0, 5], "intervals": ""},
+        {"problem": "piercing", "xdomain": [0, 9], "ydomain": [0, 9], "crosses": {}},
     ])
     def test_malformed_pairs_are_usage_errors(self, doc, tmp_path, capsys):
         path = tmp_path / "bad.json"

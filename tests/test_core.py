@@ -196,6 +196,11 @@ class TestInstanceJson:
             loads_instance('{"problem":"sudoku"}')
         with pytest.raises(InstanceError):
             loads_instance('{"problem":')
+        for members in ('"intervals":{}', '"intervals":""'):  # once loaded as no members
+            with pytest.raises(InstanceError, match="must be an array"):
+                loads_instance('{"problem":"coverage","domain":[0,5],%s}' % members)
+        with pytest.raises(InstanceError, match="must be an array"):
+            loads_instance('{"problem":"piercing","xdomain":[0,5],"ydomain":[0,5],"crosses":{}}')
 
     @pytest.mark.parametrize("text", [
         "[" * 100_000, '{"problem":', "", '{"problem": "coverage",}',
@@ -312,12 +317,13 @@ class TestColumnarLoader:
                 loads_instance(json.dumps(doc))
 
     def test_axes_beyond_int64_hold_python_ints(self):
-        inst = loads_instance(json.dumps({
-            "problem": "piercing", "xdomain": [0, 2**63], "ydomain": [0, 9],
-            "crosses": [{"h": [1, 2], "v": [3, 4]}]}))
-        assert inst.h.dtype == object and inst.v.dtype == np.int64
-        assert [type(v) for v in inst.h.ravel()] == [int, int]
-        assert not inst.h.flags.writeable and not inst.v.flags.writeable
+        for top in (2**63, 2**63 - 1):  # the second fits int64, but its + 1 does not
+            inst = loads_instance(json.dumps({
+                "problem": "piercing", "xdomain": [0, top], "ydomain": [0, 9],
+                "crosses": [{"h": [1, 2], "v": [3, 4]}]}))
+            assert inst.h.dtype == object and inst.v.dtype == np.int64
+            assert [type(v) for v in inst.h.ravel()] == [int, int]
+            assert not inst.h.flags.writeable and not inst.v.flags.writeable
 
     def test_crosses_beyond_int64_on_one_axis_leave_the_other_int64(self):
         # built from Cross objects, both axes once became Python ints
@@ -331,11 +337,12 @@ class TestColumnarLoader:
         # the bulk envelopes would seed their int64 aggregates with the y-domain ends
         n = piercing.BULK_MIN_N
         crosses = [Cross(Interval(k, k + 1), Interval(k, k + 1)) for k in range(n)]
-        inst = PiercingInstance(Interval(0, n), Interval(0, 2**63), crosses)
-        assert inst.h.dtype == np.int64 and inst.v.dtype == object
-        verdict = piercing.solve_piercing(inst)
+        insts = [PiercingInstance(Interval(0, n), Interval(0, top), crosses)
+                 for top in (2**63, 2**63 - 1)]
+        assert all(inst.h.dtype == np.int64 and inst.v.dtype == object for inst in insts)
+        verdicts = [piercing.solve_piercing(inst) for inst in insts]
         monkeypatch.setattr(piercing, "BULK_MIN_N", n + 1)
-        assert verdict == piercing.solve_piercing(inst)
+        assert verdicts == [piercing.solve_piercing(inst) for inst in insts]
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 5])
     def test_dump_is_json_dumps_of_the_dict_across_chunks(self, rows, monkeypatch):
@@ -378,6 +385,41 @@ class TestColumnConstructors:
             PiercingInstance(dom, dom, h=column, v=good)
         with pytest.raises(InstanceError):
             PiercingInstance(dom, dom, h=good, v=column)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_the_instance_owns_its_columns(self, dtype):
+        # an int64 column was once frozen and kept: the caller's array became read-only
+        e = np.array([[0, 1], [1, 3]], dtype=dtype)
+        dom = Interval(0, 3)
+        cover, inst = CoverageInstance(dom, ends=e), PiercingInstance(dom, dom, h=e, v=e)
+        assert e.flags.writeable
+        for column in (cover.ends, inst.h, inst.v):
+            assert column is not e and not column.flags.writeable
+        e[0] = [2, 3]
+        assert cover.ends.tolist() == inst.h.tolist() == inst.v.tolist() == [[0, 1], [1, 3]]
+
+    @pytest.mark.parametrize("top, dtype", [(2**63 - 2, np.int64), (2**63 - 1, object)])
+    def test_an_axis_is_int64_only_while_every_b_plus_1_fits(self, top, dtype):
+        # a b of 2^63 - 1 once stayed int64, and the bulk envelopes alone made b + 1 exact
+        low = Interval(0, 1)
+        # a value or a domain end at top; the last member escapes its domain
+        for domain, iv in [(Interval(0, top), Interval(0, top)),
+                           (Interval(0, top), low), (low, Interval(0, top))]:
+            arm, rest = np.array([[iv.lo, iv.hi]]), np.array([[0, 1]])
+            doc = {"problem": "piercing", "xdomain": [domain.lo, domain.hi], "ydomain": [0, 1],
+                   "crosses": [{"h": [iv.lo, iv.hi], "v": [0, 1]}]}
+            columns = [CoverageInstance(domain, ends=arm).ends,
+                       CoverageInstance(domain, [iv]).ends,
+                       PiercingInstance(domain, low, h=arm, v=rest).h,
+                       PiercingInstance(low, domain, h=rest, v=arm).v,
+                       PiercingInstance(domain, low, [Cross(iv, low)]).h,
+                       PiercingInstance(low, domain, [Cross(low, iv)]).v,
+                       loads_instance(json.dumps(doc)).h]
+            for column in columns:
+                assert column.dtype == dtype and column.tolist() == [[iv.lo, iv.hi]]
+            assert all(column.dtype == np.int64 for column in (
+                PiercingInstance(domain, low, h=arm, v=rest).v,
+                PiercingInstance(domain, low, [Cross(iv, low)]).v))
 
     def test_rejects_arms_of_different_counts(self):
         dom = Interval(0, 3)

@@ -290,6 +290,13 @@ class TestEqualityByCoverage:
     def test_numpy_integers_accepted(self):
         assert check_equality_by_coverage(np.array([1, 0, 2]))
 
+    @pytest.mark.parametrize("values", [[], np.array([], dtype=np.int64)], ids=["list", "numpy"])
+    def test_no_values_are_all_distinct(self, values):
+        # once False: no unit intervals leave the empty domain [0, 0] uncovered
+        counter = QueryCounter()
+        assert check_equality_by_coverage(values, counter)
+        assert counter.comparisons == 0
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12).flatmap(
         lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
