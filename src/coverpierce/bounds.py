@@ -1,4 +1,5 @@
-"""Information-theoretic query lower bounds and the benchmark harness.
+"""Information-theoretic query lower bounds, the family registry, the one
+solve behind every front end, and the benchmark harness.
 
 Bound arithmetic uses base 6 (a query admits six answer forms) even though a
 truthful comparator realizes only three outcomes; the deciders' measured
@@ -99,17 +100,17 @@ def generate_instance(family: str, n: int, seed: int):
     return FAMILIES[family](n, lambda: np.random.RandomState(seed & 0xFFFFFFFF))
 
 
-def _solve_timed(instance):
-    """Solve one instance; returns (comparisons, verdict, solve ns)."""
+def solve(instance):
+    """The instance's verdict on a fresh counter, and whether it is positive.
+
+    The solver is looked up on its module at call time and given the counter
+    as its second argument, so a tracer rebound there wraps and counts it."""
     counter = QueryCounter()
-    t0 = time.perf_counter_ns()
     if isinstance(instance, CoverageInstance):
-        covered = coverage.solve_coverage(instance, counter).covered
-        word = "covered" if covered else "uncovered"
-    else:
-        pierceable = piercing.solve_piercing(instance, counter).pierceable
-        word = "pierceable" if pierceable else "not-pierceable"
-    return counter.comparisons, word, time.perf_counter_ns() - t0
+        verdict = coverage.solve_coverage(instance, counter)
+        return verdict, verdict.covered
+    verdict = piercing.solve_piercing(instance, counter)
+    return verdict, verdict.pierceable
 
 
 def run_bench(families, n_values, trials: int, seed: int = 0,
@@ -131,11 +132,16 @@ def run_bench(families, n_values, trials: int, seed: int = 0,
         for n in n_values:
             for trial_seed in range(seed, seed + trials):
                 instance = generate_instance(family, n, trial_seed)
-                comparisons, verdict, elapsed = _solve_timed(instance)
-                lb = lb_union(n) if isinstance(instance, CoverageInstance) else lb_piercing(n)
+                t0 = time.perf_counter_ns()
+                verdict, positive = solve(instance)
+                elapsed = time.perf_counter_ns() - t0
+                if isinstance(instance, CoverageInstance):
+                    word, lb = "covered" if positive else "uncovered", lb_union(n)
+                else:
+                    word, lb = "pierceable" if positive else "not-pierceable", lb_piercing(n)
                 yield BenchRecord(
                     family=family, n=n, seed=trial_seed,
-                    comparisons=comparisons, verdict=verdict,
+                    comparisons=verdict.queries_used, verdict=word,
                     lower_bound=lb,
                     wall_time_ns=elapsed if measure_time else 0,
                 )

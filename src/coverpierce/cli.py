@@ -14,7 +14,6 @@ from . import bounds, coverage, piercing
 from .core import (
     CoverageInstance,
     InstanceError,
-    QueryCounter,
     dump_chunks,
     dump_instance,
     loads_instance,
@@ -74,25 +73,16 @@ def _load(path, strict: bool):
         raise SystemExit(EXIT_USAGE)
 
 
-def _solve(instance):
-    counter = QueryCounter()
-    if isinstance(instance, CoverageInstance):
-        verdict = coverage.solve_coverage(instance, counter)
-        return verdict, verdict.covered
-    verdict = piercing.solve_piercing(instance, counter)
-    return verdict, verdict.pierceable
-
-
 def cmd_solve(args) -> int:
     instance = _load(getattr(args, "in"), args.strict)
-    verdict, positive = _solve(instance)
+    verdict, positive = bounds.solve(instance)
     print(json.dumps(verdict.to_dict(), separators=(",", ":")))
     return EXIT_OK if positive else EXIT_NEGATIVE
 
 
 def cmd_verify(args) -> int:
     instance = _load(getattr(args, "in"), args.strict)
-    solver_verdict, solver_pos = _solve(instance)
+    solver_verdict, solver_pos = bounds.solve(instance)
     if isinstance(instance, CoverageInstance):
         oracle_verdict = coverage.oracle_coverage(instance)
         oracle_pos = oracle_verdict.covered

@@ -76,9 +76,11 @@ class Interval:
     hi: int
 
     def __post_init__(self):
-        # the solvers are exact on integer ranks only; bool is not a rank
+        # the solvers are exact on integer ranks only: a numpy integer is kept
+        # as its Python int, and a float or bool raises
         if type(self.lo) is not int or type(self.hi) is not int:
-            raise InstanceError(f"interval bounds must be int ranks, got {self.lo!r}, {self.hi!r}")
+            object.__setattr__(self, "lo", as_int(self.lo))
+            object.__setattr__(self, "hi", as_int(self.hi))
         if self.lo > self.hi:
             raise InstanceError(f"interval lo {self.lo} > hi {self.hi}")
 

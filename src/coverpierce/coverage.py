@@ -164,7 +164,7 @@ def check_equality_by_coverage(values, counter: QueryCounter | None = None) -> b
         if not 0 <= v <= N - 1:
             raise ValueError(f"value {v} out of range 0..{N - 1}")
     return N == 0 or solve_coverage(  # no values: all distinct, though none cover [0, 0]
-        CoverageInstance(Interval(0, N), [Interval(v, v + 1) for v in values]), counter).covered
+        CoverageInstance(Interval(0, N), ends=np.add.outer(values, [0, 1])), counter).covered
 
 
 def gen_disjoint(n: int) -> CoverageInstance:

@@ -23,7 +23,6 @@ import numpy as np
 from .core import (
     GT,
     LT,
-    Cross,
     InstanceError,
     Interval,
     Permutation,
@@ -397,7 +396,8 @@ def check_minimality(instance: PiercingInstance) -> MinimalityReport:
 
 
 def _ladder_crosses(n: int):
-    """Threshold ladder for the general minimal non-pierceable family, N >= 5.
+    """Threshold ladder for the general minimal non-pierceable family, N >= 5:
+    M, then the [lo, hi] pairs of its crosses' h and v arms over [0, M].
 
     Alternating top/bottom corner boxes whose thresholds interleave; each box
     is the sole cover of one slab, so removing any cross opens a hole.  One
@@ -422,13 +422,9 @@ def _ladder_crosses(n: int):
         boxes += [("NW", 2 * h, 2 * h - 3), ("NE", 2 * h - 2, 2 * h - 1),
                   ("SE", 2 * h - 1, 2 * h)]
 
-    def arm(r, low):
-        return Interval(0, r) if low else Interval(r, M)
-
     # an east box leaves x <= r to the horizontal arm, a north box y <= r
-    crosses = [Cross(arm(r1, kind[1] == "E"), arm(r2, kind[0] == "N"))
-               for kind, r1, r2 in boxes]
-    return M, crosses
+    return (M, [(0, r) if kind[1] == "E" else (r, M) for kind, r, _ in boxes],
+            [(0, r) if kind[0] == "N" else (r, M) for kind, _, r in boxes])
 
 
 def gen_staircase_minimal(n: int, verify: bool = True) -> PiercingInstance:
@@ -440,22 +436,13 @@ def gen_staircase_minimal(n: int, verify: bool = True) -> PiercingInstance:
     if n < 3:
         raise ValueError("minimal non-pierceable family needs N >= 3")
     if n == 3:
-        dom = Interval(0, 2)
-        inst = PiercingInstance(dom, dom, [
-            Cross(Interval(k, k), Interval(k, k)) for k in range(3)
-        ])
+        M, h, v = 2, [(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2)]
     elif n == 4:
-        dom = Interval(0, 3)
-        inst = PiercingInstance(dom, dom, [
-            Cross(Interval(0, 1), Interval(0, 1)),
-            Cross(Interval(2, 3), Interval(2, 3)),
-            Cross(Interval(0, 1), Interval(2, 3)),
-            Cross(Interval(2, 3), Interval(0, 1)),
-        ])
+        M, h, v = 3, [(0, 1), (2, 3), (0, 1), (2, 3)], [(0, 1), (2, 3), (2, 3), (0, 1)]
     else:
-        M, crosses = _ladder_crosses(n)
-        dom = Interval(0, M)
-        inst = PiercingInstance(dom, dom, crosses)
+        M, h, v = _ladder_crosses(n)
+    dom = Interval(0, M)
+    inst = PiercingInstance(dom, dom, h=np.array(h, dtype=np.int64), v=np.array(v, dtype=np.int64))
     if verify and not check_minimality(inst).is_minimal_nonpierceable:
         raise RuntimeError(f"staircase generator self-verification failed at N={n}")
     return inst
@@ -486,14 +473,13 @@ def gen_staircase_literal(n: int, perm: Permutation | None = None) -> PiercingIn
     if not perm.preserves_parity():
         raise ValueError("permutation must preserve the parity of indices")
     x_hi = 7 if n == 8 else 9
-    arms = {}
+    h, v = np.empty((n, 2), dtype=np.int64), np.empty((n, 2), dtype=np.int64)
     for k, j in enumerate(perm.order, start=1):
         if k % 2:
-            arms[j] = (Interval(0, max(k - 2, 0)), Interval(min(k, 8), 8))
+            h[j - 1], v[j - 1] = (0, max(k - 2, 0)), (min(k, 8), 8)
         else:
-            arms[j] = (Interval(min(k, x_hi), x_hi), Interval(0, k - 2))
-    crosses = [Cross(*arms[j]) for j in range(1, n + 1)]
-    return PiercingInstance(Interval(0, x_hi), Interval(0, 8), crosses)
+            h[j - 1], v[j - 1] = (min(k, x_hi), x_hi), (0, k - 2)
+    return PiercingInstance(Interval(0, x_hi), Interval(0, 8), h=h, v=v)
 
 
 def gen_random_piercing(n: int, rng) -> PiercingInstance:

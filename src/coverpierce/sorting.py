@@ -7,8 +7,9 @@ exactly those of the bottom-up merge.  Keys in a list or tuple take the scalar
 merge, which makes each comparison in turn; it is the reference.  Keys in a
 numpy column, int64 or Python ints in an object array, are sorted in bulk,
 with the same order and the same ``lt``, ``eq`` and ``gt`` computed per merge
-level with numpy.  Callers pick the form by N: from ``BULK_MIN_N`` keys on,
-they pass a column.
+level with numpy.  Each caller picks the form by N at its own measured
+crossover: ``solve_coverage`` passes a column from ``BULK_MIN_N`` keys on,
+``build_envelopes`` from ``piercing.BULK_MIN_N`` on.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from coverpierce.bounds import (
     run_bench,
     write_bench_csv,
 )
+from coverpierce.core import CoverageInstance
 
 
 class TestLbUnion:
@@ -167,6 +168,31 @@ def test_families_that_draw_nothing_build_no_random_state(monkeypatch):
     assert len(list(run_bench(["disjoint", "staircase"], [3, 4], trials=2))) == 8
     with pytest.raises(AssertionError, match="RandomState built"):
         bounds.generate_instance("chain", 5, 1)
+
+
+@pytest.mark.parametrize("make", [
+    coverage.gen_disjoint,
+    lambda n: coverage.gen_random_coverage(n, np.random.RandomState(1)),
+    lambda n: piercing.gen_random_piercing(n, np.random.RandomState(1)),
+    piercing.gen_staircase_minimal,
+], ids=["disjoint", "random-coverage", "random-piercing", "staircase"])
+def test_a_numpy_integer_size_builds_the_python_int_instance(make):
+    # Interval once rejected the numpy integer domain end that 2 * n makes
+    instance = make(np.int64(5))
+    assert instance == make(5)
+    domain = instance.domain if isinstance(instance, CoverageInstance) else instance.xdomain
+    assert type(domain.hi) is int
+
+
+@pytest.mark.parametrize("family", sorted(bounds.FAMILIES))
+def test_no_generator_builds_member_objects(family):
+    # every generator fills int64 columns; the objects are built only on request
+    for n in ((8, 9) if family == "staircase-literal" else (5, 130)):
+        instance = bounds.generate_instance(family, n, 1)
+        assert not {"crosses", "intervals"} & set(vars(instance))
+        columns = [instance.ends] if isinstance(instance, CoverageInstance) else [instance.h, instance.v]
+        assert all(column.dtype == np.int64 for column in columns)
+
 
 def test_csv_format():
     records = [BenchRecord("chain", 4, 0, 17, "covered", lb_union(4), 0)]

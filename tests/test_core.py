@@ -120,10 +120,16 @@ class TestValidate:
             Interval(3, 1)
 
     @pytest.mark.parametrize("lo,hi", [(0.5, 1), (0, 3.0), (0.0, 3.0),
-                                       (True, 5), (0, True), (False, False)])
+                                       (True, 5), (0, True), (False, False),
+                                       (np.float64(0), 3), (0, np.True_), (np.False_, 1)])
     def test_float_and_bool_bounds_rejected(self, lo, hi):
         with pytest.raises(InstanceError):
             Interval(lo, hi)
+
+    def test_numpy_integer_bounds_become_python_ints(self):
+        iv = Interval(np.int64(0), np.uint8(3))
+        assert iv == Interval(0, 3)
+        assert type(iv.lo) is int and type(iv.hi) is int
 
 
 class TestPermutation:
