@@ -33,7 +33,7 @@ print("pierceable:", verdict.pierceable, " witness:", verdict.witness)
 # y-domain end standing in with index None.  The runner-up pair is what
 # decides each leave-one-out deletion: without the cross that holds the
 # tightest bound, the runner-up takes its place.  The a-side functions step
-# at the sorted a values, the b-side ones at the sorted b + 1.
+# at the sorted a values, the b-side ones just past the sorted b values.
 env = build_envelopes(instance)
 for name, ends, values in [("f_nw", env.a_ends, env.f_nw), ("f_ne", env.b_ends, env.f_ne),
                            ("g_sw", env.a_ends, env.g_sw), ("g_se", env.b_ends, env.g_se)]:

@@ -4,7 +4,7 @@ All geometry is done on integer ranks.  Raw decimal coordinates are densely
 ranked on load, after which every decision procedure works with exact integer
 comparisons routed through a :class:`QueryCounter`.  An instance stores its
 members as new read-only (N, 2) columns of [lo, hi] ends, one per axis:
-int64 while every b + 1 of the axis fits, else object arrays of Python ints.
+int64 when all its values and domain ends fit, else object arrays of Python ints.
 The solvers take both down the same paths; only N picks scalar or bulk.
 """
 
@@ -106,9 +106,6 @@ class Cross:
         return self.h.contains(x) or self.v.contains(y)
 
 
-_INT64_MIN, _INT64_MAX = -1 << 63, (1 << 63) - 1
-
-
 def _int_array(values) -> np.ndarray:
     """Ints as a new int64 array, else as an object array of the same Python ints."""
     try:
@@ -118,22 +115,22 @@ def _int_array(values) -> np.ndarray:
 
 
 def _axis(pairs, domain: Interval) -> np.ndarray:
-    """[lo, hi] ``pairs`` as a new read-only (N, 2) column: int64 when every
-    value and both ends of ``domain`` lie in [-2^63, 2^63 - 2], so that every
-    b + 1 fits, else an object array of the exact Python ints."""
+    """[lo, hi] ``pairs`` as a new read-only (N, 2) column, int64 when they and
+    ``domain``'s ends fit int64, else an object array of exact Python ints."""
     column = _int_array(pairs).reshape(-1, 2)
-    fits = _INT64_MIN <= domain.lo and domain.hi < _INT64_MAX
-    if column.dtype != object and not (fits and column.max(initial=domain.hi) < _INT64_MAX):
-        column = column.astype(object)
+    if not -1 << 63 <= domain.lo <= domain.hi < 1 << 63:
+        column = column.astype(object, copy=False)
     column.setflags(write=False)
     return column
 
 
-def _columns(*columns) -> list:
-    """The columns, of one N, as int64 or object arrays, other widths as
-    lists of Python ints.  Raises :class:`InstanceError` on floats, bools and
-    other shapes, and as :class:`Interval` does on the first row with lo > hi
-    in any column, the columns of a row taken in order."""
+def _columns(*columns, members=None) -> list:
+    """The columns, of one N, as int64 or object arrays, other widths as lists
+    of Python ints.  Raises TypeError if the ``members`` came as objects too,
+    InstanceError on a missing column, floats, bools and other shapes, and as
+    :class:`Interval` does on the first row with lo > hi, its columns in order."""
+    if members is not None:
+        raise TypeError("members given both as objects and as columns")
     for column in columns:
         shaped = isinstance(column, np.ndarray) and column.ndim == 2 and column.shape[1] == 2
         if not shaped or column.dtype.kind not in "iuO" or (  # bool is kind "b"
@@ -157,16 +154,16 @@ class CoverageInstance:
     """A domain and N closed intervals, stored as the (N, 2) column ``ends``.
 
     Pass the intervals as :class:`Interval` objects, or pass ``ends`` (int64,
-    or Python ints in an object array) in their place.  ``intervals`` gives
-    them back as objects, built on first use."""
+    or Python ints in an object array) in their place, not both.  ``intervals``
+    gives them back as objects, built on first use."""
 
-    def __init__(self, domain: Interval, intervals=(), *, ends: np.ndarray | None = None):
+    def __init__(self, domain: Interval, intervals=None, *, ends: np.ndarray | None = None):
         self.domain = domain
         if ends is None:
-            self.intervals = tuple(intervals)
+            self.intervals = tuple(intervals or ())
             ends = [(iv.lo, iv.hi) for iv in self.intervals]
         else:
-            ends, = _columns(ends)
+            ends, = _columns(ends, members=intervals)
         self.ends = _axis(ends, domain)
 
     @cached_property
@@ -190,17 +187,17 @@ class PiercingInstance:
     ``v`` of their horizontal and vertical arms.
 
     Pass the crosses as :class:`Cross` objects, or pass ``h`` and ``v`` (each
-    int64, or Python ints in an object array) in their place.  ``crosses``
-    gives them back as objects, built on first use."""
+    int64, or Python ints in an object array) in their place, not both.
+    ``crosses`` gives them back as objects, built on first use."""
 
-    def __init__(self, xdomain: Interval, ydomain: Interval, crosses=(), *,
+    def __init__(self, xdomain: Interval, ydomain: Interval, crosses=None, *,
                  h: np.ndarray | None = None, v: np.ndarray | None = None):
         self.xdomain, self.ydomain = xdomain, ydomain
-        if h is None:
-            crs = self.crosses = tuple(crosses)
+        if h is None and v is None:
+            crs = self.crosses = tuple(crosses or ())
             h, v = [(cr.h.lo, cr.h.hi) for cr in crs], [(cr.v.lo, cr.v.hi) for cr in crs]
         else:
-            h, v = _columns(h, v)
+            h, v = _columns(h, v, members=crosses)
         self.h, self.v = _axis(h, xdomain), _axis(v, ydomain)
 
     @cached_property

@@ -142,7 +142,7 @@ def gen_chain(perm) -> CoverageInstance:
 def flip_link(chain: CoverageInstance, k: int) -> CoverageInstance:
     """Swap the ranks of link k's start and link k-1's end, breaking the chain.
     The links are taken in order of their starts; a non-chain raises ``ValueError``."""
-    N, ends = chain.n, chain.ends
+    N, ends, k = chain.n, chain.ends, as_int(k)
     at = np.argsort(ends[:, 0])  # interval index of each link
     if (chain.domain.lo, chain.domain.hi) != (0, 2 * N - 1) or not np.array_equal(
             ends[at], _links(N)):

@@ -7,10 +7,11 @@ the y-domain, is nonempty at some x.  :func:`build_envelopes` splits those
 bounds by corner box into four monotone step functions of x, each holding
 the best two (value, index) pairs of a y-end, and :func:`solve_piercing`
 sweeps a0 and the a values over them, so deciding the family and each of
-its leave-one-out subfamilies at once.  From ``BULK_MIN_N`` crosses on, both
-run in bulk with numpy and count the same comparisons; N alone picks the
-path, for int64 columns and columns of Python ints alike.  Also houses the
-generators for minimal non-pierceable families.
+its leave-one-out subfamilies at once.  Every comparison counted is between
+two values of the input.  From ``BULK_MIN_N`` crosses on, both run in bulk
+with numpy and count the same comparisons; N alone picks the path, for int64
+columns and columns of Python ints alike.  Also houses the generators for
+minimal non-pierceable families.
 """
 
 from __future__ import annotations
@@ -40,17 +41,16 @@ BULK_MIN_N = 112
 
 
 class Envelopes(NamedTuple):
-    """The sorted a values, the sorted b + 1, and four corner envelopes, each
+    """The sorted a values, the sorted b values, and four corner envelopes, each
     listing for k = 0..N the best two (value, index) pairs, best first, of one
     y-end over the crosses on one side of x and the y-domain end (index None).
-    Entry k applies on [ends[k-1], ends[k]) of its side's ends, the first from
+    Entry k applies on [a[k-1], a[k]) or (b[k-1], b[k]] by side, the first from
     -inf and the last to +inf; equal ends leave the entries between unreached.
 
-    Below ``BULK_MIN_N`` crosses the fields are tuples.  From ``BULK_MIN_N``
-    on they are arrays of the same nesting: the ends have shape (N,), each
-    envelope shape (N+1, 2, 2) as ``[[first value, first index], [second
-    value, second index]]``, and index -1 stands for None.  A column of Python
-    ints gives object arrays, and an int64 one never holds 2^63 - 1: b + 1 fits."""
+    Below ``BULK_MIN_N`` crosses the fields are tuples, from there on arrays of
+    the same nesting: the ends have shape (N,), each envelope (N+1, 2, 2) as
+    ``[[first value, first index], [second value, second index]]``, with index
+    -1 for None; a column of Python ints gives object arrays."""
 
     a_ends: tuple | np.ndarray
     b_ends: tuple | np.ndarray
@@ -142,7 +142,7 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
     if len(h) >= BULK_MIN_N:
         by_a = merge_sort_counted(h[:, 0], counter)
         by_b = merge_sort_counted(h[:, 1], counter)
-        a_ends, b_ends = h[by_a, 0], h[by_b, 1] + 1
+        a_ends, b_ends = h[by_a, 0], h[by_b, 1]
         c, d = v[:, 0], v[:, 1]
 
         def aggregate(order, values, seed, better):
@@ -152,7 +152,7 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
         c, d = v.T.tolist()
         by_a = merge_sort_counted(a, counter)
         by_b = merge_sort_counted(b, counter)
-        a_ends, b_ends = tuple([a[i] for i in by_a]), tuple([b[i] + 1 for i in by_b])
+        a_ends, b_ends = tuple([a[i] for i in by_a]), tuple([b[i] for i in by_b])
 
         def aggregate(order, values, seed, better):
             return tuple(_best_two(((seed, None), (seed, None)),
@@ -298,7 +298,7 @@ def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter):
     while True:
         while pa < n and counter.compare(a_ends[pa], x) != GT:
             pa += 1
-        while pb < n and counter.compare(b_ends[pb], x) != GT:
+        while pb < n and counter.compare(b_ends[pb], x) == LT:
             pb += 1
         hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)[-1]
         lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)[-1]
@@ -335,10 +335,10 @@ def _merge_bulk(tops, at, entries, entries_at, better: str, counter: QueryCounte
 def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter):
     """``_sweep``'s witness, ``blocking`` and tallies, computed over all xs at once.
 
-    The xs are a0 and the distinct a values in (a0, b0], and at each x the
-    pointers rest after the ends at most x.  Each end a pointer passes is
-    compared once with the first x it does not exceed; each step whose
-    pointer is below N makes one more comparison, which comes out greater.
+    The xs are a0 and the distinct a values in (a0, b0]; at each x the
+    pointers rest after the a values at most x and the b values below x.
+    Each end passed is compared once, with the first x that passes it, and
+    each step whose pointer is below N once more, with the end it stops at.
     Only the steps up to the first feasible x are made, and the leave-one-out
     tests and the b0 test only before it.
     """
@@ -349,7 +349,7 @@ def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter):
     distinct[1:] = inside[1:] != inside[:-1]
     xs = np.concatenate(([a0], inside[distinct]))
     pa = np.searchsorted(a_ends, xs, side="right")
-    pb = np.searchsorted(b_ends, xs, side="right")
+    pb = np.searchsorted(b_ends, xs, side="left")
     # no runner-up beats its first, so a merge's first is the better first
     feasible = (np.maximum(hi_a[pa, 0, 0], hi_b[pb, 0, 0])
                 <= np.minimum(lo_a[pa, 0, 0], lo_b[pb, 0, 0]))
@@ -357,10 +357,11 @@ def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter):
     pierceable = bool(feasible[found])
     if pierceable:
         xs, pa, pb = xs[:found + 1], pa[:found + 1], pb[:found + 1]
-    for ends, pointer in ((a_ends, pa), (b_ends, pb)):
-        passed = ends[:pointer[-1]]
-        _tally(counter, passed, xs[np.searchsorted(xs, passed)])
-        counter.gt += int(np.count_nonzero(pointer < n))
+    passed = a_ends[:pa[-1]]
+    _tally(counter, passed, xs[np.searchsorted(xs, passed)])
+    counter.gt += int(np.count_nonzero(pa < n))
+    counter.lt += int(pb[-1])
+    _tally(counter, b_ends[pb[pb < n]], xs[pb < n])
     hi, hi_at, hi2 = _merge_bulk(hi_a, pa, hi_b, pb, GT, counter)
     lo, lo_at, lo2 = _merge_bulk(lo_a, pa, lo_b, pb, LT, counter)
     _tally(counter, hi, lo)

@@ -22,15 +22,13 @@ from .core import QueryCounter
 BULK_MIN_N = 64
 
 
-def merge_sort_counted(items, counter: QueryCounter | None = None):
+def merge_sort_counted(items, counter: QueryCounter):
     """Stable merge sort returning positions; odd lengths split into uneven halves.
 
     Keys must be totally ordered.  A numpy column of keys is sorted in bulk
     and its order comes back as an int64 array; the order of any other keys
     comes back as a tuple, from the scalar merge.  Both give the bottom-up
     merge's order and tallies."""
-    if counter is None:
-        counter = QueryCounter()
     if isinstance(items, np.ndarray):
         return _merge_sort_bulk(items, counter)
     return _merge_sort_scalar(list(items), counter)

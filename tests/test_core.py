@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import normalize_ranks, reference_instance_from_dict
 
-from coverpierce import core, piercing
+from coverpierce import bounds, core, coverage, piercing
 from coverpierce.core import (
     ContainmentViolation,
     CoverageInstance,
@@ -323,12 +324,13 @@ class TestColumnarLoader:
                 loads_instance(json.dumps(doc))
 
     def test_axes_beyond_int64_hold_python_ints(self):
-        for top in (2**63, 2**63 - 1):  # the second fits int64, but its + 1 does not
+        # the largest int64 stays int64; an axis once became Python ints there
+        for top, dtype in ((2**63, object), (2**63 - 1, np.int64)):
             inst = loads_instance(json.dumps({
                 "problem": "piercing", "xdomain": [0, top], "ydomain": [0, 9],
                 "crosses": [{"h": [1, 2], "v": [3, 4]}]}))
-            assert inst.h.dtype == object and inst.v.dtype == np.int64
-            assert [type(v) for v in inst.h.ravel()] == [int, int]
+            assert inst.h.dtype == dtype and inst.v.dtype == np.int64
+            assert [type(v) for v in inst.h.ravel()] == [int if dtype is object else np.int64] * 2
             assert not inst.h.flags.writeable and not inst.v.flags.writeable
 
     def test_crosses_beyond_int64_on_one_axis_leave_the_other_int64(self):
@@ -345,7 +347,8 @@ class TestColumnarLoader:
         crosses = [Cross(Interval(k, k + 1), Interval(k, k + 1)) for k in range(n)]
         insts = [PiercingInstance(Interval(0, n), Interval(0, top), crosses)
                  for top in (2**63, 2**63 - 1)]
-        assert all(inst.h.dtype == np.int64 and inst.v.dtype == object for inst in insts)
+        assert [(inst.h.dtype, inst.v.dtype) for inst in insts] == [
+            (np.int64, object), (np.int64, np.int64)]
         verdicts = [piercing.solve_piercing(inst) for inst in insts]
         monkeypatch.setattr(piercing, "BULK_MIN_N", n + 1)
         assert verdicts == [piercing.solve_piercing(inst) for inst in insts]
@@ -404,14 +407,15 @@ class TestColumnConstructors:
         e[0] = [2, 3]
         assert cover.ends.tolist() == inst.h.tolist() == inst.v.tolist() == [[0, 1], [1, 3]]
 
-    @pytest.mark.parametrize("top, dtype", [(2**63 - 2, np.int64), (2**63 - 1, object)])
-    def test_an_axis_is_int64_only_while_every_b_plus_1_fits(self, top, dtype):
-        # a b of 2^63 - 1 once stayed int64, and the bulk envelopes alone made b + 1 exact
+    @pytest.mark.parametrize("top, dtype", [(2**63 - 1, np.int64), (2**63, object)],
+                             ids=["2^63-1", "2^63"])
+    def test_an_axis_is_int64_exactly_when_its_numbers_fit(self, top, dtype):
+        # an axis once became Python ints at 2^63 - 1, where the sweep added 1 to a b
         low = Interval(0, 1)
         # a value or a domain end at top; the last member escapes its domain
         for domain, iv in [(Interval(0, top), Interval(0, top)),
                            (Interval(0, top), low), (low, Interval(0, top))]:
-            arm, rest = np.array([[iv.lo, iv.hi]]), np.array([[0, 1]])
+            arm, rest = np.array([[iv.lo, iv.hi]], dtype=dtype), np.array([[0, 1]])
             doc = {"problem": "piercing", "xdomain": [domain.lo, domain.hi], "ydomain": [0, 1],
                    "crosses": [{"h": [iv.lo, iv.hi], "v": [0, 1]}]}
             columns = [CoverageInstance(domain, ends=arm).ends,
@@ -426,6 +430,20 @@ class TestColumnConstructors:
             assert all(column.dtype == np.int64 for column in (
                 PiercingInstance(domain, low, h=arm, v=rest).v,
                 PiercingInstance(domain, low, [Cross(iv, low)]).v))
+
+    def test_members_are_given_one_way(self):
+        # a lone v= once built an empty instance, which pierces, and members given
+        # both ways kept the columns and dropped the objects without a word
+        dom, arr = Interval(0, 3), np.array([[0, 1]])
+        for members in ([], [Cross(dom, dom)]):
+            with pytest.raises(TypeError, match="both"):
+                PiercingInstance(dom, dom, members, h=arr, v=arr)
+        for members in ([], [dom]):
+            with pytest.raises(TypeError, match="both"):
+                CoverageInstance(dom, members, ends=arr)
+        for lone in ({"h": arr}, {"v": arr}):  # as a missing column does
+            with pytest.raises(InstanceError, match="got NoneType"):
+                PiercingInstance(dom, dom, **lone)
 
     def test_rejects_arms_of_different_counts(self):
         dom = Interval(0, 3)
@@ -457,7 +475,7 @@ class TestColumnConstructors:
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, np.uint64])
     def test_other_integer_widths_become_int64_or_python_ints(self, dtype, monkeypatch):
-        # an int32 b of 2^31 - 1 would wrap in the bulk path's b + 1
+        # a cast to int64 would wrap a uint64 beyond int64 silently
         top = int(np.iinfo(dtype).max)
         column = np.array([[0, top], [top - 1, top], [1, 1]], dtype=dtype)
         dom = Interval(0, top)
@@ -472,3 +490,28 @@ class TestColumnConstructors:
                    for h, v in zip(column.tolist(), column[::-1].tolist())]
         assert (piercing.solve_piercing(inst)
                 == piercing.solve_piercing(PiercingInstance(dom, dom, crosses)))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: bounds.lb_union(-1), ValueError("negative size")),
+    (lambda: next(bounds.run_bench(["disjoint"], [1], trials=-1)),
+     ValueError("negative trial count -1")),
+    (lambda: validate("x"), TypeError("not an instance: 'x'")),
+    (lambda: instance_to_dict(Interval(0, 1)), TypeError("not an instance")),
+    (lambda: next(dump_chunks(None)), TypeError("not an instance: None")),
+    (lambda: coverage.gen_disjoint(0), ValueError("disjoint family needs N >= 1")),
+    (lambda: coverage.gen_random_coverage(-1, np.random.RandomState(0)),
+     ValueError("negative size")),
+    (lambda: piercing.gen_staircase_literal(8, Permutation.identity(9)),
+     ValueError("permutation size 9 != 8")),
+    (lambda: repr(CoverageInstance(Interval(0, 2), [Interval(0, 1)])),
+     "CoverageInstance(domain=Interval(lo=0, hi=2), intervals=(Interval(lo=0, hi=1),))"),
+], ids=["lb_union", "run_bench", "validate", "instance_to_dict", "dump_chunks",
+        "gen_disjoint", "gen_random_coverage", "gen_staircase_literal", "coverage-repr"])
+def test_rejected_arguments_and_repr(call, expected):
+    """Each call raises the expected error, with its message, or returns the value."""
+    if not isinstance(expected, Exception):
+        assert call() == expected
+        return
+    with pytest.raises(type(expected), match=re.escape(str(expected))):
+        call()

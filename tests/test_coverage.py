@@ -247,6 +247,14 @@ class TestFlipLink:
         with pytest.raises(ValueError):
             flip_link(ch, 4)
 
+    @pytest.mark.parametrize("k", [2.0, np.float64(3), True], ids=["float", "numpy-float", "bool"])
+    def test_position_must_be_an_integer(self, k):
+        # a float once reached numpy indexing and raised IndexError
+        ch = gen_chain((1, 2, 3))
+        with pytest.raises(InstanceError, match="expected an integer"):
+            flip_link(ch, k)
+        assert flip_link(ch, np.int64(3)) == flip_link(ch, 3)
+
     @pytest.mark.parametrize("domain,pairs", [
         ((0, 6), [(0, 2), (1, 4), (3, 5)]),
         ((0, 5), [(0, 2), (3, 4), (4, 5)]),

@@ -29,7 +29,10 @@ breakpoint list once; ``ENVELOPES_50`` and demo 02 rebuild the earlier
 (breakpoints, values) pairs from its fields and kept their digests.
 ``GENERATE_LARGE`` pins ``generate`` and ``solve`` at N=2^16, where the bulk
 sort, envelopes and sweep run; it was recorded before instances were stored
-as columns.
+as columns.  When the sweep began to test b < x in place of b + 1 <= x,
+``b_ends`` came to list the sorted b values, and ``ENVELOPES_50`` and demo
+02 were re-recorded: with each printed b end raised by one, their texts
+give the earlier digests.
 """
 
 import hashlib
@@ -81,7 +84,7 @@ BENCH = {
 }
 
 BOUND_8 = "98f409a542351e21b597fd65cc9a249c165db3c2cd4cefa14ad14d157ca6d632"
-ENVELOPES_50 = "c3e57823c98e84aa0dc3abb4536dfab61c24a6287508833d52c7fab61afe8e7e"
+ENVELOPES_50 = "598479579b0697370e2ae29e3aa6ef20048727b333d4f09fa1520557da8f3b3a"
 STAIRCASE_3_300 = "34b4e192036cd5716ce315da1c9be64bff85473d2ff6d28b07832625842c4ef5"
 STAIRCASE_VERIFIED_3_20 = "cc8508a1c4fabace1974bbbcfa63a7948b8926af7f7ec8a434b72bec665af115"
 # (sha256 of the order, lt, eq, gt)
@@ -104,7 +107,7 @@ DEMOS = {
     "01_coverage_basics":
         "8a199385e27de54c6d2b19b9de0d7272e147d2e402093568327d65f1e05318f7",
     "02_piercing_staircase":
-        "628c478f7ba8de10b11dc126098192bb18584d94199e95cbdaebcedbe984605d",
+        "2495c9176798b4aa8aa2e629e810d4b51eba3e2d5e63d3cda6d2437b04b506c2",
     "03_query_counts_vs_bounds":
         "0fbfb6afe5d50eecb8b7ddaa1128bf46b2dcefec165f108d5d9cfdc1f4332a30",
 }

@@ -1,7 +1,7 @@
 import itertools
 import json
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from conftest import oracle_grid_points
 
 from coverpierce import piercing
 from coverpierce.core import (
+    CoverageInstance,
     Cross,
     InstanceError,
     Interval,
@@ -19,6 +20,7 @@ from coverpierce.core import (
     QueryCounter,
     loads_instance,
 )
+from coverpierce.coverage import flip_link, gen_chain, gen_random_coverage, solve_coverage
 from coverpierce.piercing import (
     MinimalityReport,
     build_envelopes,
@@ -72,16 +74,19 @@ def best_two(values, seed, better):
 
 
 def steps(env):
-    """Each envelope with the ends it steps at: the sorted a values on the a
-    side, the sorted b + 1 on the b side."""
-    return {"f_nw": (env.a_ends, env.f_nw), "f_ne": (env.b_ends, env.f_ne),
-            "g_sw": (env.a_ends, env.g_sw), "g_se": (env.b_ends, env.g_se)}
+    """Each envelope with the ends it steps at and how: the sorted a values
+    on the a side, entry k counting the a values at most x, and the sorted b
+    values on the b side, entry k counting the b values below x."""
+    a_side, b_side = (env.a_ends, bisect_right), (env.b_ends, bisect_left)
+    return {"f_nw": (env.f_nw, *a_side), "f_ne": (env.f_ne, *b_side),
+            "g_sw": (env.g_sw, *a_side), "g_se": (env.g_se, *b_side)}
 
 
-def value_at(ends, values, x):
+def value_at(values, ends, bisect, x):
     """Reference for an envelope as a function of x: entry k applies on
-    [ends[k-1], ends[k]), the first to -inf and the last to +inf."""
-    return values[bisect_right(ends, x)]
+    [a[k-1], a[k]) of the a values or (b[k-1], b[k]] of the b values, the
+    first to -inf and the last to +inf."""
+    return values[bisect(ends, x)]
 
 
 class TestEnvelopes:
@@ -97,7 +102,7 @@ class TestEnvelopes:
         # with no cross, every value is the y-domain end seeded twice
         env = steps(build_envelopes(inst((0, 3), (1, 2), [])))
         for name, end in [("f_nw", 2), ("f_ne", 2), ("g_sw", 1), ("g_se", 1)]:
-            ends, values = env[name]
+            values, ends, _ = env[name]
             assert ends == ()
             assert values == (((end, None), (end, None)),)
 
@@ -115,10 +120,10 @@ class TestEnvelopes:
                    ("g_sw", c, c0, max, lambda i, x: a[i] > x),
                    ("g_se", c, c0, max, lambda i, x: b[i] < x)]
         for name, ends, seed, better, misses in corners:
-            breakpoints, values = env[name]
+            values, *steps_at = env[name]
             for x in range(instance.xdomain.lo, instance.xdomain.hi + 1):
                 held = [i for i in range(instance.n) if misses(i, x)]
-                (first, i), (second, _) = value_at(breakpoints, values, x)
+                (first, i), (second, _) = value_at(values, *steps_at, x)
                 assert [first, second] == best_two([ends[i] for i in held], seed, better)
                 assert first == seed if i is None else (i in held and ends[i] == first)
             firsts = [top[0][0] for top in values]
@@ -129,7 +134,7 @@ class TestEnvelopes:
         rng = np.random.RandomState(3)
         instance = gen_random_piercing(40, rng)
         env = steps(build_envelopes(instance))
-        for ends, values in env.values():
+        for values, ends, _ in env.values():
             assert len(values) <= instance.n + 1
             assert len(values) == len(ends) + 1
 
@@ -268,7 +273,7 @@ class TestSolvePiercing:
         assert v.witness[0] == 0  # x=0 already feasible via the y-arm
 
     def test_float_coordinates_rejected_not_misjudged(self):
-        # with float bounds the sweep's b + 1 breakpoints skip feasible x, and
+        # with float bounds the sweep's old b + 1 breakpoints skipped feasible x, and
         # solver and oracle both once returned the unsound witness (0, 0)
         with pytest.raises(InstanceError):
             inst((0.0, 3.0), (0.0, 3.0), [((0.5, 1), (2, 3)), ((1.5, 3), (0, 0.5))])
@@ -590,6 +595,55 @@ class TestBulkPath:
                 assert verdict.witness == (near.witness[0] + dx, near.witness[1] + dy)
             assert all(type(v) is int for v in (*(verdict.witness or ()), *verdict.blocking))
             json.dumps(verdict.to_dict())
+
+
+def doubled(instance):
+    """``instance`` with every coordinate doubled, so that all of them are even."""
+    if isinstance(instance, CoverageInstance):
+        d = instance.domain
+        return CoverageInstance(Interval(2 * d.lo, 2 * d.hi), ends=2 * instance.ends)
+    x, y = instance.xdomain, instance.ydomain
+    return PiercingInstance(Interval(2 * x.lo, 2 * x.hi), Interval(2 * y.lo, 2 * y.hi),
+                            h=2 * instance.h, v=2 * instance.v)
+
+
+def coordinates(instance):
+    """The domain ends and column values of ``instance``."""
+    if isinstance(instance, CoverageInstance):
+        domains, columns = [instance.domain], [instance.ends]
+    else:
+        domains, columns = [instance.xdomain, instance.ydomain], [instance.h, instance.v]
+    return {*(e for d in domains for e in (d.lo, d.hi)),
+            *(e for column in columns for e in column.ravel().tolist())}
+
+
+def test_every_comparison_is_between_two_input_values(monkeypatch):
+    # the sweep once compared each x with b + 1, which is odd where every
+    # coordinate is even, so it counted queries the paper's model never makes
+    seen = []
+    compare = QueryCounter.compare
+
+    def spy(counter, x, y):
+        seen.extend((x, y))
+        return compare(counter, x, y)
+
+    monkeypatch.setattr(QueryCounter, "compare", spy)
+    monkeypatch.setattr(piercing, "BULK_MIN_N", SCALAR)
+    for n in range(1, 40):
+        rng = np.random.RandomState(n)
+        families = [gen_random_piercing(n, rng), gen_random_coverage(n, rng)]
+        if n >= 2:
+            chain = gen_chain((rng.permutation(n) + 1).tolist())
+            families += [chain, flip_link(chain, n // 2 + 1)]
+        if n >= 3:
+            families.append(gen_staircase_minimal(n))
+        for instance in map(doubled, families):
+            routines = ((solve_coverage,) if isinstance(instance, CoverageInstance)
+                        else (solve_piercing, check_minimality))
+            for routine in routines:
+                seen.clear()
+                routine(instance)
+                assert seen and set(seen) <= coordinates(instance), (n, routine.__name__)
 
 
 class TestScaling:
