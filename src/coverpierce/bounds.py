@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coverage, piercing
-from .core import CoverageInstance, Permutation, QueryCounter
+from .core import CoverageInstance, Permutation, QueryCounter, as_int
 
 _LN6 = math.log(6)
-_CEIL_MARGIN = 1e-12  # relative to lb_union(n)
+_CEIL_MARGIN = 1e-14  # relative to lb_union(n)
 
 
 def _ln_factorial(n: int) -> float:
@@ -29,7 +29,7 @@ def _ln_factorial(n: int) -> float:
 
 def lb_union(n: int) -> float:
     """log_6(N!), the union/coverage worst-case query bound."""
-    if n < 0:
+    if as_int(n) < 0:
         raise ValueError("negative size")
     return _ln_factorial(n) / _LN6
 
@@ -39,9 +39,10 @@ def lb_union_ceil(n: int) -> int:
 
     Each ``math.log`` term is within an ulp, ``fsum`` rounds once and the
     division by ln 6 adds two roundings, so ``lb_union(n)`` is within about
-    6e-16 of log_6(N!) relative to it.  Only a float within the far wider
-    ``_CEIL_MARGIN`` of an integer m, as ``lb_union(3) == 1.0`` is, needs
-    the exact big-integer test of 6^m against N!.
+    6e-16 of log_6(N!) relative to it.  Only a float within the 16 times
+    wider ``_CEIL_MARGIN`` of an integer m, as ``lb_union(3) == 1.0`` is,
+    needs the exact big-integer test of 6^m against N!; for N <= 2^22 that
+    is N = 0, 1 and 3 alone, and the nearest other N comes within 1.5e-14.
     """
     x = lb_union(n)  # raises on a negative n
     m = round(x)
@@ -52,7 +53,7 @@ def lb_union_ceil(n: int) -> int:
 
 def lb_piercing(n: int) -> float:
     """2 * log_6( floor(N/2)! / 2 ), clamped below at zero."""
-    if n < 2:
+    if as_int(n) < 2:
         raise ValueError("piercing bound defined for N >= 2")
     value = 2.0 * (_ln_factorial(n // 2) - math.log(2)) / _LN6
     return max(0.0, value)
@@ -97,7 +98,7 @@ FAMILIES = {
 
 def generate_instance(family: str, n: int, seed: int):
     """The ``family`` instance of size ``n`` for ``seed`` (taken mod 2^32)."""
-    return FAMILIES[family](n, lambda: np.random.RandomState(seed & 0xFFFFFFFF))
+    return FAMILIES[family](as_int(n), lambda: np.random.RandomState(seed & 0xFFFFFFFF))
 
 
 def solve(instance):

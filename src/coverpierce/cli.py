@@ -1,12 +1,13 @@
 """Command-line front end: generate / solve / verify / bench / bound.
 
 Exit codes: 0 positive verdict (or success), 1 negative verdict, 2 usage or
-malformed input, 3 I/O failure, 4 solver/oracle disagreement.
+malformed input, 3 I/O failure (stdout included), 4 solver/oracle disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -43,34 +44,20 @@ def size(text: str, what: str = "size") -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        instance = bounds.generate_instance(args.family, args.n, args.seed)
-    except ValueError as exc:
-        print(f"generate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    instance = bounds.generate_instance(args.family, args.n, args.seed)
     if args.out is None:
         sys.stdout.writelines(dump_chunks(instance))
-        return EXIT_OK
-    try:
+    else:
         dump_instance(instance, args.out)
-    except OSError as exc:
-        print(f"generate: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
     return EXIT_OK
 
 
 def _load(path, strict: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        instance = loads_instance(text)
-        return validate(instance, strict=strict)
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+            return validate(loads_instance(fh.read()), strict=strict)
     except ValueError as exc:  # bad UTF-8, or InstanceError for bad JSON and bad instances
-        print(f"malformed instance {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise InstanceError(f"malformed instance {path}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -86,12 +73,8 @@ def cmd_verify(args) -> int:
     if isinstance(instance, CoverageInstance):
         oracle_verdict = coverage.oracle_coverage(instance)
         oracle_pos = oracle_verdict.covered
-    else:
-        try:
-            oracle_verdict = piercing.oracle_piercing(instance)
-        except InstanceError as exc:  # beyond the grid oracle's cell budget
-            print(f"verify: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    else:  # InstanceError beyond the grid oracle's cell budget
+        oracle_verdict = piercing.oracle_piercing(instance)
         oracle_pos = oracle_verdict.pierceable
     agree = solver_pos == oracle_pos
     sound = solver_verdict.witness_sound(instance) and oracle_verdict.witness_sound(instance)
@@ -107,8 +90,7 @@ def cmd_verify(args) -> int:
 
 def _parse_n_range(spec: str):
     if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-        lo, hi = size(lo_s), size(hi_s)
+        lo, hi = map(size, spec.split("..", 1))
         if lo > hi:
             raise ValueError(f"empty range {spec}")
         return list(range(lo, hi + 1))
@@ -117,22 +99,14 @@ def _parse_n_range(spec: str):
 
 def cmd_bench(args) -> int:
     # rows are written as made: a size a family rejects midway keeps the rows before it
-    try:
-        n_values = _parse_n_range(args.n)
-        trials = size(args.trials, "trial count")
-        records = bounds.run_bench(args.family, n_values, trials,
-                                   seed=args.seed, measure_time=args.measure_time)
-        if args.out is None:
-            bounds.write_bench_csv(records, sys.stdout)
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                bounds.write_bench_csv(records, fh)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"bench: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    n_values = _parse_n_range(args.n)
+    records = bounds.run_bench(args.family, n_values, size(args.trials, "trial count"),
+                               seed=args.seed, measure_time=args.measure_time)
+    if args.out is None:
+        bounds.write_bench_csv(records, sys.stdout)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            bounds.write_bench_csv(records, fh)
     return EXIT_OK
 
 
@@ -195,11 +169,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
+    try:  # the only code that turns a failure into an exit code
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
+        code = args.func(args)
+        print(end="", flush=True)  # flush stdout (None skips it), so a failed write exits 3
+        return code
+    except SystemExit as exc:  # argparse's own exit, its message already printed
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except OSError as exc:  # before ValueError: io.UnsupportedOperation is both
+        path = exc.filename or getattr(args, "out", None)
+        if path is None:  # stdout: closed, or the interpreter flushes it at exit and fails
+            path = "stdout"
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        action = "read" if path == getattr(args, "in", None) else "write"
+        print(f"{args.verb}: cannot {action} {path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        print(f"{args.verb}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

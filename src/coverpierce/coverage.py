@@ -169,7 +169,7 @@ def check_equality_by_coverage(values, counter: QueryCounter | None = None) -> b
 
 def gen_disjoint(n: int) -> CoverageInstance:
     """N separated unit intervals over [0, 2N]; uncovered for every N."""
-    if n < 1:
+    if as_int(n) < 1:
         raise ValueError("disjoint family needs N >= 1")
     return CoverageInstance(Interval(0, 2 * n),
                             ends=np.arange(2 * n, dtype=np.int64).reshape(n, 2))
@@ -177,7 +177,7 @@ def gen_disjoint(n: int) -> CoverageInstance:
 
 def gen_random_coverage(n: int, rng) -> CoverageInstance:
     """Random subintervals of [0, 2N] with i.i.d. endpoints."""
-    if n < 0:
+    if as_int(n) < 0:
         raise ValueError("negative size")
     span = max(2 * n, 1)
     ends = np.sort(rng.randint(0, span + 1, size=(n, 2)).astype(np.int64, copy=False), axis=1)

@@ -29,6 +29,7 @@ from .core import (
     Permutation,
     PiercingInstance,
     QueryCounter,
+    as_int,
 )
 from .coverage import gen_random_coverage
 # merge_unique_counted is called nowhere here; perfbench's tracer rebinds this name
@@ -434,7 +435,7 @@ def gen_staircase_minimal(n: int, verify: bool = True) -> PiercingInstance:
     Unless ``verify`` is false, the construction is self-verified by
     ``check_minimality``.
     """
-    if n < 3:
+    if as_int(n) < 3:
         raise ValueError("minimal non-pierceable family needs N >= 3")
     if n == 3:
         M, h, v = 2, [(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2)]
@@ -463,7 +464,7 @@ def gen_staircase_literal(n: int, perm: Permutation | None = None) -> PiercingIn
     intervals the crosses all share the single corner point (x-domain low,
     y-domain low); this boundary anomaly is preserved on purpose.
     """
-    if n not in (8, 9):
+    if as_int(n) not in (8, 9):
         raise ValueError("literal staircase transcription exists for N = 8 or 9 only")
     if perm is None:
         perm = Permutation.identity(n)

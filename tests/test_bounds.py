@@ -54,6 +54,13 @@ class TestLbUnion:
         m = lb_union_ceil(50_000)
         assert 6 ** (m - 1) < math.factorial(50_000) <= 6 ** m
 
+    def test_sizes_near_an_integer_take_no_factorial(self, monkeypatch):
+        # within the earlier margin of 1e-12 these took N! exactly: `bound --n`
+        # ran 0.5 s, 13 s and 118 s; the values are the ones N! gave
+        monkeypatch.setattr(math, "factorial", lambda n: pytest.fail(f"computed {n}!"))
+        for n, ceil in [(124_705, 747_062), (1_048_258, 7_525_215), (4_177_653, 33_214_148)]:
+            assert lb_union_ceil(n) == ceil, n
+
     def test_three_exact_via_big_integers(self):
         assert lb_union_ceil(3) == 1
         assert 6 ** 1 == math.factorial(3)

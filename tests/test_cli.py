@@ -1,9 +1,17 @@
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import coverpierce
 from coverpierce import bounds, coverage
 from coverpierce.cli import (
     EXIT_DISAGREE,
@@ -341,6 +349,69 @@ class TestBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "negative" in captured.err
+
+
+class FailingStdout(io.TextIOBase):
+    """A stdout whose every write and flush raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def writelines(self, lines):
+        raise self.error
+
+    def flush(self):
+        raise self.error
+
+
+def every_verb(tmp_path):
+    """argv for each verb with stdout as its only output; solve and verify on
+    a pierceable file, whose exit 1 would once have read as "not pierceable"."""
+    path = write_piercing(tmp_path / "p.json", [((0, 3), (5, 9))])
+    return {"solve": ["solve", "--in", path], "verify": ["verify", "--in", path],
+            "bound": ["bound", "--n", "5"],
+            "generate": ["generate", "--family", "chain", "--n", "5"],
+            "bench": ["bench", "--family", "chain", "--n", "3"]}
+
+
+VERBS = ["solve", "verify", "bound", "generate", "bench"]
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                   OSError(errno.ENOSPC, "No space left on device")],
+                         ids=["broken-pipe", "disk-full"])
+@pytest.mark.parametrize("verb", VERBS)
+def test_unwritable_stdout_is_io_error(verb, error, tmp_path, capsys):
+    # once a traceback and exit 1, which for solve and verify reads as a verdict
+    with redirect_stdout(FailingStdout(error)):
+        assert main(every_verb(tmp_path)[verb]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"{verb}: cannot write stdout: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("verb", VERBS)
+def test_stdout_on_a_full_device_exits_three(verb, tmp_path):
+    # only a process sees the interpreter flush stdout again at exit: had the
+    # failed write stayed buffered, that flush would print "Exception ignored"
+    # and turn exit 3 into 120
+    src = str(Path(coverpierce.__file__).resolve().parents[1])
+    argv = every_verb(tmp_path)[verb]
+    for unbuffered in ("", "1"):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                 "from coverpierce.cli import main; sys.exit(main(sys.argv[2:]))",
+                 src, *argv], stdout=full, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONUNBUFFERED=unbuffered), timeout=120)
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert proc.stderr.startswith(f"{verb}: cannot write stdout: ")
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -515,3 +515,24 @@ def test_rejected_arguments_and_repr(call, expected):
         return
     with pytest.raises(type(expected), match=re.escape(str(expected))):
         call()
+
+
+@pytest.mark.parametrize("call, size", [
+    (lambda: coverage.gen_random_coverage(2.5, np.random.RandomState(0)), 2.5),
+    (lambda: piercing.gen_random_piercing(2.0, np.random.RandomState(0)), 2.0),
+    (lambda: piercing.gen_staircase_minimal(5.0), 5.0),
+    (lambda: piercing.gen_staircase_literal(8.0), 8.0),
+    (lambda: bounds.lb_union(2.5), 2.5),
+    (lambda: bounds.lb_piercing(4.0), 4.0),
+    (lambda: bounds.lb_union_ceil(3.0), 3.0),
+    (lambda: bounds.generate_instance("chain", 4.0, 1), 4.0),
+    (lambda: coverage.gen_disjoint(2.5), 2.5),
+    (lambda: coverage.gen_disjoint(True), True),
+], ids=["gen_random_coverage", "gen_random_piercing", "gen_staircase_minimal",
+        "gen_staircase_literal", "lb_union", "lb_piercing", "lb_union_ceil",
+        "generate_instance-chain", "gen_disjoint-float", "gen_disjoint-bool"])
+def test_a_size_must_be_an_integer(call, size):
+    # each once reached range() or numpy: TypeError, IndexError, or for
+    # gen_disjoint(2.5) an InstanceError about 5.0, a value never passed
+    with pytest.raises(InstanceError, match=re.escape(f"expected an integer, got {size!r}")):
+        call()

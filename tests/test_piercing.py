@@ -570,9 +570,10 @@ class TestBulkPath:
 
     @pytest.mark.parametrize("shift", [
         lambda xs, ys: (-2**63 - min(xs), -2**63 - min(ys)),
-        # the greatest y is 2^63 - 1, and the greatest b + 1 at most that
+        # y reaches 2^63 - 1, the largest int64, and x stops one short: both stay int64
         lambda xs, ys: (2**63 - 2 - max(xs), 2**63 - 1 - max(ys)),
-        # a b of 2^63 - 1 puts b + 1 outside int64
+        # x reaches 2^63 - 1 too: the sweep tests b < x with the x-domain's end,
+        # and any b there, at the largest int64
         lambda xs, ys: (2**63 - 1 - max(xs), 2**63 - 1 - max(ys)),
         lambda xs, ys: (10**30, 10**30),
     ], ids=["least-2^63", "greatest-2^63-1", "b-2^63-1", "10^30"])
