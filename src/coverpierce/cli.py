@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import sys
 
@@ -43,10 +44,24 @@ def size(text: str, what: str = "size") -> int:
     return n
 
 
+def _stdout():
+    """``sys.stdout``, which is None in a process started with fd 1 closed:
+    writing there is then a failed write, as on a closed pipe."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops a help text it cannot write; here that is a failed write
+        (file or _stdout()).write(self.format_help())
+
+
 def cmd_generate(args) -> int:
     instance = bounds.generate_instance(args.family, args.n, args.seed)
     if args.out is None:
-        sys.stdout.writelines(dump_chunks(instance))
+        _stdout().writelines(dump_chunks(instance))
     else:
         dump_instance(instance, args.out)
     return EXIT_OK
@@ -63,7 +78,7 @@ def _load(path, strict: bool):
 def cmd_solve(args) -> int:
     instance = _load(getattr(args, "in"), args.strict)
     verdict, positive = bounds.solve(instance)
-    print(json.dumps(verdict.to_dict(), separators=(",", ":")))
+    print(json.dumps(verdict.to_dict(), separators=(",", ":")), file=_stdout())
     return EXIT_OK if positive else EXIT_NEGATIVE
 
 
@@ -84,7 +99,7 @@ def cmd_verify(args) -> int:
         "agree": agree,
         "witnesses_sound": sound,
     }
-    print(json.dumps(report, separators=(",", ":")))
+    print(json.dumps(report, separators=(",", ":")), file=_stdout())
     return EXIT_OK if agree and sound else EXIT_DISAGREE
 
 
@@ -103,7 +118,7 @@ def cmd_bench(args) -> int:
     records = bounds.run_bench(args.family, n_values, size(args.trials, "trial count"),
                                seed=args.seed, measure_time=args.measure_time)
     if args.out is None:
-        bounds.write_bench_csv(records, sys.stdout)
+        bounds.write_bench_csv(records, _stdout())
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             bounds.write_bench_csv(records, fh)
@@ -118,12 +133,12 @@ def cmd_bound(args) -> int:
            "lb_equality": lb}
     if n >= 2:
         out["lb_piercing"] = bounds.lb_piercing(n)
-    print(json.dumps(out, separators=(",", ":")))
+    print(json.dumps(out, separators=(",", ":")), file=_stdout())
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coverpierce",
         description="Interval coverage and cross piercing: generators, "
                     "solvers, oracles and query-count benchmarks.",
@@ -169,18 +184,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = argparse.Namespace(verb="coverpierce")  # names a failure before the verb is known
     try:  # the only code that turns a failure into an exit code
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse's own exit, its help or message already written
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         print(end="", flush=True)  # flush stdout (None skips it), so a failed write exits 3
         return code
-    except SystemExit as exc:  # argparse's own exit, its message already printed
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except OSError as exc:  # before ValueError: io.UnsupportedOperation is both
         path = exc.filename or getattr(args, "out", None)
         if path is None:  # stdout: closed, or the interpreter flushes it at exit and fails
             path = "stdout"
-            with contextlib.suppress(OSError):
+            with contextlib.suppress(OSError, AttributeError):  # a None stdout has no close
                 sys.stdout.close()
         action = "read" if path == getattr(args, "in", None) else "write"
         print(f"{args.verb}: cannot {action} {path}: {exc}", file=sys.stderr)

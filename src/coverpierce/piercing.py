@@ -5,13 +5,15 @@ lies in its vertical arm.  At x, the crosses whose horizontal arm misses x
 confine y to one interval; the family pierces iff that interval, clamped to
 the y-domain, is nonempty at some x.  :func:`build_envelopes` splits those
 bounds by corner box into four monotone step functions of x, each holding
-the best two (value, index) pairs of a y-end, and :func:`solve_piercing`
-sweeps a0 and the a values over them, so deciding the family and each of
-its leave-one-out subfamilies at once.  Every comparison counted is between
-two values of the input.  From ``BULK_MIN_N`` crosses on, both run in bulk
-with numpy and count the same comparisons; N alone picks the path, for int64
-columns and columns of Python ints alike.  Also houses the generators for
-minimal non-pierceable families.
+the best (value, index) pair of a y-end, and :func:`solve_piercing` sweeps
+a0 and the a values over them.  A verdict pays for that best pair only.
+:func:`check_minimality` asks for the leave-one-out depth, whose envelopes
+also keep the runner-up, so that the same sweep decides each leave-one-out
+subfamily too.  Every comparison counted is between two values of the
+input.  From ``BULK_MIN_N`` crosses on, both run in bulk with numpy and
+count the same comparisons; N alone picks the path, for int64 columns and
+columns of Python ints alike.  Also houses the generators for minimal
+non-pierceable families.
 """
 
 from __future__ import annotations
@@ -43,15 +45,17 @@ BULK_MIN_N = 112
 
 class Envelopes(NamedTuple):
     """The sorted a values, the sorted b values, and four corner envelopes, each
-    listing for k = 0..N the best two (value, index) pairs, best first, of one
-    y-end over the crosses on one side of x and the y-domain end (index None).
+    listing for k = 0..N the best (value, index) pair of one y-end over the
+    crosses on one side of x and the y-domain end (index None); at the
+    leave-one-out depth each entry is instead the best two pairs, best first.
     Entry k applies on [a[k-1], a[k]) or (b[k-1], b[k]] by side, the first from
     -inf and the last to +inf; equal ends leave the entries between unreached.
 
     Below ``BULK_MIN_N`` crosses the fields are tuples, from there on arrays of
-    the same nesting: the ends have shape (N,), each envelope (N+1, 2, 2) as
-    ``[[first value, first index], [second value, second index]]``, with index
-    -1 for None; a column of Python ints gives object arrays."""
+    the same nesting: the ends have shape (N,), each envelope (N+1, 2) as
+    ``[value, index]``, or (N+1, 2, 2) as ``[[first value, first index],
+    [second value, second index]]``, with index -1 for None; a column of
+    Python ints gives object arrays."""
 
     a_ends: tuple | np.ndarray
     b_ends: tuple | np.ndarray
@@ -59,6 +63,19 @@ class Envelopes(NamedTuple):
     f_ne: tuple | np.ndarray  # min d over b < x   (nonincreasing)
     g_sw: tuple | np.ndarray  # max c over a > x   (nonincreasing)
     g_se: tuple | np.ndarray  # max c over b < x   (nondecreasing)
+
+
+def _best(top, entries, counter: QueryCounter, better: str) -> list:
+    """``top`` and, after each of ``entries``, the best (value, index) pair so
+    far.  ``better`` is GT to keep maxima and LT to keep minima; a tie keeps
+    the earlier holder."""
+    tops = [top]
+    compare = counter.compare  # looked up once, not once per comparison
+    for entry in entries:
+        if compare(entry[0], top[0]) == better:
+            top = entry
+        tops.append(top)
+    return tops
 
 
 def _best_two(top, entries, counter: QueryCounter, better: str) -> list:
@@ -69,7 +86,7 @@ def _best_two(top, entries, counter: QueryCounter, better: str) -> list:
     earlier holder first, so a runner-up can equal the best.
     """
     (first, second), tops = top, [top]
-    compare = counter.compare  # looked up once, not once per comparison
+    compare = counter.compare
     for entry in entries:
         if compare(entry[0], first[0]) == better:
             first, second = entry, first
@@ -92,49 +109,58 @@ def _tally(counter: QueryCounter, left, right, made=None) -> None:
     counter.gt += gt
 
 
-def _running_best_two(order, values, seed, better: str, counter: QueryCounter):
-    """``aggregate`` of :func:`build_envelopes` in bulk: entry k holds what
-    ``_best_two`` keeps after the first k crosses of ``order``, with the same
-    tallies.
+def _running_best(entry, holder, better: str, counter: QueryCounter, made=None, handed=None,
+                  tops=None):
+    """``_best`` in bulk over ``entry``, whose first value is the seed: row k
+    of ``tops`` (new when not given) holds the best of ``entry[:k+1]`` and its
+    ``holder``, the earlier on a tie, with the same tallies, made only where
+    ``made`` when it is given.  Also returns where the best changed hands:
+    where an entry beats the best before it, or ``handed`` says so."""
+    beats, best = (np.greater, np.maximum) if better == GT else (np.less, np.minimum)
+    if tops is None:
+        tops = np.empty((len(entry), 2), dtype=entry.dtype)
+    value, value_at = tops.T
+    best.accumulate(entry, out=value)
+    record = np.ones(len(entry), dtype=bool)
+    beats(entry[1:], value[:-1], out=record[1:])
+    _tally(counter, entry[1:], value[:-1], made)
+    if handed is not None:
+        record |= handed
+    # each step's holder is the entry at the last step where the best changed hands
+    value_at[:] = holder[np.maximum.accumulate(np.arange(len(entry)) * record)]
+    return tops, record
 
-    Entry k is a record when it beats the best so far; a tie keeps the earlier
-    holder.  Each entry is compared with the best, and each non-record also
-    with the runner-up.  At a record the runner-up becomes the old best, which
-    no earlier entry beats, so the runner-up is a running best of the entries
+
+def _running_best_two(entry, holder, better: str, counter: QueryCounter):
+    """``_best_two`` in bulk, seeded twice with ``entry[0]``: row k holds
+    what it keeps after ``entry[1:k+1]``, with the same tallies.
+
+    Each entry is compared with the best, and each non-record also with the
+    runner-up.  At a record the runner-up becomes the old best, which no
+    earlier entry beats, so the runner-up is a running best of the entries
     with each record replaced by the best before it.
     """
-    beats, best = (np.greater, np.maximum) if better == GT else (np.less, np.minimum)
-    n = len(order)
-    tops = np.empty((n + 1, 2, 2), dtype=values.dtype)
-    (first, first_at), (second, second_at) = tops[:, 0].T, tops[:, 1].T
-    entry = np.concatenate(([seed], values[order]))
-    holder = np.concatenate(([-1], order))
-    best.accumulate(entry, out=first)
-    record = np.ones(n + 1, dtype=bool)
-    beats(entry[1:], first[:-1], out=record[1:])
-    _tally(counter, entry[1:], first[:-1])
-    # each step's holder is the entry at the last step where the best changed hands
-    steps = np.arange(n + 1)
-    first_at[:] = holder[np.maximum.accumulate(steps * record)]
+    tops = np.empty((len(entry), 2, 2), dtype=entry.dtype)
+    first, record = _running_best(entry, holder, better, counter, tops=tops[:, 0])
     # the runner-up takes the old best at a record, and the best entry elsewhere
-    entry[1:][record[1:]] = first[:-1][record[1:]]
-    holder[1:][record[1:]] = first_at[:-1][record[1:]]
-    best.accumulate(entry, out=second)
-    _tally(counter, entry[1:], second[:-1], ~record[1:])
-    record[1:] |= beats(entry[1:], second[:-1])
-    second_at[:] = holder[np.maximum.accumulate(steps * record)]
+    entry[1:][record[1:]] = first[:-1, 0][record[1:]]
+    holder[1:][record[1:]] = first[:-1, 1][record[1:]]
+    _running_best(entry, holder, better, counter, ~record[1:], record, tops[:, 1])
     return tops
 
 
-def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = None) -> Envelopes:
-    """Sort a and b, then take running best-two aggregates of c and d.
+def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = None, *,
+                    leave_one_out: bool = False) -> Envelopes:
+    """Sort a and b, then take running best aggregates of c and d: the best
+    (value, index) pair, or at the ``leave_one_out`` depth the best two.
 
     Value k of an a-side envelope covers the crosses ``by_a[k:]``, the k-th
-    of a b-side one ``by_b[:k]``.  O(N log N) comparisons.  The path is
+    of a b-side one ``by_b[:k]``.  O(N log N) comparisons, of which each
+    aggregate makes N, or at the leave-one-out depth up to 2N.  The path is
     picked from N alone: below ``BULK_MIN_N`` crosses the lists are sorted by
-    the scalar merge and ``_best_two`` takes one entry at a time, which is the
-    reference; from there on the columns are sorted and aggregated in bulk
-    with the same values, holders and tallies.
+    the scalar merge and ``_best`` or ``_best_two`` takes one entry at a
+    time, which is the reference; from there on the columns are sorted and
+    aggregated in bulk with the same values, holders and tallies.
     """
     if counter is None:
         counter = QueryCounter()
@@ -147,7 +173,10 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
         c, d = v[:, 0], v[:, 1]
 
         def aggregate(order, values, seed, better):
-            return _running_best_two(order, values, seed, better, counter)
+            entry, holder = np.concatenate(([seed], values[order])), np.concatenate(([-1], order))
+            if leave_one_out:
+                return _running_best_two(entry, holder, better, counter)
+            return _running_best(entry, holder, better, counter)[0]
     else:
         a, b = h.T.tolist()
         c, d = v.T.tolist()
@@ -156,8 +185,10 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
         a_ends, b_ends = tuple([a[i] for i in by_a]), tuple([b[i] for i in by_b])
 
         def aggregate(order, values, seed, better):
-            return tuple(_best_two(((seed, None), (seed, None)),
-                                   [(values[i], i) for i in order], counter, better))
+            entries = [(values[i], i) for i in order]
+            if leave_one_out:
+                return tuple(_best_two(((seed, None), (seed, None)), entries, counter, better))
+            return tuple(_best((seed, None), entries, counter, better))
 
     return Envelopes(a_ends, b_ends,
                      f_nw=aggregate(by_a[::-1], d, d0, LT)[::-1],
@@ -171,7 +202,9 @@ class PiercingVerdict:
     pierceable: bool
     witness: tuple | None
     queries_used: int
-    blocking: tuple | None = None  # solve_piercing: crosses whose deletion still fails
+    # at solve_piercing's leave-one-out depth only, which check_minimality asks
+    # for: the crosses whose deletion still fails; None on a plain verdict
+    blocking: tuple | None = None
 
     def to_dict(self) -> dict:
         out = {"pierceable": self.pierceable, "queries": self.queries_used}
@@ -255,42 +288,52 @@ class MinimalityReport:
         return not (self.full_family_pierceable or self.blocking)
 
 
-def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = None) -> PiercingVerdict:
-    """The family's verdict and the crosses whose deletion leaves the rest
-    unpierceable, from one sweep over a0 and the a values.
+def solve_piercing(instance: PiercingInstance, counter: QueryCounter | None = None, *,
+                   leave_one_out: bool = False) -> PiercingVerdict:
+    """The family's verdict from one sweep over a0 and the a values, and at the
+    ``leave_one_out`` depth the crosses whose deletion leaves the rest
+    unpierceable (``blocking``, None on a plain verdict).
 
     At x the crosses whose horizontal arm misses x (a > x or b < x) confine y
-    to [max c, min d] within the y-domain.  The envelopes' best-two (value,
-    index) aggregates of c and d, seeded with the y-domain ends that no
-    deletion removes, give the family's bounds at x and the bounds without
-    whichever cross holds the max c or the min d; deleting any other cross
-    leaves them as they are.  So at most two tests per x decide every
-    deletion.  Sliding a feasible x left only drops constraints
-    until it meets a0 or an a value, so those are the only xs swept, left to
-    right: the first feasible one is the family's leftmost feasible x, and
-    the witness takes the clamped max c there as its y.  Each subfamily's
-    candidates are among them too, and if the family pierces, so does every
-    subfamily, so ``blocking`` is then empty.  From x = a0 on, the next x is
-    the least a right of x, on which the a pointer rests.  O(N log N)
-    comparisons; the sweep runs in bulk on the envelopes' bulk form, with
+    to [max c, min d] within the y-domain, which the envelopes' best (value,
+    index) aggregates of c and d, seeded with the y-domain ends, give after
+    one comparison merges each a-side entry with its b-side one.  Sliding a
+    feasible x left only drops constraints until it meets a0 or an a value,
+    so those are the only xs swept, left to right: the first feasible one is
+    the family's leftmost feasible x, and the witness takes the clamped max c
+    there as its y.  From x = a0 on, the next x is the least a right of x, on
+    which the a pointer rests.
+
+    A verdict pays for the best holders only.  The leave-one-out depth, which
+    ``check_minimality`` asks for, also keeps each aggregate's runner-up, and
+    the y-domain ends stand in for what no deletion removes: deleting a cross
+    that holds neither the max c nor the min d leaves the bounds at x as they
+    are, so at most two tests per x decide every deletion.  Each subfamily's
+    candidates are among the xs swept too, and if the family pierces, so does
+    every subfamily, so ``blocking`` is then empty.  O(N log N) comparisons
+    at either depth; the sweep runs in bulk on the envelopes' bulk form, with
     the same tallies.
     """
     if counter is None:
         counter = QueryCounter()
     before = counter.comparisons
-    envelopes = build_envelopes(instance, counter)
+    envelopes = build_envelopes(instance, counter, leave_one_out=leave_one_out)
     if instance.n == 0:
-        return PiercingVerdict(True, (instance.xdomain.lo, instance.ydomain.lo), 0, ())
-    sweep = _sweep_bulk if instance.n >= BULK_MIN_N else _sweep
-    witness, blocking = sweep(envelopes, instance.xdomain.lo, instance.xdomain.hi, counter)
-    verdict = PiercingVerdict(witness is not None, witness, counter.comparisons - before, blocking)
+        witness, blocking = (instance.xdomain.lo, instance.ydomain.lo), ()
+    else:
+        sweep = _sweep_bulk if instance.n >= BULK_MIN_N else _sweep
+        witness, blocking = sweep(envelopes, instance.xdomain.lo, instance.xdomain.hi, counter,
+                                  leave_one_out)
+    verdict = PiercingVerdict(witness is not None, witness, counter.comparisons - before,
+                              blocking if leave_one_out else None)
     if witness is not None and not verdict.witness_sound(instance):
         raise RuntimeError(f"solver produced an unsound witness {verdict.witness}")
     return verdict
 
 
-def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter):
-    """The witness (or None) and ``blocking``, one ``compare`` at a time."""
+def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter, leave_one_out: bool):
+    """The witness (or None) and, at the leave-one-out depth, ``blocking``,
+    one ``compare`` at a time."""
     a_ends, b_ends, lo_a, lo_b, hi_a, hi_b = envelopes
     n = len(a_ends)
     pierced = [False] * n
@@ -301,25 +344,31 @@ def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter):
             pa += 1
         while pb < n and counter.compare(b_ends[pb], x) == LT:
             pb += 1
-        hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)[-1]
-        lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)[-1]
-        if counter.compare(hi[0][0], lo[0][0]) != GT:
-            return (x, hi[0][0]), ()
-        for i in (hi[0][1], lo[0][1]):
-            if i is None or pierced[i]:
-                continue
-            lower = hi[1][0] if i == hi[0][1] else hi[0][0]
-            upper = lo[1][0] if i == lo[0][1] else lo[0][0]
-            pierced[i] = counter.compare(lower, upper) != GT
+        if leave_one_out:
+            hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)[-1]
+            lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)[-1]
+            lower, upper = hi[0][0], lo[0][0]
+        else:
+            lower = _best(hi_a[pa], hi_b[pb:pb + 1], counter, GT)[-1][0]
+            upper = _best(lo_a[pa], lo_b[pb:pb + 1], counter, LT)[-1][0]
+        if counter.compare(lower, upper) != GT:
+            return (x, lower), ()
+        if leave_one_out:
+            for i in (hi[0][1], lo[0][1]):
+                if i is None or pierced[i]:
+                    continue
+                without_lower = hi[1][0] if i == hi[0][1] else lower
+                without_upper = lo[1][0] if i == lo[0][1] else upper
+                pierced[i] = counter.compare(without_lower, without_upper) != GT
         if pa == n or counter.compare(a_ends[pa], b0) == GT:
-            return None, tuple([i for i in range(n) if not pierced[i]])
+            return None, tuple([i for i in range(n) if not pierced[i]]) if leave_one_out else None
         x = a_ends[pa]
 
 
 def _merge_bulk(tops, at, entries, entries_at, better: str, counter: QueryCounter):
     """The last of ``_best_two(tops[at[k]], entries[entries_at[k]])`` at every
-    step k, with its tallies: the merged first value, its index and the
-    second value."""
+    step k, with its tallies: the merged first index and the second value.
+    The merged first value is the better of the two firsts."""
     beats = np.greater if better == GT else np.less
     first, first_at, second = tops[at, 0, 0], tops[at, 0, 1], tops[at, 1, 0]
     for k in (0, 1):
@@ -330,10 +379,10 @@ def _merge_bulk(tops, at, entries, entries_at, better: str, counter: QueryCounte
         second = np.where(wins, first, np.where(beats(value, second), value, second))
         first = np.where(wins, value, first)
         first_at = np.where(wins, value_at, first_at)
-    return first, first_at.astype(np.int64, copy=False), second  # object tops hold ints
+    return first_at.astype(np.int64, copy=False), second  # object tops hold ints
 
 
-def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter):
+def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter, leave_one_out: bool):
     """``_sweep``'s witness, ``blocking`` and tallies, computed over all xs at once.
 
     The xs are a0 and the distinct a values in (a0, b0]; at each x the
@@ -351,55 +400,66 @@ def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter):
     xs = np.concatenate(([a0], inside[distinct]))
     pa = np.searchsorted(a_ends, xs, side="right")
     pb = np.searchsorted(b_ends, xs, side="left")
-    # no runner-up beats its first, so a merge's first is the better first
-    feasible = (np.maximum(hi_a[pa, 0, 0], hi_b[pb, 0, 0])
-                <= np.minimum(lo_a[pa, 0, 0], lo_b[pb, 0, 0]))
+    # each entry's best (value, index) pair, which the leave-one-out depth keeps first
+    hi_a1, hi_b1, lo_a1, lo_b1 = (side[:, 0] if leave_one_out else side
+                                  for side in (hi_a, hi_b, lo_a, lo_b))
+    hi = np.maximum(hi_a1[pa, 0], hi_b1[pb, 0])
+    lo = np.minimum(lo_a1[pa, 0], lo_b1[pb, 0])
+    feasible = hi <= lo
     found = int(np.argmax(feasible))
     pierceable = bool(feasible[found])
-    if pierceable:
-        xs, pa, pb = xs[:found + 1], pa[:found + 1], pb[:found + 1]
+    steps = found + 1 if pierceable else len(xs)
+    xs, pa, pb, hi, lo = xs[:steps], pa[:steps], pb[:steps], hi[:steps], lo[:steps]
     passed = a_ends[:pa[-1]]
     _tally(counter, passed, xs[np.searchsorted(xs, passed)])
     counter.gt += int(np.count_nonzero(pa < n))
     counter.lt += int(pb[-1])
     _tally(counter, b_ends[pb[pb < n]], xs[pb < n])
-    hi, hi_at, hi2 = _merge_bulk(hi_a, pa, hi_b, pb, GT, counter)
-    lo, lo_at, lo2 = _merge_bulk(lo_a, pa, lo_b, pb, LT, counter)
+    if leave_one_out:
+        hi_at, hi2 = _merge_bulk(hi_a, pa, hi_b, pb, GT, counter)
+        lo_at, lo2 = _merge_bulk(lo_a, pa, lo_b, pb, LT, counter)
+    else:  # one comparison per merge: the b side's best with the a side's
+        _tally(counter, hi_b1[pb, 0], hi_a1[pa, 0])
+        _tally(counter, lo_b1[pb, 0], lo_a1[pa, 0])
     _tally(counter, hi, lo)
-    swept = len(xs) - pierceable  # the steps that test deletions and b0
+    swept = steps - pierceable  # the steps that test deletions and b0
     ahead = pa[:swept]
     _tally(counter, a_ends[ahead[ahead < n]], b0)
-    # Test 2t + s deletes slot s's holder at step t: slot 0 holds the max c,
-    # slot 1 the min d, and each cross is tested until its first success.  No
-    # cross holds both at a step swept, where max c > min d, since each has c <= d.
-    slots = [[a[:swept] for a in slot] for slot in ((hi_at, hi2, lo), (lo_at, hi, lo2))]
-    first_hit = np.full(n + 1, 2 * swept)
-    first_hit[-1] = -1  # a y-domain end, as holder -1, is never tested
-    for s, (holder, lower, upper) in enumerate(slots):
-        hits = np.flatnonzero((lower <= upper) & (holder >= 0))
-        np.minimum.at(first_hit, holder[hits], 2 * hits + s)
-    for s, (holder, lower, upper) in enumerate(slots):
-        _tally(counter, lower, upper, np.arange(s, 2 * swept, 2) <= first_hit[holder])
+    blocking = None
+    if leave_one_out:
+        # Test 2t + s deletes slot s's holder at step t: slot 0 holds the max c,
+        # slot 1 the min d, and each cross is tested until its first success.  No
+        # cross holds both at a step swept, where max c > min d, since each has c <= d.
+        slots = [[a[:swept] for a in slot] for slot in ((hi_at, hi2, lo), (lo_at, hi, lo2))]
+        first_hit = np.full(n + 1, 2 * swept)
+        first_hit[-1] = -1  # a y-domain end, as holder -1, is never tested
+        for s, (holder, lower, upper) in enumerate(slots):
+            hits = np.flatnonzero((lower <= upper) & (holder >= 0))
+            np.minimum.at(first_hit, holder[hits], 2 * hits + s)
+        for s, (holder, lower, upper) in enumerate(slots):
+            _tally(counter, lower, upper, np.arange(s, 2 * swept, 2) <= first_hit[holder])
+        blocking = tuple(np.flatnonzero(first_hit[:n] == 2 * swept).tolist())
     if pierceable:
         return (int(xs[-1]), int(hi[-1])), ()
-    return None, tuple(np.flatnonzero(first_hit[:n] == 2 * swept).tolist())
+    return None, blocking
 
 
 def check_minimality(instance: PiercingInstance) -> MinimalityReport:
     """Decide the full family and each leave-one-out subfamily, in cross order.
 
-    One ``solve_piercing`` sweep in place of N+1 solves.  Both it and the
-    counter are looked up on the module at call time, so a tally or tracer
-    swapped in there sees every comparison, and a tracer that counts per
-    ``solve_piercing`` call also counts the sweep.
+    One ``solve_piercing`` sweep at the leave-one-out depth in place of N+1
+    solves; only this check pays for that depth's runner-up slots and
+    deletion tests.  Both it and the counter are looked up on the module at
+    call time, so a tally or tracer swapped in there sees every comparison,
+    and a tracer that counts per ``solve_piercing`` call also counts the sweep.
     """
-    verdict = solve_piercing(instance, QueryCounter())
+    verdict = solve_piercing(instance, QueryCounter(), leave_one_out=True)
     return MinimalityReport(verdict.pierceable, instance.n, verdict.blocking)
 
 
 def _ladder_crosses(n: int):
     """Threshold ladder for the general minimal non-pierceable family, N >= 5:
-    M, then the [lo, hi] pairs of its crosses' h and v arms over [0, M].
+    M, then the (N, 2) int64 columns of its crosses' h and v arms over [0, M].
 
     Alternating top/bottom corner boxes whose thresholds interleave; each box
     is the sole cover of one slab, so removing any cross opens a hole.  One
@@ -410,23 +470,22 @@ def _ladder_crosses(n: int):
     transcription for every N up to 300.
     """
     M, h = n + 2, n // 2
-
-    def u(j):
-        return 1 if j == 1 else 2 * j
-
-    boxes = [("SW", 2, 2)]  # (kind, x threshold, y threshold)
-    for j in range(1, h - 1):
-        boxes += [("NW", 2 * j + 1, 2 * j - 1), ("SE", u(j), 2 * j + 2)]
-    if n % 2:
-        boxes += [("NW", 2 * h - 1, 2 * h - 3), ("SE", u(h - 1), 2 * h + 1),
-                  ("NW", 2 * h + 1, 2 * h - 1), ("NE", 2 * h, 2 * h)]
-    else:
-        boxes += [("NW", 2 * h, 2 * h - 3), ("NE", 2 * h - 2, 2 * h - 1),
-                  ("SE", 2 * h - 1, 2 * h)]
-
+    u = 1 if h == 2 else 2 * h - 2  # u_(h-1)
+    j = np.arange(1, h - 1)
+    # a row (east, north, x threshold, y threshold) per box: SW, NW and SE by j, the closing ones
+    boxes = np.empty((n, 4), dtype=np.int64)
+    boxes[0] = (0, 0, 2, 2)
+    nw, se = boxes[1:2 * h - 3:2].T, boxes[2:2 * h - 3:2].T
+    nw[0], nw[1], nw[2], nw[3] = 0, 1, 2 * j + 1, 2 * j - 1
+    se[0], se[1], se[2], se[3] = 1, 0, np.where(j == 1, 1, 2 * j), 2 * j + 2
+    boxes[2 * h - 3:] = ([(0, 1, 2 * h - 1, 2 * h - 3), (1, 0, u, 2 * h + 1),
+                          (0, 1, 2 * h + 1, 2 * h - 1), (1, 1, 2 * h, 2 * h)] if n % 2 else
+                         [(0, 1, 2 * h, 2 * h - 3), (1, 1, 2 * h - 2, 2 * h - 1),
+                          (1, 0, 2 * h - 1, 2 * h)])
+    east, north, x, y = boxes.T
     # an east box leaves x <= r to the horizontal arm, a north box y <= r
-    return (M, [(0, r) if kind[1] == "E" else (r, M) for kind, r, _ in boxes],
-            [(0, r) if kind[0] == "N" else (r, M) for kind, _, r in boxes])
+    return (M, np.stack((np.where(east, 0, x), np.where(east, x, M)), axis=1),
+            np.stack((np.where(north, 0, y), np.where(north, y, M)), axis=1))
 
 
 def gen_staircase_minimal(n: int, verify: bool = True) -> PiercingInstance:
@@ -444,7 +503,8 @@ def gen_staircase_minimal(n: int, verify: bool = True) -> PiercingInstance:
     else:
         M, h, v = _ladder_crosses(n)
     dom = Interval(0, M)
-    inst = PiercingInstance(dom, dom, h=np.array(h, dtype=np.int64), v=np.array(v, dtype=np.int64))
+    inst = PiercingInstance(dom, dom, h=np.asarray(h, dtype=np.int64),
+                            v=np.asarray(v, dtype=np.int64))
     if verify and not check_minimality(inst).is_minimal_nonpierceable:
         raise RuntimeError(f"staircase generator self-verification failed at N={n}")
     return inst

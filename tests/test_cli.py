@@ -393,25 +393,67 @@ def test_unwritable_stdout_is_io_error(verb, error, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def run_process(argv, unbuffered="", **kwargs):
+    """``main(argv)`` in a new interpreter, its stderr captured as text."""
+    src = str(Path(coverpierce.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "from coverpierce.cli import main; sys.exit(main(sys.argv[2:]))",
+         src, *argv], stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONUNBUFFERED=unbuffered), timeout=120, **kwargs)
+
+
+def failed_stdout(proc, name):
+    """Exit 3 with one stderr line naming stdout, and no traceback."""
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert proc.stderr.startswith(f"{name}: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("verb", VERBS)
 def test_stdout_on_a_full_device_exits_three(verb, tmp_path):
     # only a process sees the interpreter flush stdout again at exit: had the
     # failed write stayed buffered, that flush would print "Exception ignored"
     # and turn exit 3 into 120
-    src = str(Path(coverpierce.__file__).resolve().parents[1])
     argv = every_verb(tmp_path)[verb]
     for unbuffered in ("", "1"):
         with open("/dev/full", "wb") as full:
-            proc = subprocess.run(
-                [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-                 "from coverpierce.cli import main; sys.exit(main(sys.argv[2:]))",
-                 src, *argv], stdout=full, stderr=subprocess.PIPE, text=True,
-                env=dict(os.environ, PYTHONUNBUFFERED=unbuffered), timeout=120)
-        assert proc.returncode == EXIT_IO, proc.stderr
-        assert proc.stderr.startswith(f"{verb}: cannot write stdout: ")
-        assert "Traceback" not in proc.stderr
-        assert "Exception ignored" not in proc.stderr
+            failed_stdout(run_process(argv, unbuffered, stdout=full), verb)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_help_on_a_full_device_exits_three():
+    # argparse's exit once left before the flush (120 from the interpreter's
+    # own flush, or 0 unbuffered, where argparse drops the failed write)
+    for unbuffered in ("", "1"):
+        with open("/dev/full", "wb") as full:
+            failed_stdout(run_process(["--help"], unbuffered, stdout=full), "coverpierce")
+
+
+def close_stdout():
+    os.close(1)
+
+
+@pytest.mark.parametrize("verb", VERBS + ["help"])
+def test_closed_stdout_exits_three(verb, tmp_path):
+    # with fd 1 closed at start sys.stdout is None: generate and bench once
+    # ended in a traceback with exit 1, the others in 0 or 1 with nothing written
+    argv = ["--help"] if verb == "help" else every_verb(tmp_path)[verb]
+    proc = run_process(argv, preexec_fn=close_stdout)
+    failed_stdout(proc, "coverpierce" if verb == "help" else verb)
+
+
+def test_closed_stdout_is_no_failure_without_a_write(tmp_path):
+    out = tmp_path / "chain.json"
+    proc = run_process(["generate", "--family", "chain", "--n", "5", "--out", str(out)],
+                       preexec_fn=close_stdout)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert out.read_text(encoding="utf-8").endswith("]}\n")
+    proc = run_process(["bound", "--n", "-1"], preexec_fn=close_stdout)
+    assert proc.returncode == EXIT_USAGE and "negative size -1" in proc.stderr
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

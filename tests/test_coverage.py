@@ -266,6 +266,41 @@ class TestFlipLink:
         with pytest.raises(ValueError):
             flip_link(inst(domain, pairs), 2)
 
+    def test_flips_a_chain_with_its_intervals_shuffled(self):
+        rng = np.random.RandomState(5)
+        for n in (2, 9, 300):
+            chain = gen_chain((rng.permutation(n) + 1).tolist())
+            rows = rng.permutation(n)
+            shuffled = CoverageInstance(chain.domain, ends=chain.ends[rows])
+            for k in (2, n // 2 + 1, n):
+                flipped = flip_link(chain, k)
+                assert flip_link(shuffled, k) == CoverageInstance(chain.domain,
+                                                                  ends=flipped.ends[rows])
+
+    def test_rejects_near_chains(self):
+        # each start still names a link, or one names none, but some end is off
+        n = 300
+        chain = gen_chain((np.random.RandomState(7).permutation(n) + 1).tolist())
+        at = np.argsort(chain.ends[:, 0])  # interval index of each link
+        near = []
+        for link, side, by in [(0, 0, 1), (1, 0, -1), (5, 0, 1), (9, 1, 1), (n - 1, 1, -1)]:
+            ends = chain.ends.copy()
+            ends[at[link], side] += by
+            near.append(ends)
+        ends = chain.ends.copy()
+        ends[at[[3, 4]], 0] = ends[at[[4, 3]], 0]  # two links swap their starts
+        near.append(ends)
+        ends = chain.ends.copy()
+        ends[at[7]] = ends[at[8]]  # a link repeated in place of the one before it
+        near.append(ends)
+        for ends in near:
+            with pytest.raises(ValueError, match=r"^flip_link needs a chain of 300 links"
+                                                 r" over \[0, 599\]$"):
+                flip_link(CoverageInstance(chain.domain, ends=ends), 2)
+        huge = [(0, 2), (1, 4), (3, 10**30)]  # beyond int64: a column of Python ints
+        with pytest.raises(ValueError, match=r"^flip_link needs a chain of 3 links"):
+            flip_link(inst((0, 5), huge), 2)
+
     def test_flips_a_chain_reloaded_from_json(self):
         rng = np.random.RandomState(3)
         for n in (2, 3, 9, 70):

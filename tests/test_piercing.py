@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -91,25 +92,35 @@ def value_at(values, ends, bisect, x):
 
 class TestEnvelopes:
     def test_staircase_six_values_at_zero(self):
-        env = steps(build_envelopes(gen_staircase_minimal(6)))
+        instance = gen_staircase_minimal(6)
+        env = steps(build_envelopes(instance, leave_one_out=True))
         # min d over a > 0 and d0: {8, 1, 3} and 8, held by cross 1 then 3
         assert value_at(*env["f_nw"], 0) == ((1, 1), (3, 3))
         # max c over a > 0 and c0: {2, 0, 0} and 0, 2 held by cross 0; the
         # y-domain end ties the runner-up and, seeded first, keeps its place
         assert value_at(*env["g_sw"], 0) == ((2, 0), (0, None))
+        # a verdict's envelopes keep the best pair alone
+        env = steps(build_envelopes(instance))
+        assert value_at(*env["f_nw"], 0) == (1, 1)
+        assert value_at(*env["g_sw"], 0) == (2, 0)
 
     def test_empty_instance_is_all_sentinels(self):
-        # with no cross, every value is the y-domain end seeded twice
-        env = steps(build_envelopes(inst((0, 3), (1, 2), [])))
+        # with no cross, every value is the y-domain end, seeded twice at the
+        # leave-one-out depth
+        instance = inst((0, 3), (1, 2), [])
+        lean = steps(build_envelopes(instance))
+        deep = steps(build_envelopes(instance, leave_one_out=True))
         for name, end in [("f_nw", 2), ("f_ne", 2), ("g_sw", 1), ("g_se", 1)]:
-            values, ends, _ = env[name]
+            values, ends, _ = deep[name]
             assert ends == ()
             assert values == (((end, None), (end, None)),)
+            assert lean[name][0] == ((end, None),)
 
     @settings(max_examples=150, deadline=None)
     @given(piercing_instances)
     def test_pointwise_definitions_and_monotonicity(self, instance):
-        env = steps(build_envelopes(instance))
+        env = steps(build_envelopes(instance, leave_one_out=True))
+        lean = steps(build_envelopes(instance))
         c0, d0 = instance.ydomain.lo, instance.ydomain.hi
         a = [cr.h.lo for cr in instance.crosses]
         b = [cr.h.hi for cr in instance.crosses]
@@ -126,6 +137,8 @@ class TestEnvelopes:
                 (first, i), (second, _) = value_at(values, *steps_at, x)
                 assert [first, second] == best_two([ends[i] for i in held], seed, better)
                 assert first == seed if i is None else (i in held and ends[i] == first)
+                # the same best pair, holder included, without the runner-up
+                assert value_at(*lean[name], x) == (first, i)
             firsts = [top[0][0] for top in values]
             nonincreasing = name in ("f_ne", "g_sw")
             assert firsts == sorted(firsts, reverse=nonincreasing)
@@ -147,10 +160,10 @@ class TestEnvelopesLayer:
     def calls(self, monkeypatch):
         calls, build = [], piercing.build_envelopes
 
-        def spy(instance, counter=None):
+        def spy(instance, counter=None, **depth):
             before = counter.comparisons
-            env = build(instance, counter)
-            calls.append((instance, counter, counter.comparisons - before))
+            env = build(instance, counter, **depth)
+            calls.append((instance, counter, counter.comparisons - before, depth))
             return env
 
         monkeypatch.setattr(piercing, "build_envelopes", spy)
@@ -163,7 +176,8 @@ class TestEnvelopesLayer:
     def test_solve_piercing_calls_it_once_with_its_counter(self, instance, calls):
         counter = QueryCounter()
         solve_piercing(instance, counter)
-        assert [(i, c) for i, c, _ in calls] == [(instance, counter)]
+        assert [(i, c, d) for i, c, _, d in calls] == [(instance, counter,
+                                                        {"leave_one_out": False})]
         assert (calls[0][2] > 0) == (instance.n > 0)
 
     @pytest.mark.parametrize("instance", INSTANCES, ids=["empty", "diag3", "quad4", "random30"])
@@ -178,7 +192,8 @@ class TestEnvelopesLayer:
         monkeypatch.setattr(piercing, "QueryCounter", tally)
         check_minimality(instance)
         assert len(made) == 1
-        assert [(i, c) for i, c, _ in calls] == [(instance, made[0])]
+        assert [(i, c, d) for i, c, _, d in calls] == [(instance, made[0],
+                                                        {"leave_one_out": True})]
 
 
 def early_pierced(n):
@@ -499,11 +514,22 @@ def counted(routine, instance, bulk_min_n):
 
 def as_tuples(envelopes):
     """Bulk envelopes in the scalar form: tuples of ints, None for index -1."""
+    def pair(value, index):
+        return value, None if index < 0 else index
+
+    def entry(top):  # [value, index], or the best two such at the leave-one-out depth
+        return tuple(pair(*p) for p in top) if isinstance(top[0], list) else pair(*top)
+
     a_ends, b_ends, *tops = (field.tolist() for field in envelopes)
-    return piercing.Envelopes(
-        tuple(a_ends), tuple(b_ends),
-        *(tuple(tuple((v, None if i < 0 else i) for v, i in top) for top in field)
-          for field in tops))
+    return piercing.Envelopes(tuple(a_ends), tuple(b_ends),
+                              *(tuple(map(entry, field)) for field in tops))
+
+
+def minimality(instance, counter):
+    """``check_minimality(instance)``, made to count on ``counter``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(piercing, "QueryCounter", lambda: counter)
+        return check_minimality(instance)
 
 
 def moved(instance, dx, dy):
@@ -554,10 +580,13 @@ class TestBulkPath:
     @example(inst((0, 2), (0, 9), [((5, 6), (5, 6)), ((1, 2), (0, 3)), ((0, 0), (8, 9))]))
     def test_bulk_routines_match_scalar_at_every_size(self, instance):
         # the crossover at 0 sends even tiny and empty families down the bulk path
-        envelopes, tallies = counted(build_envelopes, instance, 0)
-        assert isinstance(envelopes.a_ends, np.ndarray)
-        assert (as_tuples(envelopes), tallies) == counted(build_envelopes, instance, SCALAR)
-        assert counted(solve_piercing, instance, 0) == counted(solve_piercing, instance, SCALAR)
+        for depth in (False, True):
+            build = functools.partial(build_envelopes, leave_one_out=depth)
+            solve = functools.partial(solve_piercing, leave_one_out=depth)
+            envelopes, tallies = counted(build, instance, 0)
+            assert isinstance(envelopes.a_ends, np.ndarray)
+            assert (as_tuples(envelopes), tallies) == counted(build, instance, SCALAR)
+            assert counted(solve, instance, 0) == counted(solve, instance, SCALAR)
 
     def test_crossover_both_sides(self):
         n0 = piercing.BULK_MIN_N
@@ -565,8 +594,11 @@ class TestBulkPath:
         for n in sizes:
             for instance in bulk_cases(n):
                 assert took_bulk(instance) == (n >= n0), n
+                # a verdict's lean sweep, then check_minimality's leave-one-out one
                 assert (counted(solve_piercing, instance, n0)
                         == counted(solve_piercing, instance, SCALAR)), n
+                assert (counted(minimality, instance, n0)
+                        == counted(minimality, instance, SCALAR)), n
 
     @pytest.mark.parametrize("shift", [
         lambda xs, ys: (-2**63 - min(xs), -2**63 - min(ys)),
@@ -591,11 +623,124 @@ class TestBulkPath:
             assert (verdict, tallies) == counted(solve_piercing, far, SCALAR)
             near, near_tallies = counted(solve_piercing, instance, SCALAR)
             assert tallies == near_tallies
-            assert verdict.blocking == near.blocking
+            report, report_tallies = counted(minimality, far, piercing.BULK_MIN_N)
+            assert (report, report_tallies) == counted(minimality, far, SCALAR)
+            assert (report, report_tallies) == counted(minimality, instance, SCALAR)
             if verdict.pierceable:
                 assert verdict.witness == (near.witness[0] + dx, near.witness[1] + dy)
-            assert all(type(v) is int for v in (*(verdict.witness or ()), *verdict.blocking))
+            assert all(type(v) is int for v in (*(verdict.witness or ()), *report.blocking))
             json.dumps(verdict.to_dict())
+
+
+def minimality_solve(instance):
+    """The verdict of the one solve ``check_minimality(instance)`` makes, and
+    its report."""
+    solves, solve = [], piercing.solve_piercing
+
+    def spy(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(piercing, "solve_piercing", spy)
+        report = check_minimality(instance)
+    (verdict,) = solves
+    return verdict, report
+
+
+def staircases(n):
+    """The staircase of N crosses shuffled, and the same with one cross repeated,
+    which makes that cross and its copy the only blocking ones."""
+    base = gen_staircase_minimal(n, verify=False)
+    crosses = list(base.crosses)
+    random.Random(n).shuffle(crosses)
+    return {"shuffled": PiercingInstance(base.xdomain, base.ydomain, crosses),
+            "duplicated": PiercingInstance(base.xdomain, base.ydomain,
+                                           crosses + crosses[n // 2:n // 2 + 1])}
+
+
+def pinned_case(kind, n):
+    if kind == "literal":
+        return gen_staircase_literal(n)
+    if kind == "ladder":
+        return gen_staircase_minimal(n, verify=False)
+    return staircases(n)[kind]
+
+
+# check_minimality's (lt, eq, gt), full-family verdict and blocking, recorded
+# before a verdict's solve stopped paying for the runner-ups and deletion tests
+MINIMALITY_PINS = {
+    ("shuffled", 64): ((483, 359, 683), False, ()),
+    ("duplicated", 64): ((488, 397, 690), False, (32, 64)),
+    ("shuffled", 111): ((914, 686, 1230), False, ()),
+    ("duplicated", 111): ((911, 693, 1247), False, (55, 111)),
+    ("shuffled", 112): ((927, 696, 1220), False, ()),
+    ("duplicated", 112): ((925, 711, 1231), False, (56, 112)),
+    ("shuffled", 113): ((944, 700, 1264), False, ()),
+    ("duplicated", 113): ((938, 718, 1275), False, (56, 113)),
+    ("shuffled", 451): ((4169, 3285, 5676), False, ()),
+    ("duplicated", 451): ((4170, 3292, 5689), False, (225, 451)),
+    ("literal", 8): ((35, 34, 32), True, ()),
+    ("literal", 9): ((41, 41, 37), True, ()),
+    ("ladder", 65536): ((884737, 688132, 950302), False, ()),
+}
+
+
+def depth_cases(n):
+    """Random crosses, ``bulk_cases`` and a staircase with a repeated cross, at N
+    crosses."""
+    rng = np.random.RandomState(n)
+    return ([gen_random_piercing(n, rng) for _ in range(3)] + bulk_cases(n)
+            + [staircases(n)["duplicated"]])
+
+
+class TestVerdictDepth:
+    """A verdict pays for the best holders only; ``check_minimality`` alone
+    runs the leave-one-out depth, which keeps the runner-ups and tests the
+    deletions."""
+
+    @staticmethod
+    def same_verdict_for_less(instance):
+        counter = QueryCounter()
+        verdict = solve_piercing(instance, counter)
+        full, report = minimality_solve(instance)
+        assert (verdict.pierceable, verdict.witness) == (full.pierceable, full.witness)
+        assert verdict.blocking is None and full.blocking == report.blocking
+        assert verdict.queries_used == counter.comparisons <= full.queries_used
+        return verdict.queries_used, full.queries_used
+
+    def test_on_both_sides_of_the_crossover(self):
+        n0 = piercing.BULK_MIN_N
+        for n in (n0 - 1, n0, n0 + 1, 4 * n0 + 3):
+            for instance in depth_cases(n):
+                lean, full = self.same_verdict_for_less(instance)
+                assert lean < full, n
+
+    def test_literal_staircases(self):
+        rng = random.Random(89)
+        for n in (8, 9):
+            for _ in range(20):  # parity-preserving orders: odd places take odd crosses
+                order = [0] * n
+                order[0::2] = rng.sample(range(1, n + 1, 2), (n + 1) // 2)
+                order[1::2] = rng.sample(range(2, n + 1, 2), n // 2)
+                self.same_verdict_for_less(gen_staircase_literal(n, order))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(random_families(), perturbed_staircases()))
+    @example(inst((0, 3), (0, 3), []))
+    def test_random_families_on_both_paths(self, instance):
+        for bulk_min_n in (0, SCALAR):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(piercing, "BULK_MIN_N", bulk_min_n)
+                self.same_verdict_for_less(instance)
+
+    @pytest.mark.parametrize("case", sorted(MINIMALITY_PINS), ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_check_minimality_keeps_its_tallies(self, case):
+        kind, n = case
+        counter = QueryCounter()
+        report = minimality(pinned_case(kind, n), counter)
+        assert ((counter.lt, counter.eq, counter.gt), report.full_family_pierceable,
+                report.blocking) == MINIMALITY_PINS[case]
 
 
 def doubled(instance):
