@@ -29,16 +29,16 @@ print("pierceable:", verdict.pierceable, " witness:", verdict.witness)
 # Per x, the crosses whose horizontal arm excludes x confine y, and the
 # sweep takes the tightest of those bounds from four corner step functions:
 # arm right of x (a > x) or left of it (b < x), bound from above (d) or
-# below (c).  Each value is the tightest (bound, cross index) pair, the
-# y-domain end standing in with index None.  check_minimality asks for the
-# leave-one-out depth, whose values also keep the runner-up pair: without
-# the cross that holds the tightest bound, the runner-up takes its place.
-# The a-side functions step at the sorted a values, the b-side ones just
-# past the sorted b values.
+# below (c).  Each entry holds the tightest (bound, cross index) pairs,
+# best first, the y-domain end standing in with index None: one pair for a
+# verdict, printed below, and two at the leave-one-out depth, which
+# check_minimality asks for: without the cross that holds the tightest
+# bound, the runner-up takes its place.  The a-side functions step at the
+# sorted a values, the b-side ones just past the sorted b values.
 env = build_envelopes(instance)
 for name, ends, values in [("f_nw", env.a_ends, env.f_nw), ("f_ne", env.b_ends, env.f_ne),
                            ("g_sw", env.a_ends, env.g_sw), ("g_se", env.b_ends, env.g_se)]:
-    print(name, "breakpoints", ends, "values", values)
+    print(name, "breakpoints", ends, "values", tuple(best for best, in values))
 
 # Minimal non-pierceable family: no piercing pair exists, yet deleting
 # any single cross makes one appear.

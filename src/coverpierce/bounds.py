@@ -10,6 +10,7 @@ individual instances.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ _LN6 = math.log(6)
 _CEIL_MARGIN = 1e-14  # relative to lb_union(n)
 
 
+@functools.lru_cache(maxsize=2)  # lb_union_ceil reuses lb_union's sum, bench one per size
 def _ln_factorial(n: int) -> float:
     return math.fsum(math.log(k) for k in range(2, n + 1))
 

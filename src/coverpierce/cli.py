@@ -108,7 +108,7 @@ def _parse_n_range(spec: str):
         lo, hi = map(size, spec.split("..", 1))
         if lo > hi:
             raise ValueError(f"empty range {spec}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return [size(spec)]
 
 

@@ -5,15 +5,15 @@ lies in its vertical arm.  At x, the crosses whose horizontal arm misses x
 confine y to one interval; the family pierces iff that interval, clamped to
 the y-domain, is nonempty at some x.  :func:`build_envelopes` splits those
 bounds by corner box into four monotone step functions of x, each holding
-the best (value, index) pair of a y-end, and :func:`solve_piercing` sweeps
-a0 and the a values over them.  A verdict pays for that best pair only.
-:func:`check_minimality` asks for the leave-one-out depth, whose envelopes
-also keep the runner-up, so that the same sweep decides each leave-one-out
-subfamily too.  Every comparison counted is between two values of the
-input.  From ``BULK_MIN_N`` crosses on, both run in bulk with numpy and
-count the same comparisons; N alone picks the path, for int64 columns and
-columns of Python ints alike.  Also houses the generators for minimal
-non-pierceable families.
+the best (value, index) pairs of a y-end, best first, and
+:func:`solve_piercing` sweeps a0 and the a values over them.  A verdict
+keeps and pays for one pair, the best.  :func:`check_minimality` asks for
+the leave-one-out depth, which also keeps the runner-up, so that the same
+sweep decides each leave-one-out subfamily too.  Every comparison counted
+is between two values of the input.  From ``BULK_MIN_N`` crosses on, both
+run in bulk with numpy and count the same comparisons; N alone picks the
+path, for int64 columns and columns of Python ints alike.  Also houses the
+generators for minimal non-pierceable families.
 """
 
 from __future__ import annotations
@@ -39,23 +39,23 @@ from .sorting import merge_sort_counted, merge_unique_counted
 
 
 # measured crossover: below it numpy's fixed cost per call loses to the scalar
-# sorts, aggregates and sweep (shuffled staircases broke even near N=108)
+# sorts, aggregates and sweep (measured at the leave-one-out depth, where
+# shuffled staircases broke even near N=108)
 BULK_MIN_N = 112
 
 
 class Envelopes(NamedTuple):
     """The sorted a values, the sorted b values, and four corner envelopes, each
-    listing for k = 0..N the best (value, index) pair of one y-end over the
-    crosses on one side of x and the y-domain end (index None); at the
-    leave-one-out depth each entry is instead the best two pairs, best first.
-    Entry k applies on [a[k-1], a[k]) or (b[k-1], b[k]] by side, the first from
-    -inf and the last to +inf; equal ends leave the entries between unreached.
+    listing for k = 0..N the best (value, index) pairs of one y-end over the
+    crosses on one side of x and the y-domain end (index None), best first:
+    one pair, or two at the leave-one-out depth.  Entry k applies on
+    [a[k-1], a[k]) or (b[k-1], b[k]] by side, the first from -inf and the last
+    to +inf; equal ends leave the entries between unreached.
 
     Below ``BULK_MIN_N`` crosses the fields are tuples, from there on arrays of
-    the same nesting: the ends have shape (N,), each envelope (N+1, 2) as
-    ``[value, index]``, or (N+1, 2, 2) as ``[[first value, first index],
-    [second value, second index]]``, with index -1 for None; a column of
-    Python ints gives object arrays."""
+    the same nesting: the ends have shape (N,), each envelope (N+1, pairs, 2)
+    with rows ``[value, index]`` and index -1 for None; a column of Python
+    ints gives object arrays."""
 
     a_ends: tuple | np.ndarray
     b_ends: tuple | np.ndarray
@@ -66,33 +66,24 @@ class Envelopes(NamedTuple):
 
 
 def _best(top, entries, counter: QueryCounter, better: str) -> list:
-    """``top`` and, after each of ``entries``, the best (value, index) pair so
-    far.  ``better`` is GT to keep maxima and LT to keep minima; a tie keeps
-    the earlier holder."""
+    """``top`` and, after each of ``entries``, the best (value, index) pairs so
+    far, best first, as many as ``top`` holds: one, or two at the
+    leave-one-out depth.
+
+    ``better`` is GT to keep maxima and LT to keep minima.  Each entry is
+    compared with the best, and when it keeps two, each entry that does not
+    beat the best also with the runner-up.  A tie keeps the earlier holder
+    first, so a runner-up can equal the best.
+    """
     tops = [top]
     compare = counter.compare  # looked up once, not once per comparison
+    two = len(top) == 2
     for entry in entries:
-        if compare(entry[0], top[0]) == better:
-            top = entry
+        if compare(entry[0], top[0][0]) == better:
+            top = (entry, top[0]) if two else (entry,)
+        elif two and compare(entry[0], top[1][0]) == better:
+            top = (top[0], entry)
         tops.append(top)
-    return tops
-
-
-def _best_two(top, entries, counter: QueryCounter, better: str) -> list:
-    """``top`` and, after each of ``entries``, the best two (value, index)
-    pairs so far, best first.
-
-    ``better`` is GT to keep maxima and LT to keep minima.  A tie keeps the
-    earlier holder first, so a runner-up can equal the best.
-    """
-    (first, second), tops = top, [top]
-    compare = counter.compare
-    for entry in entries:
-        if compare(entry[0], first[0]) == better:
-            first, second = entry, first
-        elif compare(entry[0], second[0]) == better:
-            second = entry
-        tops.append((first, second))
     return tops
 
 
@@ -109,16 +100,14 @@ def _tally(counter: QueryCounter, left, right, made=None) -> None:
     counter.gt += gt
 
 
-def _running_best(entry, holder, better: str, counter: QueryCounter, made=None, handed=None,
-                  tops=None):
-    """``_best`` in bulk over ``entry``, whose first value is the seed: row k
-    of ``tops`` (new when not given) holds the best of ``entry[:k+1]`` and its
+def _running_best(tops, entry, holder, better: str, counter: QueryCounter, made=None,
+                  handed=None):
+    """One slot of ``_best`` in bulk over ``entry``, whose first value is the
+    seed: row k of ``tops`` gets the best of ``entry[:k+1]`` and its
     ``holder``, the earlier on a tie, with the same tallies, made only where
-    ``made`` when it is given.  Also returns where the best changed hands:
-    where an entry beats the best before it, or ``handed`` says so."""
+    ``made`` when it is given.  Returns where the best changed hands: where an
+    entry beats the best before it, or ``handed`` says so."""
     beats, best = (np.greater, np.maximum) if better == GT else (np.less, np.minimum)
-    if tops is None:
-        tops = np.empty((len(entry), 2), dtype=entry.dtype)
     value, value_at = tops.T
     best.accumulate(entry, out=value)
     record = np.ones(len(entry), dtype=bool)
@@ -128,25 +117,7 @@ def _running_best(entry, holder, better: str, counter: QueryCounter, made=None, 
         record |= handed
     # each step's holder is the entry at the last step where the best changed hands
     value_at[:] = holder[np.maximum.accumulate(np.arange(len(entry)) * record)]
-    return tops, record
-
-
-def _running_best_two(entry, holder, better: str, counter: QueryCounter):
-    """``_best_two`` in bulk, seeded twice with ``entry[0]``: row k holds
-    what it keeps after ``entry[1:k+1]``, with the same tallies.
-
-    Each entry is compared with the best, and each non-record also with the
-    runner-up.  At a record the runner-up becomes the old best, which no
-    earlier entry beats, so the runner-up is a running best of the entries
-    with each record replaced by the best before it.
-    """
-    tops = np.empty((len(entry), 2, 2), dtype=entry.dtype)
-    first, record = _running_best(entry, holder, better, counter, tops=tops[:, 0])
-    # the runner-up takes the old best at a record, and the best entry elsewhere
-    entry[1:][record[1:]] = first[:-1, 0][record[1:]]
-    holder[1:][record[1:]] = first[:-1, 1][record[1:]]
-    _running_best(entry, holder, better, counter, ~record[1:], record, tops[:, 1])
-    return tops
+    return record
 
 
 def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = None, *,
@@ -158,12 +129,13 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
     of a b-side one ``by_b[:k]``.  O(N log N) comparisons, of which each
     aggregate makes N, or at the leave-one-out depth up to 2N.  The path is
     picked from N alone: below ``BULK_MIN_N`` crosses the lists are sorted by
-    the scalar merge and ``_best`` or ``_best_two`` takes one entry at a
-    time, which is the reference; from there on the columns are sorted and
-    aggregated in bulk with the same values, holders and tallies.
+    the scalar merge and ``_best`` takes one entry at a time, which is the
+    reference; from there on the columns are sorted and aggregated in bulk
+    with the same values, holders and tallies.
     """
     if counter is None:
         counter = QueryCounter()
+    pairs = 1 + leave_one_out
     c0, d0 = instance.ydomain.lo, instance.ydomain.hi
     h, v = instance.h, instance.v
     if len(h) >= BULK_MIN_N:
@@ -174,9 +146,16 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
 
         def aggregate(order, values, seed, better):
             entry, holder = np.concatenate(([seed], values[order])), np.concatenate(([-1], order))
+            tops = np.empty((len(entry), pairs, 2), dtype=entry.dtype)
+            record = _running_best(tops[:, 0], entry, holder, better, counter)
             if leave_one_out:
-                return _running_best_two(entry, holder, better, counter)
-            return _running_best(entry, holder, better, counter)[0]
+                # at a record the runner-up becomes the old best, which no earlier
+                # entry beats, so the runner-up is a running best of the entries
+                # with each record replaced by the best before it
+                entry[1:][record[1:]] = tops[:-1, 0, 0][record[1:]]
+                holder[1:][record[1:]] = tops[:-1, 0, 1][record[1:]]
+                _running_best(tops[:, 1], entry, holder, better, counter, ~record[1:], record)
+            return tops
     else:
         a, b = h.T.tolist()
         c, d = v.T.tolist()
@@ -186,9 +165,7 @@ def build_envelopes(instance: PiercingInstance, counter: QueryCounter | None = N
 
         def aggregate(order, values, seed, better):
             entries = [(values[i], i) for i in order]
-            if leave_one_out:
-                return tuple(_best_two(((seed, None), (seed, None)), entries, counter, better))
-            return tuple(_best((seed, None), entries, counter, better))
+            return tuple(_best(((seed, None),) * pairs, entries, counter, better))
 
     return Envelopes(a_ends, b_ends,
                      f_nw=aggregate(by_a[::-1], d, d0, LT)[::-1],
@@ -344,13 +321,9 @@ def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter, leave_one_out: b
             pa += 1
         while pb < n and counter.compare(b_ends[pb], x) == LT:
             pb += 1
-        if leave_one_out:
-            hi = _best_two(hi_a[pa], hi_b[pb], counter, GT)[-1]
-            lo = _best_two(lo_a[pa], lo_b[pb], counter, LT)[-1]
-            lower, upper = hi[0][0], lo[0][0]
-        else:
-            lower = _best(hi_a[pa], hi_b[pb:pb + 1], counter, GT)[-1][0]
-            upper = _best(lo_a[pa], lo_b[pb:pb + 1], counter, LT)[-1][0]
+        hi = _best(hi_a[pa], hi_b[pb], counter, GT)[-1]
+        lo = _best(lo_a[pa], lo_b[pb], counter, LT)[-1]
+        lower, upper = hi[0][0], lo[0][0]
         if counter.compare(lower, upper) != GT:
             return (x, lower), ()
         if leave_one_out:
@@ -366,7 +339,7 @@ def _sweep(envelopes: Envelopes, a0, b0, counter: QueryCounter, leave_one_out: b
 
 
 def _merge_bulk(tops, at, entries, entries_at, better: str, counter: QueryCounter):
-    """The last of ``_best_two(tops[at[k]], entries[entries_at[k]])`` at every
+    """The last of ``_best(tops[at[k]], entries[entries_at[k]])`` at every
     step k, with its tallies: the merged first index and the second value.
     The merged first value is the better of the two firsts."""
     beats = np.greater if better == GT else np.less
@@ -400,11 +373,8 @@ def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter, leave_one_o
     xs = np.concatenate(([a0], inside[distinct]))
     pa = np.searchsorted(a_ends, xs, side="right")
     pb = np.searchsorted(b_ends, xs, side="left")
-    # each entry's best (value, index) pair, which the leave-one-out depth keeps first
-    hi_a1, hi_b1, lo_a1, lo_b1 = (side[:, 0] if leave_one_out else side
-                                  for side in (hi_a, hi_b, lo_a, lo_b))
-    hi = np.maximum(hi_a1[pa, 0], hi_b1[pb, 0])
-    lo = np.minimum(lo_a1[pa, 0], lo_b1[pb, 0])
+    hi = np.maximum(hi_a[pa, 0, 0], hi_b[pb, 0, 0])
+    lo = np.minimum(lo_a[pa, 0, 0], lo_b[pb, 0, 0])
     feasible = hi <= lo
     found = int(np.argmax(feasible))
     pierceable = bool(feasible[found])
@@ -419,8 +389,8 @@ def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter, leave_one_o
         hi_at, hi2 = _merge_bulk(hi_a, pa, hi_b, pb, GT, counter)
         lo_at, lo2 = _merge_bulk(lo_a, pa, lo_b, pb, LT, counter)
     else:  # one comparison per merge: the b side's best with the a side's
-        _tally(counter, hi_b1[pb, 0], hi_a1[pa, 0])
-        _tally(counter, lo_b1[pb, 0], lo_a1[pa, 0])
+        _tally(counter, hi_b[pb, 0, 0], hi_a[pa, 0, 0])
+        _tally(counter, lo_b[pb, 0, 0], lo_a[pa, 0, 0])
     _tally(counter, hi, lo)
     swept = steps - pierceable  # the steps that test deletions and b0
     ahead = pa[:swept]

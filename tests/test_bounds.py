@@ -103,6 +103,18 @@ def test_lb_equality_is_union_alias(capsys):
     assert bound(8)["lb_equality"] == lb_union(8)
 
 
+def test_bound_sums_each_log_factorial_once(monkeypatch, capsys):
+    # lb_union_ceil reuses lb_union's sum of logarithms; lb_piercing sums its own half
+    from coverpierce.cli import EXIT_OK, main
+
+    sums, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: sums.append(1) or fsum(terms))
+    bounds._ln_factorial.cache_clear()
+    assert main(["bound", "--n", "1000"]) == EXIT_OK
+    assert len(sums) == 2
+    assert json.loads(capsys.readouterr().out)["lb_union"] == lb_union(1000)
+
+
 class TestRunBench:
     def test_chain_records(self):
         records = list(run_bench(["chain"], [8], trials=3, seed=1))

@@ -12,6 +12,8 @@ from conftest import oracle_grid_points
 
 from coverpierce import piercing
 from coverpierce.core import (
+    GT,
+    LT,
     CoverageInstance,
     Cross,
     InstanceError,
@@ -101,8 +103,8 @@ class TestEnvelopes:
         assert value_at(*env["g_sw"], 0) == ((2, 0), (0, None))
         # a verdict's envelopes keep the best pair alone
         env = steps(build_envelopes(instance))
-        assert value_at(*env["f_nw"], 0) == (1, 1)
-        assert value_at(*env["g_sw"], 0) == (2, 0)
+        assert value_at(*env["f_nw"], 0) == ((1, 1),)
+        assert value_at(*env["g_sw"], 0) == ((2, 0),)
 
     def test_empty_instance_is_all_sentinels(self):
         # with no cross, every value is the y-domain end, seeded twice at the
@@ -114,7 +116,7 @@ class TestEnvelopes:
             values, ends, _ = deep[name]
             assert ends == ()
             assert values == (((end, None), (end, None)),)
-            assert lean[name][0] == ((end, None),)
+            assert lean[name][0] == (((end, None),),)
 
     @settings(max_examples=150, deadline=None)
     @given(piercing_instances)
@@ -138,7 +140,7 @@ class TestEnvelopes:
                 assert [first, second] == best_two([ends[i] for i in held], seed, better)
                 assert first == seed if i is None else (i in held and ends[i] == first)
                 # the same best pair, holder included, without the runner-up
-                assert value_at(*lean[name], x) == (first, i)
+                assert value_at(*lean[name], x) == ((first, i),)
             firsts = [top[0][0] for top in values]
             nonincreasing = name in ("f_ne", "g_sw")
             assert firsts == sorted(firsts, reverse=nonincreasing)
@@ -150,6 +152,28 @@ class TestEnvelopes:
         for values, ends, _ in env.values():
             assert len(values) <= instance.n + 1
             assert len(values) == len(ends) + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=12), st.integers(0, 4), st.sampled_from([1, 2]),
+           st.sampled_from([(GT, max), (LT, min)]))
+    def test_one_kernel_keeps_as_many_pairs_as_seeded(self, values, seed, pairs, better):
+        # one comparison per entry with the best, and with two pairs one more
+        # per entry that does not beat it, with the runner-up
+        order, pick = better
+        counter = QueryCounter()
+        tops = piercing._best(((seed, None),) * pairs, [(v, i) for i, v in enumerate(values)],
+                              counter, order)
+        assert len(tops) == len(values) + 1
+        records, best = 0, seed
+        for v in values:
+            records += pick(v, best) != best
+            best = pick(v, best)
+        assert counter.comparisons == len(values) + (pairs - 1) * (len(values) - records)
+        for k, top in enumerate(tops):
+            assert len(top) == pairs
+            assert [v for v, _ in top] == best_two(values[:k], seed, pick)[:pairs]
+            for v, i in top:
+                assert v == seed if i is None else (i < k and values[i] == v)
 
 
 class TestEnvelopesLayer:
@@ -517,8 +541,8 @@ def as_tuples(envelopes):
     def pair(value, index):
         return value, None if index < 0 else index
 
-    def entry(top):  # [value, index], or the best two such at the leave-one-out depth
-        return tuple(pair(*p) for p in top) if isinstance(top[0], list) else pair(*top)
+    def entry(top):  # the best [value, index] pairs, one or two
+        return tuple(pair(*p) for p in top)
 
     a_ends, b_ends, *tops = (field.tolist() for field in envelopes)
     return piercing.Envelopes(tuple(a_ends), tuple(b_ends),
