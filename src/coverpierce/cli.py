@@ -1,5 +1,8 @@
 """Command-line front end: generate / solve / verify / bench / bound.
 
+The parser is built once per process and ``main`` only parses with it;
+``--out`` or stdout is chosen in one place, ``_output``.
+
 Exit codes: 0 positive verdict (or success), 1 negative verdict, 2 usage or
 malformed input, 3 I/O failure (stdout included), 4 solver/oracle disagreement.
 """
@@ -17,7 +20,6 @@ from .core import (
     CoverageInstance,
     InstanceError,
     dump_chunks,
-    dump_instance,
     loads_instance,
     validate,
 )
@@ -52,6 +54,13 @@ def _stdout():
     return sys.stdout
 
 
+def _output(path):
+    """The ``--out`` file at ``path``, or stdout, left open, when ``path`` is None."""
+    if path is None:
+        return contextlib.nullcontext(_stdout())
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse drops a help text it cannot write; here that is a failed write
@@ -60,10 +69,8 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_generate(args) -> int:
     instance = bounds.generate_instance(args.family, args.n, args.seed)
-    if args.out is None:
-        _stdout().writelines(dump_chunks(instance))
-    else:
-        dump_instance(instance, args.out)
+    with _output(args.out) as fh:
+        fh.writelines(dump_chunks(instance))
     return EXIT_OK
 
 
@@ -114,14 +121,11 @@ def _parse_n_range(spec: str):
 
 def cmd_bench(args) -> int:
     # rows are written as made: a size a family rejects midway keeps the rows before it
-    n_values = _parse_n_range(args.n)
+    n_values = _parse_n_range(args.n)  # sizes and trials are checked before --out opens
     records = bounds.run_bench(args.family, n_values, size(args.trials, "trial count"),
                                seed=args.seed, measure_time=args.measure_time)
-    if args.out is None:
-        bounds.write_bench_csv(records, _stdout())
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            bounds.write_bench_csv(records, fh)
+    with _output(args.out) as fh:
+        bounds.write_bench_csv(records, fh)
     return EXIT_OK
 
 
@@ -137,57 +141,51 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="coverpierce",
-        description="Interval coverage and cross piercing: generators, "
-                    "solvers, oracles and query-count benchmarks.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+# built once per process: each parse fills a fresh namespace, --family's list too
+_parser = _Parser(prog="coverpierce",
+                  description="Interval coverage and cross piercing: generators, "
+                              "solvers, oracles and query-count benchmarks.")
+_verbs = _parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("generate", help="write an instance JSON file")
-    p.add_argument("--family", required=True, choices=bounds.FAMILIES)
-    p.add_argument("--n", type=size, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_generate)
+_p = _verbs.add_parser("generate", help="write an instance JSON file")
+_p.add_argument("--family", required=True, choices=bounds.FAMILIES)
+_p.add_argument("--n", type=size, required=True)
+_p.add_argument("--seed", type=int, default=0)
+_p.add_argument("--out", default=None)
+_p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", help="solve an instance file, print verdict JSON")
-    p.add_argument("--in", required=True)
-    p.add_argument("--strict", action="store_true",
-                   help="reject zero-length intervals")
-    p.set_defaults(func=cmd_solve)
+_p = _verbs.add_parser("solve", help="solve an instance file, print verdict JSON")
+_p.add_argument("--in", required=True)
+_p.add_argument("--strict", action="store_true", help="reject zero-length intervals")
+_p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="cross-check solver against the oracle")
-    p.add_argument("--in", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_verify)
+_p = _verbs.add_parser("verify", help="cross-check solver against the oracle")
+_p.add_argument("--in", required=True)
+_p.add_argument("--strict", action="store_true")
+_p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="run the query-count benchmark sweep")
-    p.add_argument("--family", action="append", required=True,
-                   choices=bounds.FAMILIES)
-    p.add_argument("--n", required=True, help="size or inclusive range A..B")
-    p.add_argument("--trials", default="1", help="trials per size, 0 to 2^22")
-    p.add_argument("--seed", type=int, default=0,
-                   help="trial t uses seed SEED+t: its row is the instance "
-                        "`generate --seed SEED+t` writes")
-    p.add_argument("--out", default=None)
-    p.add_argument("--measure-time", action="store_true",
-                   help="record solve wall times (breaks byte-determinism)")
-    p.set_defaults(func=cmd_bench)
+_p = _verbs.add_parser("bench", help="run the query-count benchmark sweep")
+_p.add_argument("--family", action="append", required=True, choices=bounds.FAMILIES)
+_p.add_argument("--n", required=True, help="size or inclusive range A..B")
+_p.add_argument("--trials", default="1", help="trials per size, 0 to 2^22")
+_p.add_argument("--seed", type=int, default=0,
+                help="trial t uses seed SEED+t: its row is the instance "
+                     "`generate --seed SEED+t` writes")
+_p.add_argument("--out", default=None)
+_p.add_argument("--measure-time", action="store_true",
+                help="record solve wall times (breaks byte-determinism)")
+_p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("bound", help="print lower-bound values for a size")
-    p.add_argument("--n", type=size, required=True)
-    p.set_defaults(func=cmd_bound)
-
-    return parser
+_p = _verbs.add_parser("bound", help="print lower-bound values for a size")
+_p.add_argument("--n", type=size, required=True)
+_p.set_defaults(func=cmd_bound)
 
 
 def main(argv=None) -> int:
     args = argparse.Namespace(verb="coverpierce")  # names a failure before the verb is known
     try:  # the only code that turns a failure into an exit code
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser.parse_args(argv)
             code = args.func(args)
         except SystemExit as exc:  # argparse's own exit, its help or message already written
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coverpierce
-from coverpierce import bounds, coverage
+from coverpierce import bounds, cli, coverage
 from coverpierce.cli import (
     EXIT_DISAGREE,
     EXIT_IO,
@@ -24,6 +24,7 @@ from coverpierce.cli import (
 )
 from coverpierce.core import dump_chunks, loads_instance
 from coverpierce.coverage import CoverageVerdict
+from test_golden import BOUND_8, digest
 
 
 HUGE_Y_ONE_CROSS = (b'{"problem":"piercing","xdomain":[0,9],"ydomain":[0,1' + b"0" * 400
@@ -86,9 +87,14 @@ class TestGenerate:
         assert capsys.readouterr().err != ""
 
     def test_unwritable_path_is_io_error(self, tmp_path, capsys):
-        code = main(["generate", "--family", "chain", "--n", "3",
-                     "--out", str(tmp_path / "no" / "dir" / "x.json")])
-        assert code == EXIT_IO
+        # bench opens its --out through the same helper as generate
+        for argv in (["generate", "--family", "chain", "--n", "3"],
+                     ["bench", "--family", "chain", "--n", "3"]):
+            path = str(tmp_path / "no" / "dir" / "x.out")
+            assert main(argv + ["--out", path]) == EXIT_IO
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"{argv[0]}: cannot write {path}: ")
 
 
 class TestSolve:
@@ -465,12 +471,47 @@ def test_closed_stdout_is_no_failure_without_a_write(tmp_path):
                        preexec_fn=close_stdout)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     assert out.read_text(encoding="utf-8").endswith("]}\n")
+    out = tmp_path / "bench.csv"
+    proc = run_process(["bench", "--family", "chain", "--n", "3", "--out", str(out)],
+                       preexec_fn=close_stdout)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert out.read_text(encoding="utf-8").startswith("family,n,seed,")
     proc = run_process(["bound", "--n", "-1"], preexec_fn=close_stdout)
     assert proc.returncode == EXIT_USAGE and "negative size -1" in proc.stderr
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+# --- one parser per process ---------------------------------------------------
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built at import: main only parses with it
+    argvs = [*every_verb(tmp_path).values(), ["--help"], ["bench", "--family", "nope"]]
+    before = [(main(argv), *capsys.readouterr()) for argv in argvs]
+    assert [code for code, _, _ in before] == [EXIT_OK] * 6 + [EXIT_USAGE]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli._Parser, "__init__", refuse)
+    assert [(main(argv), *capsys.readouterr()) for argv in argvs] == before
+
+
+def test_the_parser_keeps_no_state_between_calls(capsys):
+    # a usage error after two --family values, then help: neither leaves a family behind
+    assert main(["bench", "--family", "random-piercing", "--family", "staircase",
+                 "--n"]) == EXIT_USAGE
+    assert "argument --n: expected one argument" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: coverpierce ")
+    for _ in range(2):  # --family appends, each time to a list of this call's own
+        assert main(["bench", "--family", "chain", "--n", "3"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [["chain", "3", "0"]]
+    assert main(["bound", "--n", "8"]) == EXIT_OK
+    assert digest(f"{EXIT_OK}\n{capsys.readouterr().out}") == BOUND_8
 
 
 @pytest.mark.parametrize("verb", [
