@@ -16,9 +16,10 @@ set -e
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 STEPS=(line_count tier1 benchmark_tests demos verify_1000 verify_beyond_budget
-       bench_trial_cap solve_2_18 generate_n_cap solve_shifted solve_shifted_chain
-       solve_fractional_domain solve_int64_top staircase_2_21 staircase_self_check
-       bound_10_6 bound_4177653 bench_huge_trials bulk_merge_cli stdout_exits_3)
+       bench_trial_cap solve_2_18 generate_n_cap solve_n_cap solve_oom_exits_2
+       solve_shifted solve_shifted_chain solve_fractional_domain solve_int64_top
+       staircase_2_21 staircase_self_check bound_10_6 bound_4177653 bench_huge_trials
+       bulk_merge_cli stdout_exits_3)
 
 own=
 trap '[ -z "$own" ] || rm -rf "$own"' EXIT
@@ -83,6 +84,24 @@ generate_n_cap() {  # Generate at the --n cap under a 1 GB address-space cap wit
     # the JSON text is written in chunks from the instance's columns
     (ulimit -v 1000000 && timeout 120 coverpierce generate --family random-piercing --n 4194304 --out "$RUNNER_TEMP/rp-cap.json")
     test "$(tail -c 3 "$RUNNER_TEMP/rp-cap.json")" = "]}"
+}
+
+solve_n_cap() {  # Solve at the --n cap under a 1 GB address-space cap within 60 s
+    # the generated text is read in bulk into the columns, with no object per cross
+    coverpierce generate --family random-piercing --n 4194304 --seed 1 --out "$RUNNER_TEMP/rp-cap-1.json"
+    s=0; out=$(ulimit -v 1000000 && timeout 60 coverpierce solve --in "$RUNNER_TEMP/rp-cap-1.json") || s=$?
+    test "$s" -eq 1
+    printf '%s\n' "$out" | grep -q '"pierceable":false'
+}
+
+solve_oom_exits_2() {  # Solve at the --n cap out of memory exits 2 with one line
+    # under a 600 MB cap the solve cannot finish; exit 1 would read as "not pierceable"
+    s=0; (ulimit -v 600000 && timeout 60 coverpierce solve --in "$RUNNER_TEMP/rp-cap-1.json") \
+        > "$RUNNER_TEMP/out.txt" 2> "$RUNNER_TEMP/err.txt" || s=$?
+    test "$s" -eq 2
+    test ! -s "$RUNNER_TEMP/out.txt"
+    test "$(wc -l < "$RUNNER_TEMP/err.txt")" -eq 1
+    grep -q "^solve: out of memory: " "$RUNNER_TEMP/err.txt"
 }
 
 solve_shifted() {  # Solve at N=2^16 with every coordinate shifted by 10^30 within 60 s

@@ -3,8 +3,9 @@
 The parser is built once per process and ``main`` only parses with it;
 ``--out`` or stdout is chosen in one place, ``_output``.
 
-Exit codes: 0 positive verdict (or success), 1 negative verdict, 2 usage or
-malformed input, 3 I/O failure (stdout included), 4 solver/oracle disagreement.
+Exit codes: 0 positive verdict (or success), 1 negative verdict, 2 usage,
+malformed input or out of memory, 3 I/O failure (stdout included), 4
+solver/oracle disagreement.
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"{args.verb}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # never exit 1, which would read as a negative verdict
+        print(f"{args.verb}: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,10 +115,12 @@ def _int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _axis(pairs, domain: Interval) -> np.ndarray:
+def _axis(pairs, domain: Interval, own: bool = False) -> np.ndarray:
     """[lo, hi] ``pairs`` as a new read-only (N, 2) column, int64 when they and
-    ``domain``'s ends fit int64, else an object array of exact Python ints."""
-    column = _int_array(pairs).reshape(-1, 2)
+    ``domain``'s ends fit int64, else an object array of exact Python ints.
+    With ``own``, an int64 array that no one else writes is kept, not copied."""
+    column = pairs if own and getattr(pairs, "dtype", None) == np.int64 else _int_array(pairs)
+    column = column.reshape(-1, 2)
     if not -1 << 63 <= domain.lo <= domain.hi < 1 << 63:
         column = column.astype(object, copy=False)
     column.setflags(write=False)
@@ -155,16 +158,18 @@ class CoverageInstance:
 
     Pass the intervals as :class:`Interval` objects, or pass ``ends`` (int64,
     or Python ints in an object array) in their place, not both.  ``intervals``
-    gives them back as objects, built on first use."""
+    gives them back as objects, built on first use.  ``_own`` keeps a fresh
+    int64 ``ends`` that the caller gives up, instead of copying it."""
 
-    def __init__(self, domain: Interval, intervals=None, *, ends: np.ndarray | None = None):
+    def __init__(self, domain: Interval, intervals=None, *, ends: np.ndarray | None = None,
+                 _own: bool = False):
         self.domain = domain
         if ends is None:
             self.intervals = tuple(intervals or ())
             ends = [(iv.lo, iv.hi) for iv in self.intervals]
         else:
             ends, = _columns(ends, members=intervals)
-        self.ends = _axis(ends, domain)
+        self.ends = _axis(ends, domain, _own)
 
     @cached_property
     def intervals(self) -> tuple:
@@ -188,17 +193,18 @@ class PiercingInstance:
 
     Pass the crosses as :class:`Cross` objects, or pass ``h`` and ``v`` (each
     int64, or Python ints in an object array) in their place, not both.
-    ``crosses`` gives them back as objects, built on first use."""
+    ``crosses`` gives them back as objects, built on first use.  ``_own``
+    keeps fresh int64 columns that the caller gives up, instead of copying them."""
 
     def __init__(self, xdomain: Interval, ydomain: Interval, crosses=None, *,
-                 h: np.ndarray | None = None, v: np.ndarray | None = None):
+                 h: np.ndarray | None = None, v: np.ndarray | None = None, _own: bool = False):
         self.xdomain, self.ydomain = xdomain, ydomain
         if h is None and v is None:
             crs = self.crosses = tuple(crosses or ())
             h, v = [(cr.h.lo, cr.h.hi) for cr in crs], [(cr.v.lo, cr.v.hi) for cr in crs]
         else:
             h, v = _columns(h, v, members=crosses)
-        self.h, self.v = _axis(h, xdomain), _axis(v, ydomain)
+        self.h, self.v = _axis(h, xdomain, _own), _axis(v, ydomain, _own)
 
     @cached_property
     def crosses(self) -> tuple:
@@ -337,12 +343,12 @@ def instance_from_dict(obj) -> CoverageInstance | PiercingInstance:
         problem = obj["problem"]
         if problem == "coverage":
             ends = _column([obj["domain"], *_members(obj, "intervals")])
-            return CoverageInstance(Interval(*ends[0].tolist()), ends=ends[1:])
+            return CoverageInstance(Interval(*ends[0].tolist()), ends=ends[1:], _own=True)
         if problem == "piercing":
             xs = _column([obj["xdomain"], *map(operator.itemgetter("h"), _members(obj, "crosses"))])
             ys = _column([obj["ydomain"], *map(operator.itemgetter("v"), obj["crosses"])])
             return PiercingInstance(Interval(*xs[0].tolist()), Interval(*ys[0].tolist()),
-                                    h=xs[1:], v=ys[1:])
+                                    h=xs[1:], v=ys[1:], _own=True)
         raise InstanceError(f"unknown problem kind {problem!r}")
     except (KeyError, TypeError, IndexError) as exc:
         raise InstanceError(f"malformed instance object: {exc}") from exc
@@ -391,7 +397,94 @@ def dump_chunks(instance):
     yield "]}\n"
 
 
+# Characters that the reader checks and parses at a time, up to the end of a
+# row: in 64 KiB pieces its temporaries stay below glibc's default 128 KiB
+# mmap threshold, so they come from the heap, not from fresh mappings that
+# fault in every page; in 2^14-row pieces (600 KiB) a 2^16-row load took
+# twice as long with the threshold fixed there.
+_PIECE_CHARS = 1 << 16
+
+# The canonical text is the one dump_chunks writes: a header, rows joined by
+# ",", then "]}\n", its numbers in compact JSON form.  Of at most 17 digits,
+# a number always fits int64.
+_INT = "(-?(?:0|[1-9][0-9]{0,16}))"
+# For each problem: its header, a row with its numbers deleted, the text
+# between two rows, and where the numbers sit among the "[", "," and "]" of
+# a row and the "," after it: number i between marks slots[i] and slots[i] + 1.
+_CANONICAL = (
+    (re.compile(r'\{"problem":"coverage","domain":\[%s,%s\],"intervals":\[' % ((_INT,) * 2)),
+     b"[,]", "],[", np.array([0, 1])),  # [,],
+    (re.compile(r'\{"problem":"piercing","xdomain":\[%s,%s\],"ydomain":\[%s,%s\],'
+                r'"crosses":\[' % ((_INT,) * 4)),
+     b'{"h":[,],"v":[,]}', "},{", np.array([0, 1, 4, 5])),  # [,],[,],
+)
+
+
+def _piece_values(piece: bytes, row: bytes, slots: np.ndarray) -> np.ndarray | None:
+    """The numbers of ``piece``, whole rows joined by ",", as an int64 array of
+    a line per row, or None unless each row is ``row`` with a canonical
+    number in each of its ``slots``."""
+    skeleton = piece.translate(None, b"-0123456789")
+    k, extra = divmod(len(skeleton) + 1, len(row) + 1)
+    if extra or not ((row + b",") * k).startswith(skeleton):  # k >= 1: a piece is never empty
+        return None
+    b = np.frombuffer(piece, dtype=np.uint8)
+    marks = np.append(np.flatnonzero((b == 44) | (b == 91) | (b == 93)), len(b)).reshape(k, -1)
+    start, stop = marks[:, slots] + 1, marks[:, slots + 1]
+    negative = b[start] == 45
+    start += negative  # the first digit
+    size = stop - start
+    # the slots hold every digit and "-" of the piece: none is elsewhere
+    if not ((size.sum() + np.count_nonzero(negative) == len(b) - len(skeleton))
+            and np.count_nonzero(b == 45) == np.count_nonzero(negative)
+            and ((size >= 1) & (size <= 17)).all() and not ((b[start] == 48) & (size > 1)).any()):
+        return None
+    values = np.zeros(size.shape, dtype=np.int64)
+    for j in range(int(size.max())):  # Horner's rule, a digit of each number at a time
+        values = np.where(j < size, values * 10 + (b[np.minimum(start + j, stop)] - 48), values)
+    return np.where(negative, -values, values)
+
+
+def _read_canonical(text: str):
+    """The instance in ``text`` if it is canonical, read in bulk, else None.
+
+    A piece of about ``_PIECE_CHARS`` characters at a time is checked against the
+    fixed skeleton, then its numbers are parsed with numpy, after "Parsing
+    gigabytes of JSON per second" (Langdale and Lemire, VLDB J. 28(6), 2019).
+    The instance is built by the constructors that the JSON path uses, so
+    it raises as that path does."""
+    if not text.isascii() or not text.endswith("]}\n"):
+        return None
+    for header, row, between, slots in _CANONICAL:
+        head = header.match(text)
+        if head:
+            break
+    else:
+        return None
+    start, stop = head.end(), len(text) - 3
+    pieces = [np.empty((0, len(slots)), dtype=np.int64)]  # no rows when N = 0
+    while start < stop:  # a piece ends at the end of a row, before the ","
+        end = text.find(between, start + _PIECE_CHARS, stop) + 1 or stop
+        pieces.append(_piece_values(text[start:end].encode("ascii"), row, slots))
+        if pieces[-1] is None:
+            return None
+        start = end + 1
+    ends = list(map(int, head.groups()))
+    domains = [Interval(*ends[i:i + 2]) for i in range(0, len(ends), 2)]
+    arms = [np.concatenate([piece[:, i:i + 2] for piece in pieces])
+            for i in range(0, len(slots), 2)]
+    if len(arms) == 1:
+        return CoverageInstance(*domains, ends=arms[0], _own=True)
+    return PiercingInstance(*domains, h=arms[0], v=arms[1], _own=True)
+
+
 def loads_instance(text: str):
+    """The instance in the JSON ``text``: read in bulk when it is canonical,
+    else decoded by ``json.loads``.  Raises :class:`InstanceError` for any
+    malformed text."""
+    instance = _read_canonical(text)
+    if instance is not None:
+        return instance
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, or nesting too deep to decode

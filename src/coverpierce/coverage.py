@@ -136,7 +136,7 @@ def gen_chain(perm) -> CoverageInstance:
         raise ValueError("chain needs N >= 2")
     ends = np.empty((N, 2), dtype=np.int64)
     ends[np.array(perm.order, dtype=np.int64) - 1] = _links(N)  # link k: interval perm.order[k-1]
-    return CoverageInstance(Interval(0, 2 * N - 1), ends=ends)
+    return CoverageInstance(Interval(0, 2 * N - 1), ends=ends, _own=True)
 
 
 def flip_link(chain: CoverageInstance, k: int) -> CoverageInstance:
@@ -156,7 +156,7 @@ def flip_link(chain: CoverageInstance, k: int) -> CoverageInstance:
     # ranks 2k-3 (start of link k) and 2k-2 (end of link k-1) change places
     ends[at[k - 1], 0] = 2 * k - 2
     ends[at[k - 2], 1] = 2 * k - 3
-    return CoverageInstance(chain.domain, ends=ends)
+    return CoverageInstance(chain.domain, ends=ends, _own=True)
 
 
 def check_equality_by_coverage(values, counter: QueryCounter | None = None) -> bool:
@@ -167,7 +167,8 @@ def check_equality_by_coverage(values, counter: QueryCounter | None = None) -> b
         if not 0 <= v <= N - 1:
             raise ValueError(f"value {v} out of range 0..{N - 1}")
     return N == 0 or solve_coverage(  # no values: all distinct, though none cover [0, 0]
-        CoverageInstance(Interval(0, N), ends=np.add.outer(values, [0, 1])), counter).covered
+        CoverageInstance(Interval(0, N), ends=np.add.outer(values, [0, 1]), _own=True),
+        counter).covered
 
 
 def gen_disjoint(n: int) -> CoverageInstance:
@@ -175,7 +176,7 @@ def gen_disjoint(n: int) -> CoverageInstance:
     if as_int(n) < 1:
         raise ValueError("disjoint family needs N >= 1")
     return CoverageInstance(Interval(0, 2 * n),
-                            ends=np.arange(2 * n, dtype=np.int64).reshape(n, 2))
+                            ends=np.arange(2 * n, dtype=np.int64).reshape(n, 2), _own=True)
 
 
 def gen_random_coverage(n: int, rng) -> CoverageInstance:
@@ -184,4 +185,4 @@ def gen_random_coverage(n: int, rng) -> CoverageInstance:
         raise ValueError("negative size")
     span = max(2 * n, 1)
     ends = np.sort(rng.randint(0, span + 1, size=(n, 2)).astype(np.int64, copy=False), axis=1)
-    return CoverageInstance(Interval(0, span), ends=ends)
+    return CoverageInstance(Interval(0, span), ends=ends, _own=True)

@@ -474,7 +474,7 @@ def gen_staircase_minimal(n: int, verify: bool = True) -> PiercingInstance:
         M, h, v = _ladder_crosses(n)
     dom = Interval(0, M)
     inst = PiercingInstance(dom, dom, h=np.asarray(h, dtype=np.int64),
-                            v=np.asarray(v, dtype=np.int64))
+                            v=np.asarray(v, dtype=np.int64), _own=True)
     if verify and not check_minimality(inst).is_minimal_nonpierceable:
         raise RuntimeError(f"staircase generator self-verification failed at N={n}")
     return inst
@@ -511,10 +511,10 @@ def gen_staircase_literal(n: int, perm: Permutation | None = None) -> PiercingIn
             h[j - 1], v[j - 1] = (0, max(k - 2, 0)), (min(k, 8), 8)
         else:
             h[j - 1], v[j - 1] = (min(k, x_hi), x_hi), (0, k - 2)
-    return PiercingInstance(Interval(0, x_hi), Interval(0, 8), h=h, v=v)
+    return PiercingInstance(Interval(0, x_hi), Interval(0, 8), h=h, v=v, _own=True)
 
 
 def gen_random_piercing(n: int, rng) -> PiercingInstance:
     """Random crosses over [0, 2N]^2: two ``gen_random_coverage`` draws, h then v."""
     h, v = gen_random_coverage(n, rng), gen_random_coverage(n, rng)
-    return PiercingInstance(h.domain, v.domain, h=h.ends, v=v.ends)
+    return PiercingInstance(h.domain, v.domain, h=h.ends, v=v.ends, _own=True)

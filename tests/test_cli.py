@@ -193,6 +193,24 @@ class TestSolve:
                               [(0.5, 3), (4, 10**400)])
         assert main(["solve", "--in", path]) == EXIT_NEGATIVE
 
+    @pytest.mark.parametrize("error, reason", [
+        (MemoryError("Unable to allocate 256. MiB"), "Unable to allocate 256. MiB"),
+        (MemoryError(), "an allocation failed"),  # as a failed read of the file raises it
+    ])
+    def test_out_of_memory_exits_two_not_one(self, error, reason, tmp_path, capsys,
+                                             monkeypatch):
+        # once a traceback and exit 1, which reads as "not pierceable"
+        path = write_piercing(tmp_path / "p.json", [((0, 3), (5, 9))])
+
+        def solve(instance):
+            raise error
+
+        monkeypatch.setattr(bounds, "solve", solve)
+        assert main(["solve", "--in", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"solve: out of memory: {reason}\n"
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["solve", "--in", str(tmp_path / "nope.json")]) == EXIT_IO
 

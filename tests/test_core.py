@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import normalize_ranks, reference_instance_from_dict
 
@@ -370,6 +370,167 @@ class TestColumnarLoader:
             assert instance_to_dict(loads_instance(text)) == instance_to_dict(inst)
 
 
+# --- the bulk reader of the canonical text against json.loads ---------------
+
+def read(text):
+    """``core._read_canonical(text)``: an instance, None where it declines, or
+    its error's class and message."""
+    try:
+        return core._read_canonical(text)
+    except InstanceError as exc:
+        return type(exc), str(exc)
+
+
+def reference(text):
+    """``instance_from_dict(json.loads(text))``, or its error's class and message."""
+    try:
+        return instance_from_dict(json.loads(text))
+    except (ValueError, RecursionError) as exc:  # InstanceError, or bad JSON
+        return type(exc), str(exc)
+
+
+def columns(instance) -> list:
+    return [instance.ends] if isinstance(instance, CoverageInstance) else [instance.h, instance.v]
+
+
+def assert_reads_as_json_does(text):
+    """The reader declines ``text`` or does what json.loads and instance_from_dict do."""
+    got = read(text)
+    if got is None:
+        return
+    want = reference(text)
+    assert got == want
+    if not isinstance(got, tuple):
+        assert [c.dtype for c in columns(got)] == [c.dtype for c in columns(want)]
+        assert not any(c.flags.writeable for c in columns(got))
+
+
+short_values = st.one_of(st.integers(-20, 20), st.integers(-(10**17) + 1, 10**17 - 1),
+                         st.sampled_from([10**16, -(10**16), 10**17 - 1, -(10**17) + 1]))
+long_values = st.sampled_from([10**17, -(10**17), 2**63 - 1, -(2**63), 10**30])  # 18+ digits
+
+
+@st.composite
+def dumps(draw):
+    """``dump_chunks`` output of an instance of up to six members, its numbers
+    of at most 17 digits in three of four."""
+    pair = pairs_of(short_values | long_values if rarely(draw) or rarely(draw) else short_values)
+    rows = draw(st.lists(st.tuples(pair, pair), max_size=6))
+    if draw(st.booleans()):
+        instance = CoverageInstance(Interval(*draw(pair)), [Interval(*h) for h, _ in rows])
+    else:
+        instance = PiercingInstance(Interval(*draw(pair)), Interval(*draw(pair)),
+                                    [Cross(Interval(*h), Interval(*v)) for h, v in rows])
+    return "".join(dump_chunks(instance))
+
+
+@st.composite
+def mutated_dumps(draw):
+    """``dump_chunks`` output with up to three characters inserted, deleted or replaced."""
+    text = draw(dumps())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(list('0123456789-[]{},:"hv.eE \n') + ["\u00e9", "\u0663"]))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        rest = text[at + (edit != "insert"):]
+        text = text[:at] + ("" if edit == "delete" else char) + rest
+    return text
+
+
+def spellings(doc):
+    """``doc`` as spaced JSON and as compact JSON with the final newline."""
+    return st.sampled_from([json.dumps(doc), json.dumps(doc, separators=(",", ":")) + "\n"])
+
+
+DIGITS_17, DIGITS_18, DIGITS_19 = "9" * 17, "1" + "0" * 17, "9" * 19
+
+
+class TestCanonicalReader:
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(instance_documents().flatmap(spellings), dumps(), mutated_dumps()),
+           piece_chars=st.integers(1, 80))
+    def test_declines_or_reads_what_json_reads(self, text, piece_chars, monkeypatch):
+        monkeypatch.setattr(core, "_PIECE_CHARS", piece_chars)
+        assert_reads_as_json_does(text)
+
+    @pytest.mark.parametrize("text, reads", [
+        ('{"problem":"coverage","domain":[0,5],"intervals":[]}\n', True),
+        ('{"problem":"piercing","xdomain":[0,5],"ydomain":[0,5],"crosses":[]}\n', True),
+        # a digit run in no slot: only "[5]" deleted leaves the N = 0 skeleton
+        ('{"problem":"piercing","xdomain":[0,5],"ydomain":[0,5],"crosses":[5]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1]5]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,15,2]]}\n', False),
+        ('{"problem":"piercing","xdomain":[-9,-0],"ydomain":[-0,9],'
+         '"crosses":[{"h":[-0,0],"v":[-0,-0]},{"h":[-9,-1],"v":[0,9]}]}\n', True),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[01,2]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[-01,2]]}\n', False),
+        ('{"problem":"coverage","domain":[00,5],"intervals":[]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[--1,2]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[1-2,2]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[-,2]]}\n', False),
+        ('{"problem":"coverage","domain":[-%s,%s],"intervals":[[-%s,%s]]}\n'
+         % ((DIGITS_17,) * 4), True),
+        ('{"problem":"coverage","domain":[0,%s],"intervals":[[0,1]]}\n' % DIGITS_18, False),
+        ('{"problem":"coverage","domain":[0,9],"intervals":[[0,%s]]}\n' % DIGITS_18, False),
+        ('{"problem":"coverage","domain":[0,9],"intervals":[[-%s,0]]}\n' % DIGITS_19, False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1],[2,3]]}', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1],[2,3]]]\n', False),
+        ('{"problem":"piercing","xdomain":[0,5],"ydomain":[0,5],'
+         '"crosses":[{"h":[0,1],"v":[0,1]}}}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1], [2,3]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1.5]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1e2]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,\u0663]]}\n', False),
+        # canonical, but a bad instance: the reader raises as the JSON path does
+        ('{"problem":"coverage","domain":[5,0],"intervals":[[0,1]]}\n', True),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1],[4,3]]}\n', True),
+        ('{"problem":"piercing","xdomain":[0,5],"ydomain":[0,5],'
+         '"crosses":[{"h":[0,1],"v":[0,1]},{"h":[0,1],"v":[3,2]}]}\n', True),
+    ])
+    @pytest.mark.parametrize("piece_chars", [1, 20, 1 << 16])
+    def test_edge_cases(self, text, reads, piece_chars, monkeypatch):
+        monkeypatch.setattr(core, "_PIECE_CHARS", piece_chars)
+        assert (read(text) is not None) == reads
+        assert_reads_as_json_does(text)
+
+    @pytest.mark.parametrize("piece_chars", [1, 20, 50, 1 << 16])
+    def test_rows_of_any_length_straddle_the_piece_cuts(self, piece_chars, monkeypatch):
+        # a piece is cut at the first row end after its characters
+        monkeypatch.setattr(core, "_PIECE_CHARS", piece_chars)
+        big = 10**17 - 1
+        rows = [Interval(0, 1), Interval(-big, big), Interval(2, 3), Interval(-5, big),
+                Interval(7, 7), Interval(-big, -big + 1), Interval(0, 0)]
+        for inst in (CoverageInstance(Interval(-big, big), rows),
+                     PiercingInstance(Interval(-big, big), Interval(-big, big),
+                                      [Cross(iv, rows[-1 - k]) for k, iv in enumerate(rows)])):
+            text = "".join(dump_chunks(inst))
+            assert read(text) == inst
+            assert_reads_as_json_does(text)
+
+    def test_every_family_is_read_without_json(self, monkeypatch):
+        monkeypatch.setattr(core, "_PIECE_CHARS", 100)
+        made, sizes = [], {}
+        for family in sorted(bounds.FAMILIES):
+            for n in (0, 1, 2, 3, 4, 5, 8, 9, 130):
+                try:
+                    made.append(bounds.generate_instance(family, n, seed=n))
+                except ValueError:  # a size the family does not take
+                    continue
+                sizes[family] = sizes.get(family, 0) + 1
+        texts = ["".join(dump_chunks(inst)) for inst in made]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the JSON decoder was called")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        for inst, text in zip(made, texts):
+            loaded = loads_instance(text)
+            assert loaded == inst and type(loaded) is type(inst)
+            assert all(c.dtype == np.int64 and not c.flags.writeable for c in columns(loaded))
+        assert min(sizes.values()) >= 2 and len(sizes) == len(bounds.FAMILIES)
+
+
 class TestColumnConstructors:
     """``ends=``, ``h=`` and ``v=`` take what :class:`Interval` takes: ints only."""
 
@@ -406,6 +567,17 @@ class TestColumnConstructors:
             assert column is not e and not column.flags.writeable
         e[0] = [2, 3]
         assert cover.ends.tolist() == inst.h.tolist() == inst.v.tolist() == [[0, 1], [1, 3]]
+
+    def test_a_fresh_int64_column_handed_over_is_kept(self):
+        # every column was once copied, also those a generator or the loader made
+        dom, e = Interval(0, 3), np.array([[0, 1], [1, 3]])
+        for column in (CoverageInstance(dom, ends=e, _own=True).ends,
+                       PiercingInstance(dom, dom, h=e, v=e.copy(), _own=True).h):
+            assert np.shares_memory(column, e) and not column.flags.writeable
+        wide = np.array([[0, 1]], dtype=object)  # only an int64 column is kept
+        assert CoverageInstance(dom, ends=wide, _own=True).ends.dtype == np.int64
+        big = CoverageInstance(Interval(0, 2**63), ends=e.copy(), _own=True)
+        assert big.ends.dtype == object and big.ends.tolist() == e.tolist()
 
     @pytest.mark.parametrize("top, dtype", [(2**63 - 1, np.int64), (2**63, object)],
                              ids=["2^63-1", "2^63"])
