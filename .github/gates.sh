@@ -17,7 +17,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 STEPS=(line_count tier1 benchmark_tests demos verify_1000 verify_beyond_budget
        bench_trial_cap solve_2_18 generate_n_cap solve_n_cap solve_oom_exits_2
-       solve_shifted solve_shifted_chain solve_fractional_domain solve_int64_top
+       solve_shifted solve_shifted_chain solve_fractional_domain solve_decimal_chain solve_int64_top
        staircase_2_21 staircase_self_check bound_10_6 bound_4177653 bench_huge_trials
        bulk_merge_cli stdout_exits_3)
 
@@ -127,6 +127,26 @@ solve_fractional_domain() {  # Solve the shifted chain with a fractional domain 
     s=0; out=$(timeout 60 coverpierce solve --in "$RUNNER_TEMP/ch65536-fractional.json") || s=$?
     test "$s" -eq 1
     test "$out" = '{"covered":false,"queries":965729,"gap":[0,1]}'
+}
+
+solve_decimal_chain() {  # Solve a chain at N=2^20 written as rank/2 under a 1 GB address-space cap within 60 s
+    # compact JSON floats are plain decimals, which the loader reads in bulk and ranks
+    coverpierce generate --family chain --n 1048576 --seed 1 --out "$RUNNER_TEMP/ch1048576.json"
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -c '
+import json, sys
+from coverpierce import core
+doc = json.load(open(sys.argv[1]))
+doc["domain"] = [v / 2 for v in doc["domain"]]
+doc["intervals"] = [[lo / 2, hi / 2] for lo, hi in doc["intervals"]]
+text = json.dumps(doc, separators=(",", ":")) + "\n"
+assert core._read_canonical(text) is not None, "the bulk reader declined the rank/2 chain"
+open(sys.argv[2], "w").write(text)' \
+      "$RUNNER_TEMP/ch1048576.json" "$RUNNER_TEMP/ch1048576-half.json"
+    s=0; coverpierce solve --in "$RUNNER_TEMP/ch1048576.json" > "$RUNNER_TEMP/want.txt" || s=$?
+    t=0; (ulimit -v 1000000 && timeout 60 coverpierce solve --in "$RUNNER_TEMP/ch1048576-half.json") \
+        > "$RUNNER_TEMP/got.txt" || t=$?
+    test "$t" -eq "$s"
+    cmp "$RUNNER_TEMP/got.txt" "$RUNNER_TEMP/want.txt"
 }
 
 solve_int64_top() {  # Solve random-piercing at N=2^16 with the x-domain ending at the largest int64 within 60 s

@@ -1,11 +1,14 @@
 """Instance data model, validation, the JSON loader and the counting comparator.
 
-All geometry is done on integer ranks.  Raw decimal coordinates are densely
-ranked on load, after which every decision procedure works with exact integer
-comparisons routed through a :class:`QueryCounter`.  An instance stores its
-members as new read-only (N, 2) columns of [lo, hi] ends, one per axis:
-int64 when all its values and domain ends fit, else object arrays of Python ints.
-The solvers take both down the same paths; only N picks scalar or bulk.
+All geometry is done on integer ranks.  An axis with decimal coordinates is
+densely ranked on load, unless all its values are integral, after which every
+decision procedure works with exact integer comparisons routed through a
+:class:`QueryCounter`.  The text that ``dump_chunks`` writes, and the same
+layout with plain decimals, is read in bulk; any other JSON goes through
+``json.loads``.  An instance stores its members as new read-only (N, 2)
+columns of [lo, hi] ends, one per axis: int64 when all its values and domain
+ends fit, else object arrays of Python ints.  The solvers take both down the
+same paths; only N picks scalar or bulk.
 """
 
 from __future__ import annotations
@@ -317,9 +320,7 @@ def _ints(flat: list):
         values = None
     # below 2^53 every value converts exactly, so float64 orders them as Python does
     if values is not None and np.all(np.abs(values) < 2.0 ** 53):
-        if np.all(values == np.trunc(values)):
-            return values.astype(np.int64)
-        return np.unique(values, return_inverse=True)[1]
+        return _integral_or_ranks(values)
     # ints are tested by type: float() overflows on a huge one, and ranking
     # compares int with float exactly
     if all(type(v) is int or v.is_integer() for v in flat):
@@ -329,6 +330,22 @@ def _ints(flat: list):
             raise InstanceError(f"non-finite coordinate: {v!r}")
     rank = {v: r for r, v in enumerate(sorted(set(flat)))}
     return [rank[v] for v in flat]
+
+
+def _integral_or_ranks(values: np.ndarray) -> np.ndarray:
+    """Float64 values below 2^53 as int64: the values themselves when all are
+    integral, else their dense ranks."""
+    if np.all(values == np.trunc(values)):
+        return values.astype(np.int64)
+    # np.unique's inverse, with fewer temporaries alive at once
+    order = np.argsort(values)
+    ordered = values[order]
+    ranks = np.zeros(len(values), dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], out=ranks[1:])
+    del ordered
+    inverse = np.empty_like(ranks)
+    inverse[order] = ranks
+    return inverse
 
 
 def _members(obj, key) -> list:
@@ -405,26 +422,31 @@ def dump_chunks(instance):
 _PIECE_CHARS = 1 << 16
 
 # The canonical text is the one dump_chunks writes: a header, rows joined by
-# ",", then "]}\n", its numbers in compact JSON form.  Of at most 17 digits,
-# a number always fits int64.
-_INT = "(-?(?:0|[1-9][0-9]{0,16}))"
+# ",", then "]}\n", its numbers in compact JSON form.  The reader also takes
+# plain decimals, as a JSON writer with compact separators puts floats:
+# numbers -?(0|[1-9]\d*)(\.\d+)?, of at most 17 digits, which always fit
+# int64, and of at most 15 in a text with a decimal, so that each is the
+# float64 mantissa / 10^(fraction digits) exactly, the value json.loads gives.
+_NUM = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?)"
+_TENS = np.array([float(10**k) for k in range(16)])  # exact: 10^15 < 2^53
 # For each problem: its header, a row with its numbers deleted, the text
 # between two rows, and where the numbers sit among the "[", "," and "]" of
 # a row and the "," after it: number i between marks slots[i] and slots[i] + 1.
 _CANONICAL = (
-    (re.compile(r'\{"problem":"coverage","domain":\[%s,%s\],"intervals":\[' % ((_INT,) * 2)),
+    (re.compile(r'\{"problem":"coverage","domain":\[%s,%s\],"intervals":\[' % ((_NUM,) * 2)),
      b"[,]", "],[", np.array([0, 1])),  # [,],
     (re.compile(r'\{"problem":"piercing","xdomain":\[%s,%s\],"ydomain":\[%s,%s\],'
-                r'"crosses":\[' % ((_INT,) * 4)),
+                r'"crosses":\[' % ((_NUM,) * 4)),
      b'{"h":[,],"v":[,]}', "},{", np.array([0, 1, 4, 5])),  # [,],[,],
 )
 
 
-def _piece_values(piece: bytes, row: bytes, slots: np.ndarray) -> np.ndarray | None:
-    """The numbers of ``piece``, whole rows joined by ",", as an int64 array of
-    a line per row, or None unless each row is ``row`` with a canonical
-    number in each of its ``slots``."""
-    skeleton = piece.translate(None, b"-0123456789")
+def _piece_values(piece: bytes, row: bytes, slots: np.ndarray):
+    """The numbers of ``piece``, whole rows joined by ",", as int64 mantissas a
+    line per row, the count of fraction digits of each (None when the piece
+    has no "."), and the most digits in any, which the caller bounds; or None
+    unless each row is ``row`` with a plain decimal in each of its ``slots``."""
+    skeleton = piece.translate(None, b"-.0123456789")
     k, extra = divmod(len(skeleton) + 1, len(row) + 1)
     if extra or not ((row + b",") * k).startswith(skeleton):  # k >= 1: a piece is never empty
         return None
@@ -434,15 +456,31 @@ def _piece_values(piece: bytes, row: bytes, slots: np.ndarray) -> np.ndarray | N
     negative = b[start] == 45
     start += negative  # the first digit
     size = stop - start
-    # the slots hold every digit and "-" of the piece: none is elsewhere
+    # the slots hold every digit, "-" and "." of the piece: none is elsewhere,
+    # and a "-" comes first; 18 characters, 17 digits and a ".", bound the
+    # work of Horner's rule below
     if not ((size.sum() + np.count_nonzero(negative) == len(b) - len(skeleton))
             and np.count_nonzero(b == 45) == np.count_nonzero(negative)
-            and ((size >= 1) & (size <= 17)).all() and not ((b[start] == 48) & (size > 1)).any()):
+            and ((size >= 1) & (size <= 18)).all()):
+        return None
+    whole = digits = size  # the digits before the ".", and in all
+    fractions = None
+    if b"." in piece:
+        dots = np.flatnonzero(b == 46)
+        at = np.searchsorted(start.ravel(), dots, side="right") - 1  # the number of each "."
+        point = stop.copy()
+        point.flat[at] = dots
+        whole, digits = point - start, size - (point < stop)
+        fractions = (digits - whole).astype(np.int8)
+        if (np.diff(at) <= 0).any() or (point == stop - 1).any():  # one ".", a digit after it
+            return None
+    if not (whole >= 1).all() or ((b[start] == 48) & (whole > 1)).any():
         return None
     values = np.zeros(size.shape, dtype=np.int64)
-    for j in range(int(size.max())):  # Horner's rule, a digit of each number at a time
-        values = np.where(j < size, values * 10 + (b[np.minimum(start + j, stop)] - 48), values)
-    return np.where(negative, -values, values)
+    for j in range(int(size.max())):  # Horner's rule, a character of each number at a time
+        digit = b[np.minimum(start + j, stop)] - 48  # uint8: "." and the mark at stop exceed 9
+        values = np.where(digit < 10, values * 10 + digit, values)
+    return np.where(negative, -values, values), fractions, int(digits.max())
 
 
 def _read_canonical(text: str):
@@ -451,8 +489,10 @@ def _read_canonical(text: str):
     A piece of about ``_PIECE_CHARS`` characters at a time is checked against the
     fixed skeleton, then its numbers are parsed with numpy, after "Parsing
     gigabytes of JSON per second" (Langdale and Lemire, VLDB J. 28(6), 2019).
-    The instance is built by the constructors that the JSON path uses, so
-    it raises as that path does."""
+    An axis with a decimal among its numbers, its domain's ends included,
+    becomes what the JSON path makes of it: its values when all are
+    integral, else their dense ranks.  The instance is built by the
+    constructors that the JSON path uses, so it raises as that path does."""
     if not text.isascii() or not text.endswith("]}\n"):
         return None
     for header, row, between, slots in _CANONICAL:
@@ -462,17 +502,39 @@ def _read_canonical(text: str):
     else:
         return None
     start, stop = head.end(), len(text) - 3
-    pieces = [np.empty((0, len(slots)), dtype=np.int64)]  # no rows when N = 0
+    pieces = [(np.empty((0, len(slots)), dtype=np.int64), None, 0)]  # no rows when N = 0
     while start < stop:  # a piece ends at the end of a row, before the ","
         end = text.find(between, start + _PIECE_CHARS, stop) + 1 or stop
         pieces.append(_piece_values(text[start:end].encode("ascii"), row, slots))
         if pieces[-1] is None:
             return None
         start = end + 1
-    ends = list(map(int, head.groups()))
-    domains = [Interval(*ends[i:i + 2]) for i in range(0, len(ends), 2)]
-    arms = [np.concatenate([piece[:, i:i + 2] for piece in pieces])
+    ends = head.groups()
+    widest = max(*(len(e.lstrip("-")) - ("." in e) for e in ends), *(p[2] for p in pieces))
+    decimal = any("." in e for e in ends) or any(f is not None for _, f, _ in pieces)
+    if widest > (15 if decimal else 17):
+        return None
+    arms = [np.concatenate([values[:, i:i + 2] for values, _, _ in pieces])
             for i in range(0, len(slots), 2)]
+    if decimal:
+        fractions = [np.concatenate([np.zeros((len(values), 2), dtype=np.int8) if f is None
+                                     else f[:, i:i + 2] for values, f, _ in pieces])
+                     for i in range(0, len(slots), 2)]
+    del pieces  # freed before the ranking below, they do not add to its peak
+    domains = []
+    for a in range(len(arms)):
+        domain = ends[2 * a:2 * a + 2]
+        if "." in domain[0] + domain[1] or decimal and fractions[a].any():
+            flat = np.empty(2 + arms[a].size)
+            flat[:2] = list(map(float, domain))
+            flat[2:] = arms[a].ravel()
+            arms[a] = None
+            rest, digits = flat[2:], fractions[a].ravel()
+            for d in range(1, int(digits.max(initial=0)) + 1):  # one power of ten at a time, in place
+                np.divide(rest, _TENS[d], out=rest, where=digits == d)
+            flat = _integral_or_ranks(flat)
+            domain, arms[a] = flat[:2].tolist(), flat[2:].reshape(-1, 2)
+        domains.append(Interval(*map(int, domain)))
     if len(arms) == 1:
         return CoverageInstance(*domains, ends=arms[0], _own=True)
     return PiercingInstance(*domains, h=arms[0], v=arms[1], _own=True)

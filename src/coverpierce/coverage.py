@@ -1,8 +1,12 @@
 """Coverage of a base interval by N subintervals, with adversarial chain families.
 
 The decider sorts by left endpoint and extends a greedy reach; a structurally
-independent cell-scan oracle double-checks it.  ``gen_chain`` / ``flip_link``
-build the permutation-indexed covering families and their broken variants.
+independent cell-scan oracle double-checks it.  From ``BULK_MIN_N`` intervals
+on, the sort and the sweep run in bulk with numpy and count the same
+comparisons as the scalar merge and loop, which stay as their reference below
+it; N alone picks the path, for int64 columns and columns of Python ints
+alike.  ``gen_chain`` / ``flip_link`` build the permutation-indexed covering
+families and their broken variants.
 """
 
 from __future__ import annotations
@@ -21,7 +25,11 @@ from .core import (
     QueryCounter,
     as_int,
 )
-from .sorting import BULK_MIN_N, merge_sort_counted
+from .sorting import _tally, merge_sort_counted
+
+# measured crossover of solve_coverage, bulk sort and sweep against the scalar
+# merge and loop: bulk wins from N = 88 on both chains and random intervals
+BULK_MIN_N = 88
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,10 @@ class CoverageVerdict:
         if self.gap_witness is None:
             return instance.domain.lo == instance.domain.hi
         g_lo, g_hi = self.gap_witness
-        return (instance.domain.lo <= g_lo < g_hi <= instance.domain.hi
-                and all(hi <= g_lo or lo >= g_hi for lo, hi in instance.ends.tolist()))
+        ends = instance.ends
+        # in the domain first: an int64 column's domain fits int64, so then the gap does
+        return bool(instance.domain.lo <= g_lo < g_hi <= instance.domain.hi
+                    and not np.any((ends[:, 1] > g_lo) & (ends[:, 0] < g_hi)))
 
 
 def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = None) -> CoverageVerdict:
@@ -66,24 +76,52 @@ def solve_coverage(instance: CoverageInstance, counter: QueryCounter | None = No
                       and counter.compare(hi, domain.lo) != LT for lo, hi in ends.tolist())
         return CoverageVerdict(covered, None, counter.comparisons - before)
     if len(ends) >= BULK_MIN_N:  # the bulk sort takes the column as it is
-        los, his = ends[merge_sort_counted(ends[:, 0], counter)].T.tolist()
+        order = merge_sort_counted(ends[:, 0], counter)
+        los, his, sweep = ends[order, 0], ends[order, 1], _sweep_bulk
     else:
         los, his = ends.T.tolist()
         order = merge_sort_counted(los, counter)
-        los, his = [los[i] for i in order], [his[i] for i in order]
-    if los and los[-1] > domain.hi:
+        los, his, sweep = [los[i] for i in order], [his[i] for i in order], _sweep
+    if len(los) and los[-1] > domain.hi:
         # one uncounted check, like validate's, so in-domain counts stay as they are
         raise ContainmentViolation(f"{Interval(los[-1], his[-1])} starts right of domain {domain}")
+    gap = sweep(los, his, domain, counter)
+    return CoverageVerdict(gap is None, gap, counter.comparisons - before)
+
+
+def _sweep(los: list, his: list, domain: Interval, counter: QueryCounter) -> tuple | None:
+    """The leftmost gap left by the intervals sorted by left end, or None,
+    one counted comparison at a time."""
     reach = domain.lo
     compare = counter.compare
     for lo, hi in zip(los, his):
         if compare(lo, reach) == GT:
-            return CoverageVerdict(False, (reach, lo), counter.comparisons - before)
+            return reach, lo
         if compare(hi, reach) == GT:
             reach = hi
-    if counter.compare(reach, domain.hi) == LT:
-        return CoverageVerdict(False, (reach, domain.hi), counter.comparisons - before)
-    return CoverageVerdict(True, None, counter.comparisons - before)
+    if compare(reach, domain.hi) == LT:
+        return reach, domain.hi
+    return None
+
+
+def _sweep_bulk(los: np.ndarray, his: np.ndarray, domain: Interval,
+                counter: QueryCounter) -> tuple | None:
+    """:func:`_sweep`'s gap and tallies, in bulk.  The reach that interval i
+    meets is the running maximum of the domain's lo and the his before i; the
+    sweep compares lo and hi with it up to the first lo beyond it, where the
+    gap starts."""
+    n = len(los)
+    reach = np.maximum.accumulate(np.concatenate((np.array([domain.lo], his.dtype), his)))
+    met = reach[:-1]
+    beyond = los > met
+    stop = int(np.argmax(beyond)) if beyond.any() else n
+    _tally(counter, los[:stop + 1], met[:stop + 1])  # up to the lo that stops the sweep
+    _tally(counter, his[:stop], met[:stop])
+    if stop < n:
+        return int(met[stop]), int(los[stop])
+    if counter.compare(reach[n], domain.hi) == LT:
+        return int(reach[n]), domain.hi
+    return None
 
 
 def oracle_coverage(instance: CoverageInstance) -> CoverageVerdict:
@@ -96,11 +134,11 @@ def oracle_coverage(instance: CoverageInstance) -> CoverageVerdict:
     O((N+V) log V) time and O(N+V) memory.
     """
     domain, ends = instance.domain, instance.ends
-    los, his = ends.T.tolist()
-    values = sorted({domain.lo, domain.hi, *los, *his})
-    values = [v for v in values if domain.lo <= v <= domain.hi]
-    v = np.asarray(values)
-    cells = 2 * len(values) - 1
+    # the column's dtype holds its domain's ends: a list of them could become float64
+    v = np.sort(np.concatenate((np.array([domain.lo, domain.hi], ends.dtype), ends.ravel())))
+    # the first of each run of equal values; np.unique would import numpy.ma, 2 MB of RSS
+    v = v[(v >= domain.lo) & (v <= domain.hi) & np.append(True, v[1:] != v[:-1])]
+    cells = 2 * len(v) - 1
     first = np.searchsorted(v, ends[:, 0], side="left")
     last = np.searchsorted(v, ends[:, 1], side="right") - 1
     meets = first <= last  # an interval outside the domain holds no value
@@ -114,7 +152,7 @@ def oracle_coverage(instance: CoverageInstance) -> CoverageVerdict:
     # it, so the leftmost uncovered run is one span cell and at most the
     # uncovered domain ends beside it; a point domain has no span at all
     i = run // 2
-    return CoverageVerdict(False, (values[i], values[i + 1]) if i + 1 < len(values) else None, 0)
+    return CoverageVerdict(False, (int(v[i]), int(v[i + 1])) if i + 1 < len(v) else None, 0)
 
 
 def _links(n: int) -> np.ndarray:

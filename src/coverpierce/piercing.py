@@ -35,7 +35,7 @@ from .core import (
 )
 from .coverage import gen_random_coverage
 # merge_unique_counted is called nowhere here; perfbench's tracer rebinds this name
-from .sorting import merge_sort_counted, merge_unique_counted
+from .sorting import _tally, merge_sort_counted, merge_unique_counted
 
 
 # measured crossover: below it numpy's fixed cost per call loses to the scalar
@@ -85,19 +85,6 @@ def _best(top, entries, counter: QueryCounter, better: str) -> list:
             top = (top[0], entry)
         tops.append(top)
     return tops
-
-
-def _tally(counter: QueryCounter, left, right, made=None) -> None:
-    """Count the outcomes of comparing each of ``left`` with ``right`` (or its
-    peer in it), only where ``made`` when it is given."""
-    lt, gt = np.less(left, right), np.greater(left, right)
-    if made is not None:
-        lt &= made
-        gt &= made
-    lt, gt = int(np.count_nonzero(lt)), int(np.count_nonzero(gt))
-    counter.lt += lt
-    counter.eq += (np.size(left) if made is None else int(np.count_nonzero(made))) - lt - gt
-    counter.gt += gt
 
 
 def _running_best(tops, entry, holder, better: str, counter: QueryCounter, made=None,

@@ -5,11 +5,13 @@ so the sort doubles as the measuring instrument for the query-cost experiments.
 For N = 2^n inputs it performs at most n*N comparisons.  The tallies are
 exactly those of the bottom-up merge.  Keys in a list or tuple take the scalar
 merge, which makes each comparison in turn; it is the reference.  Keys in a
-numpy column, int64 or Python ints in an object array, are sorted in bulk,
-with the same order and the same ``lt``, ``eq`` and ``gt`` computed per merge
-level with numpy.  Each caller picks the form by N at its own measured
-crossover: ``solve_coverage`` passes a column from ``BULK_MIN_N`` keys on,
-``build_envelopes`` from ``piercing.BULK_MIN_N`` on.
+numpy column, int64 or Python ints in an object array, are sorted in bulk:
+numpy's default argsort with ties put back in index order gives the same
+order, and the same ``lt``, ``eq`` and ``gt`` are computed per merge level
+with numpy.  Each caller picks the form by N at its own measured crossover:
+``solve_coverage`` passes a column from ``coverage.BULK_MIN_N`` keys on,
+``build_envelopes`` from ``piercing.BULK_MIN_N`` on.  ``_tally`` counts the
+comparisons of the bulk sweeps of both solvers, a column at a time.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import QueryCounter
-
-# measured crossover: below it numpy's fixed cost per call loses to the scalar merge
-BULK_MIN_N = 64
 
 
 def merge_sort_counted(items, counter: QueryCounter):
@@ -70,11 +69,17 @@ def _merge_sort_scalar(keys: list, counter: QueryCounter) -> tuple:
 
 def _merge_sort_bulk(keys: np.ndarray, counter: QueryCounter) -> np.ndarray:
     """The scalar merge's order and tallies, computed level by level from the
-    stable order of ``keys`` and the dense rank of each sorted key."""
-    order = np.argsort(keys, kind="stable")
+    stable order of ``keys`` and the dense rank of each sorted key.
+
+    numpy's default argsort, vectorised for int64, orders the keys but not
+    their ties; sorting the codes rank * n + index, each below n^2, then puts
+    equal keys in index order, for int64 and object keys alike."""
+    n = len(keys)
+    order = np.argsort(keys)
     ordered = keys[order]
-    ranks = np.zeros(len(keys), dtype=np.int64)
+    ranks = np.zeros(n, dtype=np.int64)
     np.cumsum(ordered[1:] != ordered[:-1], out=ranks[1:])
+    order = order[np.argsort(ranks * n + order)]
     _count_merges(order, ranks, counter)
     return order
 
@@ -116,6 +121,19 @@ def _count_merges(order, ranks, counter: QueryCounter) -> None:
     eq = int(np.sum(tie + 1 - first))
     counter.lt += at_most - eq
     counter.eq += eq
+    counter.gt += gt
+
+
+def _tally(counter: QueryCounter, left, right, made=None) -> None:
+    """Count the outcomes of comparing each of ``left`` with ``right`` (or its
+    peer in it), only where ``made`` when it is given."""
+    lt, gt = np.less(left, right), np.greater(left, right)
+    if made is not None:
+        lt &= made
+        gt &= made
+    lt, gt = int(np.count_nonzero(lt)), int(np.count_nonzero(gt))
+    counter.lt += lt
+    counter.eq += (np.size(left) if made is None else int(np.count_nonzero(made))) - lt - gt
     counter.gt += gt
 
 

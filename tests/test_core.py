@@ -442,7 +442,31 @@ def spellings(doc):
     return st.sampled_from([json.dumps(doc), json.dumps(doc, separators=(",", ":")) + "\n"])
 
 
+def plain_numbers(whole_digits: int, fraction_digits: int):
+    """Numbers as the reader's pattern spells them: -?(0|[1-9]\\d*)(\\.\\d+)?"""
+    return st.builds(lambda minus, whole, fraction: minus + str(whole) + fraction,
+                     st.sampled_from(["", "-"]), st.integers(0, 10**whole_digits - 1),
+                     st.text("0123456789", max_size=fraction_digits).map(lambda f: f and "." + f))
+
+
+@st.composite
+def decimal_texts(draw):
+    """Canonical texts of up to six members with plain decimal numbers, their
+    pairs mostly in order."""
+    number = plain_numbers(17, 16) if rarely(draw) else plain_numbers(4, 3)
+    ordered = not rarely(draw)
+    pair = st.lists(number, min_size=2, max_size=2).map(
+        lambda p: "[%s,%s]" % tuple(sorted(p, key=float) if ordered else p))
+    rows = draw(st.lists(st.tuples(pair, pair), max_size=6))
+    if draw(st.booleans()):
+        return ('{"problem":"coverage","domain":%s,"intervals":[%s]}\n'
+                % (draw(pair), ",".join(h for h, _ in rows)))
+    return ('{"problem":"piercing","xdomain":%s,"ydomain":%s,"crosses":[%s]}\n'
+            % (draw(pair), draw(pair), ",".join('{"h":%s,"v":%s}' % row for row in rows)))
+
+
 DIGITS_17, DIGITS_18, DIGITS_19 = "9" * 17, "1" + "0" * 17, "9" * 19
+DIGITS_16, DECIMAL_15, DECIMAL_16 = "9" * 16, "99999999999999.9", "999999999999999.9"
 
 
 class TestCanonicalReader:
@@ -479,8 +503,33 @@ class TestCanonicalReader:
         ('{"problem":"piercing","xdomain":[0,5],"ydomain":[0,5],'
          '"crosses":[{"h":[0,1],"v":[0,1]}}}\n', False),
         ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1], [2,3]]}\n', False),
-        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1.5]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1.5]]}\n', True),
         ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1e2]]}\n', False),
+        # plain decimals only: -?(0|[1-9]\d*)(\.\d+)?, of at most 15 digits
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1.]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[.5,1]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[-.5,1]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[01.5,2]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[1.2.3,4]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[1.5e2,4]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[1,2.]]}\n', False),
+        ('{"problem":"coverage","domain":[0.,5],"intervals":[]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[1,2],[.]]}\n', False),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,%s]]}\n' % DECIMAL_15, True),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0,%s]]}\n' % DECIMAL_16, False),
+        ('{"problem":"coverage","domain":[0,%s],"intervals":[[0,%s]]}\n'
+         % (DECIMAL_16, DECIMAL_16), False),
+        ('{"problem":"coverage","domain":[0,%s],"intervals":[[0,1.5]]}\n' % DIGITS_16, False),
+        ('{"problem":"coverage","domain":[0,1.5],"intervals":[[0,%s]]}\n' % DIGITS_16, False),
+        ('{"problem":"piercing","xdomain":[0,%s],"ydomain":[0,5],'
+         '"crosses":[{"h":[0,1],"v":[0,0.5]}]}\n' % DIGITS_17, False),
+        ('{"problem":"coverage","domain":[0,%s],"intervals":[[0,1]]}\n' % DIGITS_16, True),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[-0.0,0.0],[2.0,2.5]]}\n', True),
+        ('{"problem":"coverage","domain":[0.25,5],"intervals":[[1,2],[3,4]]}\n', True),
+        ('{"problem":"coverage","domain":[2.0,2.0],"intervals":[[2.0,2.0]]}\n', True),
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0.5,0.25]]}\n', True),
+        ('{"problem":"piercing","xdomain":[0,9],"ydomain":[-1.5,9.5],'
+         '"crosses":[{"h":[0,1],"v":[0.5,1]},{"h":[7,8],"v":[-1,9.5]}]}\n', True),
         ('{"problem":"coverage","domain":[0,5],"intervals":[[0,\u0663]]}\n', False),
         # canonical, but a bad instance: the reader raises as the JSON path does
         ('{"problem":"coverage","domain":[5,0],"intervals":[[0,1]]}\n', True),
@@ -529,6 +578,53 @@ class TestCanonicalReader:
             assert loaded == inst and type(loaded) is type(inst)
             assert all(c.dtype == np.int64 and not c.flags.writeable for c in columns(loaded))
         assert min(sizes.values()) >= 2 and len(sizes) == len(bounds.FAMILIES)
+
+
+    @pytest.mark.parametrize("text, domains, arms", [
+        # integral decimals keep their values, not their ranks
+        ('{"problem":"coverage","domain":[2.0,2.0],"intervals":[[2.0,2.0],[2.0,2.0]]}\n',
+         [(2, 2)], [[[2, 2], [2, 2]]]),
+        ('{"problem":"coverage","domain":[-0.0,3],"intervals":[[-0.0,0],[0.0,3.0]]}\n',
+         [(0, 3)], [[[0, 0], [0, 3]]]),
+        # a decimal domain end ranks the axis, the domain's ends among its values
+        ('{"problem":"coverage","domain":[-0.5,7],"intervals":[[0,2],[2,7]]}\n',
+         [(0, 3)], [[[1, 2], [2, 3]]]),
+        # a decimal on one axis ranks that axis alone
+        ('{"problem":"piercing","xdomain":[0,9],"ydomain":[0,5],'
+         '"crosses":[{"h":[0,7],"v":[0,2.5]},{"h":[3,9],"v":[1.25,5]}]}\n',
+         [(0, 9), (0, 3)], [[[0, 7], [3, 9]], [[0, 2], [1, 3]]]),
+    ])
+    def test_decimal_axes(self, text, domains, arms):
+        got = read(text)
+        assert got == reference(text)
+        assert [(d.lo, d.hi) for d in (
+            [got.domain] if len(domains) == 1 else [got.xdomain, got.ydomain])] == domains
+        assert [c.tolist() for c in columns(got)] == arms
+        assert all(c.dtype == np.int64 and not c.flags.writeable for c in columns(got))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=decimal_texts(), piece_chars=st.integers(1, 80))
+    def test_decimal_texts_read_as_json_does(self, text, piece_chars, monkeypatch):
+        monkeypatch.setattr(core, "_PIECE_CHARS", piece_chars)
+        assert_reads_as_json_does(text)
+
+    def test_a_chain_at_half_ranks_is_read_without_json(self, monkeypatch):
+        # a chain written as rank/2 by json.dumps, as perfbench writes cover-chain-large
+        monkeypatch.setattr(core, "_PIECE_CHARS", 200)
+        chain = coverage.gen_chain((np.random.RandomState(3).permutation(300) + 1).tolist())
+        doc = instance_to_dict(chain)
+        doc["domain"] = [v / 2 for v in doc["domain"]]
+        doc["intervals"] = [[lo / 2, hi / 2] for lo, hi in doc["intervals"]]
+        text = json.dumps(doc, separators=(",", ":")) + "\n"
+        want = instance_from_dict(json.loads(text))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the JSON decoder was called")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        loaded = loads_instance(text)
+        assert loaded == want == chain and loaded.ends.dtype == np.int64
 
 
 class TestColumnConstructors:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coverpierce import coverage
 from coverpierce.core import (
@@ -18,6 +18,7 @@ from coverpierce.core import (
     loads_instance,
 )
 from coverpierce.coverage import (
+    BULK_MIN_N,
     check_equality_by_coverage,
     flip_link,
     gen_chain,
@@ -26,7 +27,7 @@ from coverpierce.coverage import (
     oracle_coverage,
     solve_coverage,
 )
-from coverpierce.sorting import BULK_MIN_N, merge_sort_counted
+from coverpierce.sorting import merge_sort_counted
 
 
 def inst(domain, pairs):
@@ -363,7 +364,8 @@ def moved(instance, by):
     """``instance`` translated by ``by``: int64 columns where they fit, else Python ints."""
     d = instance.domain
     return CoverageInstance(Interval(d.lo + by, d.hi + by),
-                            ends=_int_array([[lo + by, hi + by] for lo, hi in instance.ends.tolist()]))
+                            ends=_int_array([[lo + by, hi + by] for lo, hi in instance.ends.tolist()])
+                            .reshape(-1, 2))
 
 
 def bulk_cases(n):
@@ -377,7 +379,7 @@ def bulk_cases(n):
 
 
 class TestBulkPath:
-    """From ``sorting.BULK_MIN_N`` intervals on, ``solve_coverage`` sorts the
+    """From ``coverage.BULK_MIN_N`` intervals on, ``solve_coverage`` sorts the
     column in bulk, int64 or Python ints alike; below it, the scalar merge."""
 
     @pytest.mark.parametrize("n", [BULK_MIN_N - 1, BULK_MIN_N, 4 * BULK_MIN_N + 3])
@@ -403,3 +405,98 @@ class TestBulkPath:
                     assert all(type(g) is int for g in verdict.gap_witness)
                 assert verdict.witness_sound(far)
         assert took_bulk == [n >= BULK_MIN_N] * 12
+
+
+SCALAR = 1 << 62  # a crossover no instance reaches: the scalar reference
+
+
+def on_both_paths(instance, monkeypatch):
+    """``solve_coverage``'s verdict and tallies, or its ContainmentViolation
+    message, with the bulk sort and sweep from N = 0 on and with neither."""
+    outcomes = []
+    for bulk_min_n in (0, SCALAR):
+        monkeypatch.setattr(coverage, "BULK_MIN_N", bulk_min_n)
+        try:
+            verdict, tallies = solved(instance)
+        except ContainmentViolation as exc:
+            outcomes.append(str(exc))
+            continue
+        assert verdict.gap_witness is None or all(type(g) is int for g in verdict.gap_witness)
+        outcomes.append((verdict, tallies))
+    return outcomes
+
+
+def sweep_cases():
+    """Chains, flipped chains, random coverage, nested and all-equal intervals,
+    a gap that ends at domain.hi, one that starts at domain.lo, and intervals
+    that leave the domain on either side, one of them starting right of it,
+    which raises, each at a few sizes."""
+    for n in (2, 3, 5, 17, 64, 129):
+        rng = np.random.RandomState(n)
+        chain = gen_chain((rng.permutation(n) + 1).tolist())
+        yield chain
+        yield flip_link(chain, n // 2 + 1)
+        yield flip_link(chain, n)
+        yield gen_random_coverage(n, rng)
+        yield gen_disjoint(n)
+        nested = np.stack([np.arange(n), 2 * n - np.arange(n)], axis=1)[rng.permutation(n)]
+        yield CoverageInstance(Interval(0, 2 * n), ends=nested)
+        yield CoverageInstance(Interval(n, 2 * n), ends=nested)  # starts left of the domain
+        yield CoverageInstance(Interval(0, 4), ends=np.tile([1, 3], (n, 1)))  # all equal
+        yield CoverageInstance(Interval(1, 3), ends=np.tile([1, 3], (n, 1)))
+        yield CoverageInstance(Interval(0, 3 * n), ends=nested)  # the gap ends at domain.hi
+        shuffled = rng.permutation(n)
+        yield CoverageInstance(Interval(0, n), ends=np.stack([shuffled, shuffled + 2], axis=1))
+        yield CoverageInstance(Interval(0, n - 1), ends=np.stack([shuffled, shuffled + 1], axis=1))
+        yield CoverageInstance(Interval(0, n - 1), ends=np.stack([shuffled, shuffled], axis=1) + 1)
+
+
+class TestBulkSweep:
+    """From ``BULK_MIN_N`` intervals on the sweep is a running maximum and
+    counts; it must give the scalar loop's verdict, gap and tallies."""
+
+    @pytest.mark.parametrize("shift", [0, 10**30, -(10**30)])
+    def test_matches_the_scalar_sweep(self, shift, monkeypatch):
+        for instance in sweep_cases():
+            instance = moved(instance, shift) if shift else instance
+            assert instance.ends.dtype == (np.int64 if not shift else object)
+            bulk, scalar = on_both_paths(instance, monkeypatch)
+            assert bulk == scalar, instance
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(instance=st.one_of(coverage_instances, poking_instances),
+           shift=st.sampled_from([0, 10**30]))
+    def test_matches_the_scalar_sweep_on_small_families(self, instance, shift, monkeypatch):
+        # poking families include intervals right of the domain, which raise
+        bulk, scalar = on_both_paths(moved(instance, shift), monkeypatch)
+        assert bulk == scalar
+
+    def test_gap_ending_at_the_domain_end(self, monkeypatch):
+        instance = CoverageInstance(Interval(0, 10), ends=np.tile([0, 4], (70, 1)))
+        for verdict, _ in on_both_paths(instance, monkeypatch):
+            assert verdict.gap_witness == (4, 10)
+
+
+class TestWitnessSound:
+    @settings(max_examples=300, deadline=None)
+    @given(coverage_instances, st.integers(-1, 10), st.integers(-1, 10),
+           st.sampled_from([0, 10**30]))
+    def test_agrees_with_a_scan_of_the_intervals(self, instance, g_lo, g_hi, shift):
+        instance = moved(instance, shift)
+        verdict = coverage.CoverageVerdict(False, (g_lo + shift, g_hi + shift), 0)
+        assert verdict.witness_sound(instance) is gap_is_sound(instance, verdict)
+
+    def test_oracle_on_domain_ends_of_both_signs_beyond_int64(self):
+        # numpy makes floats of a list holding -1 and 2^63 + 1, which would round the gap
+        big = 2**63 + 1
+        for pairs, gap in (([[-1, 0], [2, big]], (0, 2)), ([[-1, 5]], (5, big))):
+            instance = CoverageInstance(Interval(-1, big), ends=np.array(pairs, dtype=object))
+            assert oracle_coverage(instance).gap_witness == gap
+            assert solve_coverage(instance).gap_witness == gap
+
+    def test_oracle_gaps_are_python_ints(self):
+        for instance in sweep_cases():
+            for shifted in (instance, moved(instance, 10**30)):
+                gap = oracle_coverage(shifted).gap_witness
+                assert gap is None or all(type(g) is int for g in gap)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_grid_points
 
-from coverpierce import piercing
+from coverpierce import coverage, piercing
 from coverpierce.core import (
     GT,
     LT,
@@ -797,7 +797,13 @@ def test_every_comparison_is_between_two_input_values(monkeypatch):
         seen.extend((x, y))
         return compare(counter, x, y)
 
+    def tally_spy(counter, left, right, made=None):
+        seen.extend(left.tolist() + right.tolist())
+        return tally(counter, left, right, made)
+
+    tally = coverage._tally
     monkeypatch.setattr(QueryCounter, "compare", spy)
+    monkeypatch.setattr(coverage, "_tally", tally_spy)
     monkeypatch.setattr(piercing, "BULK_MIN_N", SCALAR)
     for n in range(1, 40):
         rng = np.random.RandomState(n)
@@ -808,9 +814,12 @@ def test_every_comparison_is_between_two_input_values(monkeypatch):
         if n >= 3:
             families.append(gen_staircase_minimal(n))
         for instance in map(doubled, families):
-            routines = ((solve_coverage,) if isinstance(instance, CoverageInstance)
-                        else (solve_piercing, check_minimality))
-            for routine in routines:
+            if isinstance(instance, CoverageInstance):  # the sweep in bulk and as the scalar loop
+                runs = [(solve_coverage, 0), (solve_coverage, SCALAR)]
+            else:
+                runs = [(solve_piercing, SCALAR), (check_minimality, SCALAR)]
+            for routine, bulk_min_n in runs:
+                monkeypatch.setattr(coverage, "BULK_MIN_N", bulk_min_n)
                 seen.clear()
                 routine(instance)
                 assert seen and set(seen) <= coordinates(instance), (n, routine.__name__)

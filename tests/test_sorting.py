@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from coverpierce import sorting
 from coverpierce.core import QueryCounter, _int_array
+from coverpierce.coverage import BULK_MIN_N
 from coverpierce.sorting import (
-    BULK_MIN_N,
     _merge_sort_bulk,
     _merge_sort_scalar,
     merge_sort_counted,
@@ -121,6 +121,20 @@ def test_bulk_matches_scalar_merge_on_edge_lists():
                      [i % 3 for i in range(n)], [10**30 - i % 2 for i in range(n)],
                      [-(2**63) + i % 4 for i in range(n)]):
             assert sort_and_tally(_merge_sort_bulk, column(keys)) == sort_and_tally(_merge_sort_scalar, keys)
+
+
+def test_bulk_order_is_numpys_stable_argsort():
+    # the bulk sort reorders ties by index after numpy's default argsort
+    sizes = sorted({1, 2} | {(1 << k) + d for k in range(1, 11) for d in (-1, 0, 1)})
+    rng = np.random.RandomState(11)
+    for n in sizes:
+        for keys in (np.zeros(n, dtype=np.int64), rng.randint(0, 3, size=n),
+                     rng.randint(-(2**63), 2**63 - 1, size=n, dtype=np.int64),
+                     np.arange(n)[::-1].copy()):
+            for col in (keys, np.array([int(k) + 10**30 for k in keys], dtype=object)):
+                order, tallies = sort_and_tally(_merge_sort_bulk, col)
+                assert order == tuple(np.argsort(keys, kind="stable").tolist())
+                assert (order, tallies) == sort_and_tally(_merge_sort_scalar, col.tolist())
 
 
 def test_crossover_both_sides(monkeypatch):
