@@ -18,6 +18,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 STEPS=(line_count tier1 benchmark_tests demos verify_1000 verify_beyond_budget
        bench_trial_cap solve_2_18 generate_n_cap solve_n_cap solve_oom_exits_2
        solve_shifted solve_shifted_chain solve_fractional_domain solve_decimal_chain solve_int64_top
+       solve_int64_wide
        staircase_2_21 staircase_self_check bound_10_6 bound_4177653 bench_huge_trials
        bulk_merge_cli stdout_exits_3)
 
@@ -159,6 +160,20 @@ for arm in [doc["xdomain"], *(cr["h"] for cr in doc["crosses"])]:
     arm[:] = [v + dx for v in arm]
 json.dump(doc, open(sys.argv[2], "w"))' "$RUNNER_TEMP/rp65536.json" "$RUNNER_TEMP/rp65536-xtop.json"
     s=0; out=$(timeout 60 coverpierce solve --in "$RUNNER_TEMP/rp65536-xtop.json") || s=$?
+    test "$s" -eq 1
+    printf '%s\n' "$out" | grep -q '"queries":2613288'
+}
+
+solve_int64_wide() {  # Solve random-piercing at N=2^16 with the x axis spread over 2^62 within 60 s
+    # v -> v * 2^45 - 2^62 keeps the order and int64, and (max - min + 1) * N passes
+    # 2^63, so the x sorts take the argsort and tie reorder instead of the packed codes
+    python -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for arm in [doc["xdomain"], *(cr["h"] for cr in doc["crosses"])]:
+    arm[:] = [v * 2**45 - 2**62 for v in arm]
+json.dump(doc, open(sys.argv[2], "w"))' "$RUNNER_TEMP/rp65536.json" "$RUNNER_TEMP/rp65536-xwide.json"
+    s=0; out=$(timeout 60 coverpierce solve --in "$RUNNER_TEMP/rp65536-xwide.json") || s=$?
     test "$s" -eq 1
     printf '%s\n' "$out" | grep -q '"queries":2613288'
 }

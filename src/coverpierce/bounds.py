@@ -10,7 +10,6 @@ individual instances.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -24,9 +23,22 @@ _LN6 = math.log(6)
 _CEIL_MARGIN = 1e-14  # relative to lb_union(n)
 
 
-@functools.lru_cache(maxsize=2)  # lb_union_ceil reuses lb_union's sum, bench one per size
+# The n that _ln_factorial reached last, and sum(ln k * 2^53) over k = 2..n.
+# Each ln k from k = 2 on is at least 0.5, where a float's ulp is at least
+# 2^-53, so each term is an integer and the sum is exact.
+_ln_units = (1, 0)
+
+
 def _ln_factorial(n: int) -> float:
-    return math.fsum(math.log(k) for k in range(2, n + 1))
+    """ln(N!) as ``math.fsum`` of the ``math.log(k)`` gives it, the correctly
+    rounded sum, carried on from the n reached last unless N is below it."""
+    global _ln_units
+    reached, units = _ln_units
+    if n < reached:
+        reached, units = 1, 0
+    units += sum(int(math.log(k) * 2**53) for k in range(reached + 1, n + 1))
+    _ln_units = n, units
+    return units / 2**53
 
 
 def lb_union(n: int) -> float:
@@ -39,8 +51,8 @@ def lb_union(n: int) -> float:
 def lb_union_ceil(n: int) -> int:
     """Exact ceil(log_6(N!)): the least m >= 0 with 6^m >= N!.
 
-    Each ``math.log`` term is within an ulp, ``fsum`` rounds once and the
-    division by ln 6 adds two roundings, so ``lb_union(n)`` is within about
+    Each ``math.log`` term is within an ulp, their sum is rounded once and
+    the division by ln 6 adds two roundings, so ``lb_union(n)`` is within about
     6e-16 of log_6(N!) relative to it.  Only a float within the 16 times
     wider ``_CEIL_MARGIN`` of an integer m, as ``lb_union(3) == 1.0`` is,
     needs the exact big-integer test of 6^m against N!; for N <= 2^22 that

@@ -132,12 +132,12 @@ def cmd_bench(args) -> int:
 
 def cmd_bound(args) -> int:
     n = args.n
+    # lb_piercing sums ln k up to n // 2 first, and lb_union carries that sum on
+    piercing = {"lb_piercing": bounds.lb_piercing(n)} if n >= 2 else {}
     lb = bounds.lb_union(n)
     # lb_equality: the distinctness bound is the same quantity as lb_union
     out = {"n": n, "lb_union": lb, "lb_union_ceil": bounds.lb_union_ceil(n),
-           "lb_equality": lb}
-    if n >= 2:
-        out["lb_piercing"] = bounds.lb_piercing(n)
+           "lb_equality": lb, **piercing}
     print(json.dumps(out, separators=(",", ":")), file=_stdout())
     return EXIT_OK
 

@@ -28,8 +28,8 @@ from .core import (
 from .sorting import _tally, merge_sort_counted
 
 # measured crossover of solve_coverage, bulk sort and sweep against the scalar
-# merge and loop: bulk wins from N = 88 on both chains and random intervals
-BULK_MIN_N = 88
+# merge and loop: bulk wins from N = 80 on both chains and random intervals
+BULK_MIN_N = 80
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,9 @@ from .sorting import _tally, merge_sort_counted, merge_unique_counted
 
 
 # measured crossover: below it numpy's fixed cost per call loses to the scalar
-# sorts, aggregates and sweep (measured at the leave-one-out depth, where
-# shuffled staircases broke even near N=108)
+# sorts, aggregates and sweep.  A verdict breaks even near N=80, the
+# leave-one-out depth on shuffled staircases only near N=112, which one
+# constant for both depths keeps
 BULK_MIN_N = 112
 
 
@@ -103,7 +104,10 @@ def _running_best(tops, entry, holder, better: str, counter: QueryCounter, made=
     if handed is not None:
         record |= handed
     # each step's holder is the entry at the last step where the best changed hands
-    value_at[:] = holder[np.maximum.accumulate(np.arange(len(entry)) * record)]
+    at = np.flatnonzero(record)
+    kept = np.empty_like(at)  # the steps each holder keeps the best for
+    kept[:-1], kept[-1] = at[1:] - at[:-1], len(entry) - at[-1]
+    value_at[:] = np.repeat(holder[at], kept)
     return record
 
 
@@ -354,11 +358,13 @@ def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter, leave_one_o
     """
     a_ends, b_ends, lo_a, lo_b, hi_a, hi_b = envelopes
     n = len(a_ends)
-    inside = a_ends[(a_ends > a0) & (a_ends <= b0)]
-    distinct = np.ones(len(inside), dtype=bool)
-    distinct[1:] = inside[1:] != inside[:-1]
-    xs = np.concatenate(([a0], inside[distinct]))
-    pa = np.searchsorted(a_ends, xs, side="right")
+    start, stop = a_ends.searchsorted(a0, "right"), a_ends.searchsorted(b0, "right")
+    # past each distinct a in (a0, b0], the a pointer rests after its last occurrence
+    inside = a_ends[start:stop]
+    last = np.ones(len(inside), dtype=bool)
+    last[:-1] = inside[1:] != inside[:-1]
+    pa = np.concatenate(([start], start + 1 + np.flatnonzero(last)))
+    xs = np.concatenate(([a0], inside[last]))
     pb = np.searchsorted(b_ends, xs, side="left")
     hi = np.maximum(hi_a[pa, 0, 0], hi_b[pb, 0, 0])
     lo = np.minimum(lo_a[pa, 0, 0], lo_b[pb, 0, 0])
@@ -367,8 +373,9 @@ def _sweep_bulk(envelopes: Envelopes, a0, b0, counter: QueryCounter, leave_one_o
     pierceable = bool(feasible[found])
     steps = found + 1 if pierceable else len(xs)
     xs, pa, pb, hi, lo = xs[:steps], pa[:steps], pb[:steps], hi[:steps], lo[:steps]
-    passed = a_ends[:pa[-1]]
-    _tally(counter, passed, xs[np.searchsorted(xs, passed)])
+    # an a passed at or below a0 is compared with a0, any later one with itself
+    _tally(counter, a_ends[:start], a0)
+    counter.eq += int(pa[-1] - start)
     counter.gt += int(np.count_nonzero(pa < n))
     counter.lt += int(pb[-1])
     _tally(counter, b_ends[pb[pb < n]], xs[pb < n])

@@ -6,12 +6,13 @@ For N = 2^n inputs it performs at most n*N comparisons.  The tallies are
 exactly those of the bottom-up merge.  Keys in a list or tuple take the scalar
 merge, which makes each comparison in turn; it is the reference.  Keys in a
 numpy column, int64 or Python ints in an object array, are sorted in bulk:
-numpy's default argsort with ties put back in index order gives the same
-order, and the same ``lt``, ``eq`` and ``gt`` are computed per merge level
-with numpy.  Each caller picks the form by N at its own measured crossover:
-``solve_coverage`` passes a column from ``coverage.BULK_MIN_N`` keys on,
-``build_envelopes`` from ``piercing.BULK_MIN_N`` on.  ``_tally`` counts the
-comparisons of the bulk sweeps of both solvers, a column at a time.
+one ``np.sort`` of packed (key, index) codes for an int64 column of a narrow
+enough span, else numpy's default argsort with ties put back in index order,
+gives the same order, and the same ``lt``, ``eq`` and ``gt`` are computed per
+merge level with numpy.  Each caller picks the form by N at its own measured
+crossover: ``solve_coverage`` passes a column from ``coverage.BULK_MIN_N``
+keys on, ``build_envelopes`` from ``piercing.BULK_MIN_N`` on.  ``_tally``
+counts the comparisons of the bulk sweeps of both solvers, a column at a time.
 """
 
 from __future__ import annotations
@@ -71,15 +72,25 @@ def _merge_sort_bulk(keys: np.ndarray, counter: QueryCounter) -> np.ndarray:
     """The scalar merge's order and tallies, computed level by level from the
     stable order of ``keys`` and the dense rank of each sorted key.
 
-    numpy's default argsort, vectorised for int64, orders the keys but not
-    their ties; sorting the codes rank * n + index, each below n^2, then puts
-    equal keys in index order, for int64 and object keys alike."""
+    An int64 column with (max - min + 1) * n below 2^63 is sorted as the
+    distinct packed codes (key - min) * n + index, so one ``np.sort`` puts
+    equal keys in index order too: the order is each code mod n and the key
+    its quotient.  A wider int64 column or one of Python ints takes numpy's
+    default argsort, which orders the keys but not their ties; sorting the
+    codes rank * n + index, each below n^2, then puts equal keys in index
+    order."""
     n = len(keys)
-    order = np.argsort(keys)
-    ordered = keys[order]
+    low = int(keys.min()) if n and keys.dtype == np.int64 else None
+    packed = low is not None and (int(keys.max()) - low + 1) * n < 1 << 63
+    if packed:  # keys - low lies in [0, 2^63), exact in int64
+        ordered, order = np.divmod(np.sort((keys - low) * n + np.arange(n)), n)
+    else:
+        order = np.argsort(keys)
+        ordered = keys[order]
     ranks = np.zeros(n, dtype=np.int64)
     np.cumsum(ordered[1:] != ordered[:-1], out=ranks[1:])
-    order = order[np.argsort(ranks * n + order)]
+    if not packed:
+        order = order[np.argsort(ranks * n + order)]
     _count_merges(order, ranks, counter)
     return order
 
@@ -107,10 +118,10 @@ def _count_merges(order, ranks, counter: QueryCounter) -> None:
     width = 1
     while width < n:
         runs = tested.reshape(-1, 2, width)
-        maxima = maxima.reshape(-1, 2)
-        gt += int(np.count_nonzero(runs[:, 1] < maxima[:, :1]))
-        at_most += int(np.count_nonzero(runs[:, 0] <= maxima[:, 1:]))
-        maxima = maxima.max(axis=1)
+        left, right = maxima[0::2], maxima[1::2]
+        gt += int(np.count_nonzero(runs[:, 1] < left[:, None]))
+        at_most += int(np.count_nonzero(runs[:, 0] <= right[:, None]))
+        maxima = np.maximum(left, right)
         width *= 2
     tie = np.flatnonzero(ranks[1:] == ranks[:-1])
     i, j = order[tie], order[tie + 1]

@@ -104,15 +104,41 @@ def test_lb_equality_is_union_alias(capsys):
 
 
 def test_bound_sums_each_log_factorial_once(monkeypatch, capsys):
-    # lb_union_ceil reuses lb_union's sum of logarithms; lb_piercing sums its own half
+    # lb_piercing sums ln 2..ln 500, lb_union carries the sum on to ln 1000 and
+    # lb_union_ceil reuses it; lb_piercing's own math.log(2) is the one extra
     from coverpierce.cli import EXIT_OK, main
 
-    sums, fsum = [], math.fsum
-    monkeypatch.setattr(math, "fsum", lambda terms: sums.append(1) or fsum(terms))
-    bounds._ln_factorial.cache_clear()
+    logs, log = [], math.log
+    monkeypatch.setattr(math, "log", lambda k: logs.append(k) or log(k))
+    monkeypatch.setattr(bounds, "_ln_units", (1, 0))
     assert main(["bound", "--n", "1000"]) == EXIT_OK
-    assert len(sums) == 2
+    assert sorted(logs) == [2, *range(2, 1001)]
+    monkeypatch.undo()
     assert json.loads(capsys.readouterr().out)["lb_union"] == lb_union(1000)
+
+
+def test_ln_factorial_is_fsum_bit_for_bit(monkeypatch):
+    # the reference keeps Shewchuk's nonoverlapping partials of ln 2 + ... + ln n,
+    # whose exact sum is that of the terms, so math.fsum of them is math.fsum
+    # of the terms; the sum is carried on from n - 1 and restarted below it
+    monkeypatch.setattr(bounds, "_ln_units", (1, 0))
+    assert bounds._ln_factorial(0) == bounds._ln_factorial(1) == 0.0
+    partials = []
+    for n in range(2, 10**5 + 1):
+        x, kept = math.log(n), 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            total = x + y
+            error = y - (total - x)
+            if error:
+                partials[kept] = error
+                kept += 1
+            x = total
+        partials[kept:] = [x]
+        assert bounds._ln_factorial(n) == math.fsum(partials), n
+    for n in (99_999, 3, 2**20, 4_177_653, 2**22):
+        assert bounds._ln_factorial(n) == math.fsum(map(math.log, range(2, n + 1))), n
 
 
 class TestRunBench:

@@ -655,6 +655,27 @@ class TestBulkPath:
             assert all(type(v) is int for v in (*(verdict.witness or ()), *report.blocking))
             json.dumps(verdict.to_dict())
 
+    @pytest.mark.parametrize("a_of", [
+        lambda rng: rng.choice([-3, -1, 0, 0]) if rng.random() < 0.5 else rng.randint(1, 10),
+        lambda rng: rng.randint(11, 14) if rng.random() < 0.5 else rng.randint(0, 10),
+        lambda rng: rng.choice([0, 10]) if rng.random() < 0.7 else rng.randint(1, 9),
+        lambda rng: 4, lambda rng: 0, lambda rng: 10, lambda rng: -2, lambda rng: 12,
+    ], ids=["at-or-below-a0", "beyond-b0", "repeated-at-a0-and-b0",
+            *(f"all-{a}" for a in (4, "a0", "b0", -2, 12))])
+    def test_sweep_pointers(self, a_of):
+        # the a pointer rests after the last of each distinct a in (a0, b0]; the
+        # a values passed at or below a0 are compared with a0, the later ones with
+        # themselves; both domains are [0, 10]
+        for seed in range(24):
+            rng = random.Random(seed)
+            crosses = []
+            for _ in range(rng.choice([1, 2, 5, 40, 130])):
+                a, c = a_of(rng), rng.randint(0, 10)
+                crosses.append(((a, a + rng.randint(0, 3)), (c, c + rng.randint(0, 2))))
+            instance = inst((0, 10), (0, 10), crosses)
+            for routine in (solve_piercing, minimality):
+                assert counted(routine, instance, 0) == counted(routine, instance, SCALAR), seed
+
 
 def minimality_solve(instance):
     """The verdict of the one solve ``check_minimality(instance)`` makes, and

@@ -124,17 +124,33 @@ def test_bulk_matches_scalar_merge_on_edge_lists():
 
 
 def test_bulk_order_is_numpys_stable_argsort():
-    # the bulk sort reorders ties by index after numpy's default argsort
+    # an int64 column of a narrow span is sorted as packed codes, any other
+    # after numpy's default argsort with its ties reordered by index
     sizes = sorted({1, 2} | {(1 << k) + d for k in range(1, 11) for d in (-1, 0, 1)})
     rng = np.random.RandomState(11)
-    for n in sizes:
-        for keys in (np.zeros(n, dtype=np.int64), rng.randint(0, 3, size=n),
-                     rng.randint(-(2**63), 2**63 - 1, size=n, dtype=np.int64),
-                     np.arange(n)[::-1].copy()):
-            for col in (keys, np.array([int(k) + 10**30 for k in keys], dtype=object)):
-                order, tallies = sort_and_tally(_merge_sort_bulk, col)
-                assert order == tuple(np.argsort(keys, kind="stable").tolist())
-                assert (order, tallies) == sort_and_tally(_merge_sort_scalar, col.tolist())
+    columns = [keys for n in sizes
+               for keys in (np.zeros(n, dtype=np.int64), rng.randint(0, 3, size=n),
+                            rng.randint(-(2**63), 2**63 - 1, size=n, dtype=np.int64),
+                            np.arange(n)[::-1].copy())]
+
+    def spanning(span, n):  # n keys from 0 to span - 1 last, ties among them
+        inner = rng.randint(0, span, size=n - 2, dtype=np.int64)
+        return np.concatenate(([0], inner[:n // 2], inner[:n - 2 - n // 2], [span - 1]))
+
+    # (max - min + 1) * n at 2^63 - 1 = 7 * 1317624576693539401 (packed), at 2^63
+    # and 2^63 + 6, where (max - min) * n + n - 1 passes the largest int64
+    # (argsort), from 0 and from the least int64, whose keys are all negative
+    ends = [-(2**63), 2**63 - 1]
+    for keys in (spanning((2**63 - 1) // 7, 7), spanning((2**63 - 1) // 7 + 1, 7),
+                 spanning(2**63 // 8, 8), spanning(2**63 // 1024, 1024)):
+        columns += [keys, keys + ends[0]]
+    columns += [np.array(ends * 3 + [0, -1, 1], dtype=np.int64), np.array([-5]),
+                np.array([-3] * 5), np.array(ends[:1] * 4), np.array(ends[1:] * 9)]
+    for keys in columns:
+        for col in (keys, np.array([int(k) + 10**30 for k in keys], dtype=object)):
+            order, tallies = sort_and_tally(_merge_sort_bulk, col)
+            assert order == tuple(np.argsort(keys, kind="stable").tolist())
+            assert (order, tallies) == sort_and_tally(_merge_sort_scalar, col.tolist())
 
 
 def test_crossover_both_sides(monkeypatch):
