@@ -18,7 +18,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 STEPS=(line_count tier1 benchmark_tests demos verify_1000 verify_beyond_budget
        bench_trial_cap solve_2_18 generate_n_cap solve_n_cap solve_oom_exits_2
        solve_shifted solve_shifted_chain solve_fractional_domain solve_decimal_chain solve_int64_top
-       solve_int64_wide
+       solve_int64_wide solve_canonical_wide
        staircase_2_21 staircase_self_check bound_10_6 bound_4177653 bench_huge_trials
        bulk_merge_cli stdout_exits_3)
 
@@ -140,7 +140,7 @@ doc = json.load(open(sys.argv[1]))
 doc["domain"] = [v / 2 for v in doc["domain"]]
 doc["intervals"] = [[lo / 2, hi / 2] for lo, hi in doc["intervals"]]
 text = json.dumps(doc, separators=(",", ":")) + "\n"
-assert core._read_canonical(text) is not None, "the bulk reader declined the rank/2 chain"
+assert core._read_canonical(text.encode()) is not None, "the bulk reader declined the rank/2 chain"
 open(sys.argv[2], "w").write(text)' \
       "$RUNNER_TEMP/ch1048576.json" "$RUNNER_TEMP/ch1048576-half.json"
     s=0; coverpierce solve --in "$RUNNER_TEMP/ch1048576.json" > "$RUNNER_TEMP/want.txt" || s=$?
@@ -174,6 +174,24 @@ for arm in [doc["xdomain"], *(cr["h"] for cr in doc["crosses"])]:
     arm[:] = [v * 2**45 - 2**62 for v in arm]
 json.dump(doc, open(sys.argv[2], "w"))' "$RUNNER_TEMP/rp65536.json" "$RUNNER_TEMP/rp65536-xwide.json"
     s=0; out=$(timeout 60 coverpierce solve --in "$RUNNER_TEMP/rp65536-xwide.json") || s=$?
+    test "$s" -eq 1
+    printf '%s\n' "$out" | grep -q '"queries":2613288'
+}
+
+solve_canonical_wide() {  # Solve random-piercing at N=2^16 with x values of up to 17 digits in the canonical text within 60 s
+    # v -> v * 1234567890123 - 8 * 10^16 keeps the order and int64, its numbers mostly of 16
+    # and 17 digits, of both signs and no run of zeros; written compact, the text is read in
+    # bulk, two or three words of eight digits a number
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -c '
+import json, sys
+from coverpierce import core
+doc = json.load(open(sys.argv[1]))
+for arm in [doc["xdomain"], *(cr["h"] for cr in doc["crosses"])]:
+    arm[:] = [v * 1234567890123 - 8 * 10**16 for v in arm]
+text = json.dumps(doc, separators=(",", ":")) + "\n"
+assert core._read_canonical(text.encode()) is not None, "the bulk reader declined the wide x axis"
+open(sys.argv[2], "w").write(text)' "$RUNNER_TEMP/rp65536.json" "$RUNNER_TEMP/rp65536-xcanonical.json"
+    s=0; out=$(timeout 60 coverpierce solve --in "$RUNNER_TEMP/rp65536-xcanonical.json") || s=$?
     test "$s" -eq 1
     printf '%s\n' "$out" | grep -q '"queries":2613288'
 }

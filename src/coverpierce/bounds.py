@@ -27,6 +27,7 @@ _CEIL_MARGIN = 1e-14  # relative to lb_union(n)
 # Each ln k from k = 2 on is at least 0.5, where a float's ulp is at least
 # 2^-53, so each term is an integer and the sum is exact.
 _ln_units = (1, 0)
+_LN_CHUNK = 1 << 16  # terms summed at a time, one chunk alive at once
 
 
 def _ln_factorial(n: int) -> float:
@@ -36,7 +37,12 @@ def _ln_factorial(n: int) -> float:
     reached, units = _ln_units
     if n < reached:
         reached, units = 1, 0
-    units += sum(int(math.log(k) * 2**53) for k in range(reached + 1, n + 1))
+    for lo in range(reached + 1, n + 1, _LN_CHUNK):
+        ks = range(lo, min(lo + _LN_CHUNK, n + 1))
+        # a term is below 2^63 (ln k < 1024), so the sums of a chunk's high and
+        # low 32-bit halves stay below 2^47 and 2^48: exact in int64
+        terms = (np.fromiter(map(math.log, ks), np.float64, len(ks)) * 2.0**53).astype(np.int64)
+        units += (int((terms >> 32).sum()) << 32) + int((terms & 0xFFFFFFFF).sum())
     _ln_units = n, units
     return units / 2**53
 

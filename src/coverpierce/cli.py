@@ -77,9 +77,9 @@ def cmd_generate(args) -> int:
 
 def _load(path, strict: bool):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:  # the bulk reader takes bytes; others are decoded
             return validate(loads_instance(fh.read()), strict=strict)
-    except ValueError as exc:  # bad UTF-8, or InstanceError for bad JSON and bad instances
+    except ValueError as exc:  # InstanceError for bad UTF-8, bad JSON and bad instances
         raise InstanceError(f"malformed instance {path}: {exc}") from exc
 
 

@@ -414,11 +414,13 @@ def dump_chunks(instance):
     yield "]}\n"
 
 
-# Characters that the reader checks and parses at a time, up to the end of a
-# row: in 64 KiB pieces its temporaries stay below glibc's default 128 KiB
-# mmap threshold, so they come from the heap, not from fresh mappings that
-# fault in every page; in 2^14-row pieces (600 KiB) a 2^16-row load took
-# twice as long with the threshold fixed there.
+# Bytes that the reader checks and parses at a time, up to the end of a row:
+# in 64 KiB pieces its temporaries (a mask of the piece, the positions of its
+# marks, a word per number) stay below glibc's default 128 KiB mmap
+# threshold, so they come from the heap, not from fresh mappings that fault
+# in every page.  With the threshold fixed there, loading the seed-1 2^16
+# random-piercing file in 2^15-, 2^17- and 2^18-byte pieces took 1.07, 1.05
+# and 1.25 times as long (medians of 12 alternating rounds, 2-core x86-64).
 _PIECE_CHARS = 1 << 16
 
 # The canonical text is the one dump_chunks writes: a header, rows joined by
@@ -427,91 +429,131 @@ _PIECE_CHARS = 1 << 16
 # numbers -?(0|[1-9]\d*)(\.\d+)?, of at most 17 digits, which always fit
 # int64, and of at most 15 in a text with a decimal, so that each is the
 # float64 mantissa / 10^(fraction digits) exactly, the value json.loads gives.
-_NUM = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?)"
+_NUM = rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?)"
 _TENS = np.array([float(10**k) for k in range(16)])  # exact: 10^15 < 2^53
 # For each problem: its header, a row with its numbers deleted, the text
 # between two rows, and where the numbers sit among the "[", "," and "]" of
 # a row and the "," after it: number i between marks slots[i] and slots[i] + 1.
 _CANONICAL = (
-    (re.compile(r'\{"problem":"coverage","domain":\[%s,%s\],"intervals":\[' % ((_NUM,) * 2)),
-     b"[,]", "],[", np.array([0, 1])),  # [,],
-    (re.compile(r'\{"problem":"piercing","xdomain":\[%s,%s\],"ydomain":\[%s,%s\],'
-                r'"crosses":\[' % ((_NUM,) * 4)),
-     b'{"h":[,],"v":[,]}', "},{", np.array([0, 1, 4, 5])),  # [,],[,],
+    (re.compile(rb'\{"problem":"coverage","domain":\[%s,%s\],"intervals":\[' % ((_NUM,) * 2)),
+     b"[,]", b"],[", np.array([0, 1])),  # [,],
+    (re.compile(rb'\{"problem":"piercing","xdomain":\[%s,%s\],"ydomain":\[%s,%s\],'
+                rb'"crosses":\[' % ((_NUM,) * 4)),
+     b'{"h":[,],"v":[,]}', b"},{", np.array([0, 1, 4, 5])),  # [,],[,],
 )
 
+# Eight ASCII digits in a little-endian word, the first in the low byte,
+# become their value in three rounds of mask, multiply and shift, which join
+# neighbouring groups of one, two and four digits (Lemire, "Number parsing at
+# a gigabyte per second", Software: Practice and Experience 51(8), 2021).  The
+# first round's mask, 0 here, is the run's own from _DIGITS.  Every operand is
+# a uint64: numpy before 2.0 takes uint64 with int64 to float64.
+_ROUNDS = [(np.uint64(mask), np.uint64(10**d << 8 * d | 1), np.uint64(8 * d))
+           for mask, d in ((0, 1), (0x00FF00FF00FF00FF, 2), (0x0000FFFF0000FFFF, 4))]
+# _DIGITS[d]: the last d bytes of a word, each as the digit 0 to 9 it spells
+_DIGITS = np.array([(1 << 64) - (1 << 64 - 8 * d) & 0x0F0F0F0F0F0F0F0F for d in range(9)],
+                   dtype=np.uint64)
+_POWERS = np.array([10**k for k in range(19)], dtype=np.uint64)
 
-def _piece_values(piece: bytes, row: bytes, slots: np.ndarray):
-    """The numbers of ``piece``, whole rows joined by ",", as int64 mantissas a
-    line per row, the count of fraction digits of each (None when the piece
-    has no "."), and the most digits in any, which the caller bounds; or None
-    unless each row is ``row`` with a plain decimal in each of its ``slots``."""
+
+def _digit_runs(words: np.ndarray, end: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The runs of ``size`` ASCII digits, up to 18 each and one or more in
+    some, that end before the byte indices ``end``, as uint64 values;
+    ``words[i]`` is the little-endian word of the eight bytes before byte i.
+    Each run is read a word at a time from its last eight digits back, the
+    bytes before it masked off."""
+    count = -(-int(size.max()) // 8)  # words in the longest run
+    for w in reversed(range(count)):  # the most significant first
+        word = words[np.maximum(end - 8 * w, 0) if w else end]  # before byte 0 none is kept
+        for mask, factor, shift in _ROUNDS:
+            word &= mask or _DIGITS[np.clip(size - 8 * w, 0, 8) if count > 1 else size]
+            word *= factor
+            word >>= shift
+        values = word if w == count - 1 else values * _POWERS[8] + word
+    return values
+
+
+def _piece_values(data: bytes, start: int, end: int, row: bytes, slots: np.ndarray):
+    """The numbers of ``data[start:end]``, whole rows joined by ",", as int64
+    mantissas a line per row, the count of fraction digits of each (None when
+    the piece has no "."), and the most digits in any, which the caller
+    bounds; or None unless each row is ``row`` with a plain decimal in each of
+    its ``slots``.  The eight bytes before the piece are read and dropped: a
+    piece starts after the header."""
+    piece = data[start:end]
     skeleton = piece.translate(None, b"-.0123456789")
     k, extra = divmod(len(skeleton) + 1, len(row) + 1)
     if extra or not ((row + b",") * k).startswith(skeleton):  # k >= 1: a piece is never empty
         return None
     b = np.frombuffer(piece, dtype=np.uint8)
     marks = np.append(np.flatnonzero((b == 44) | (b == 91) | (b == 93)), len(b)).reshape(k, -1)
-    start, stop = marks[:, slots] + 1, marks[:, slots + 1]
-    negative = b[start] == 45
-    start += negative  # the first digit
-    size = stop - start
+    first, stop = marks[:, slots] + 1, marks[:, slots + 1]
+    negative = b[first] == 45
+    first += negative  # the first digit
+    size = stop - first
     # the slots hold every digit, "-" and "." of the piece: none is elsewhere,
     # and a "-" comes first; 18 characters, 17 digits and a ".", bound the
-    # work of Horner's rule below
+    # digit runs parsed below
     if not ((size.sum() + np.count_nonzero(negative) == len(b) - len(skeleton))
             and np.count_nonzero(b == 45) == np.count_nonzero(negative)
             and ((size >= 1) & (size <= 18)).all()):
         return None
     whole = digits = size  # the digits before the ".", and in all
-    fractions = None
+    point, fractions = stop, None
     if b"." in piece:
         dots = np.flatnonzero(b == 46)
-        at = np.searchsorted(start.ravel(), dots, side="right") - 1  # the number of each "."
+        at = np.searchsorted(first.ravel(), dots, side="right") - 1  # the number of each "."
         point = stop.copy()
-        point.flat[at] = dots
-        whole, digits = point - start, size - (point < stop)
-        fractions = (digits - whole).astype(np.int8)
-        if (np.diff(at) <= 0).any() or (point == stop - 1).any():  # one ".", a digit after it
+        point.ravel()[at] = dots
+        whole, digits = point - first, size - (point < stop)
+        fractions = digits - whole
+        # one "." a number, a digit after it: as many "." as numbers could still be two in one
+        if (np.diff(at) <= 0).any() or (point == stop - 1).any():
             return None
-    if not (whole >= 1).all() or ((b[start] == 48) & (whole > 1)).any():
+    if not (whole >= 1).all() or ((b[first] == 48) & (whole > 1)).any():
         return None
-    values = np.zeros(size.shape, dtype=np.int64)
-    for j in range(int(size.max())):  # Horner's rule, a character of each number at a time
-        digit = b[np.minimum(start + j, stop)] - 48  # uint8: "." and the mark at stop exceed 9
-        values = np.where(digit < 10, values * 10 + digit, values)
-    return np.where(negative, -values, values), fractions, int(digits.max())
+    # words[i]: bytes i - 8 to i of the piece as one little-endian word
+    words = np.ndarray(len(b) + 1, dtype="<u8", buffer=data, offset=start - 8, strides=(1,))
+    values = _digit_runs(words, point, whole)
+    if fractions is not None:  # the mantissa: the whole run, then the fraction run
+        values *= _POWERS[fractions]
+        values += _digit_runs(words, stop, fractions)
+        fractions = fractions.astype(np.int8)
+    values = values.view(np.int64)
+    np.negative(values, out=values, where=negative)
+    return values, fractions, int(digits.max())
 
 
-def _read_canonical(text: str):
-    """The instance in ``text`` if it is canonical, read in bulk, else None.
+def _read_canonical(data: bytes):
+    """The instance in ``data`` if it is canonical, read in bulk, else None.
 
-    A piece of about ``_PIECE_CHARS`` characters at a time is checked against the
-    fixed skeleton, then its numbers are parsed with numpy, after "Parsing
-    gigabytes of JSON per second" (Langdale and Lemire, VLDB J. 28(6), 2019).
-    An axis with a decimal among its numbers, its domain's ends included,
-    becomes what the JSON path makes of it: its values when all are
-    integral, else their dense ranks.  The instance is built by the
-    constructors that the JSON path uses, so it raises as that path does."""
-    if not text.isascii() or not text.endswith("]}\n"):
+    A piece of about ``_PIECE_CHARS`` bytes at a time is checked against the
+    fixed skeleton, then its numbers are parsed with numpy, eight digits at
+    a time, after "Parsing gigabytes of JSON per second" (Langdale and
+    Lemire, VLDB J. 28(6), 2019).  An axis with a decimal among its numbers,
+    its domain's ends included, becomes what the JSON path makes of it: its
+    values when all are integral, else their dense ranks.  The instance is
+    built by the constructors that the JSON path uses, so it raises as that
+    path does."""
+    if not data.isascii() or not data.endswith(b"]}\n"):
         return None
     for header, row, between, slots in _CANONICAL:
-        head = header.match(text)
+        head = header.match(data)
         if head:
             break
     else:
         return None
-    start, stop = head.end(), len(text) - 3
+    start, stop = head.end(), len(data) - 3
     pieces = [(np.empty((0, len(slots)), dtype=np.int64), None, 0)]  # no rows when N = 0
     while start < stop:  # a piece ends at the end of a row, before the ","
-        end = text.find(between, start + _PIECE_CHARS, stop) + 1 or stop
-        pieces.append(_piece_values(text[start:end].encode("ascii"), row, slots))
+        end = data.find(between, start + _PIECE_CHARS, stop) + 1 or stop
+        pieces.append(_piece_values(data, start, end, row, slots))
         if pieces[-1] is None:
             return None
         start = end + 1
     ends = head.groups()
-    widest = max(*(len(e.lstrip("-")) - ("." in e) for e in ends), *(p[2] for p in pieces))
-    decimal = any("." in e for e in ends) or any(f is not None for _, f, _ in pieces)
+    widest = max(*(len(e.lstrip(b"-")) - (b"." in e) for e in ends), *(p[2] for p in pieces))
+    decimal = any(b"." in e for e in ends) or any(f is not None for _, f, _ in pieces)
     if widest > (15 if decimal else 17):
         return None
     arms = [np.concatenate([values[:, i:i + 2] for values, _, _ in pieces])
@@ -524,7 +566,7 @@ def _read_canonical(text: str):
     domains = []
     for a in range(len(arms)):
         domain = ends[2 * a:2 * a + 2]
-        if "." in domain[0] + domain[1] or decimal and fractions[a].any():
+        if b"." in domain[0] + domain[1] or decimal and fractions[a].any():
             flat = np.empty(2 + arms[a].size)
             flat[:2] = list(map(float, domain))
             flat[2:] = arms[a].ravel()
@@ -540,16 +582,21 @@ def _read_canonical(text: str):
     return PiercingInstance(*domains, h=arms[0], v=arms[1], _own=True)
 
 
-def loads_instance(text: str):
-    """The instance in the JSON ``text``: read in bulk when it is canonical,
-    else decoded by ``json.loads``.  Raises :class:`InstanceError` for any
+def loads_instance(text: str | bytes):
+    """The instance in the JSON ``text``, a str or its UTF-8 bytes: read in
+    bulk when it is canonical, else decoded by ``json.loads``.  Bytes are
+    decoded as strict UTF-8 only then, their line ends read as a file opened
+    in text mode reads them.  Raises :class:`InstanceError` for any
     malformed text."""
-    instance = _read_canonical(text)
+    data = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
+    instance = _read_canonical(data) if isinstance(data, bytes) else None
     if instance is not None:
         return instance
     try:
+        if isinstance(text, bytes):  # error positions as in the text a text-mode read gave
+            text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep to decode
         raise InstanceError(str(exc)) from exc
     return instance_from_dict(obj)
 

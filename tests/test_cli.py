@@ -32,6 +32,8 @@ HUGE_Y_ONE_CROSS = (b'{"problem":"piercing","xdomain":[0,9],"ydomain":[0,1' + b"
 HUGE_Y_NO_CROSSES = (b'{"problem":"piercing","xdomain":[0,9],"ydomain":[0,1' + b"0" * 400
                      + b'],"crosses":[]}')
 
+CANONICAL_COVERAGE = b'{"problem":"coverage","domain":[0,5],"intervals":[[0,2],[1,5]]}\n'
+
 
 def write_coverage(path, domain, pairs):
     doc = {"problem": "coverage", "domain": list(domain),
@@ -182,6 +184,32 @@ class TestSolve:
                          b'"intervals": [[0, 5]], "note": "\xff"}')
         assert main(["solve", "--in", str(path)]) == EXIT_USAGE
         assert "malformed instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, reason", [
+        # json.loads of the bytes would detect either encoding and read the instance
+        (b"\xef\xbb\xbf" + CANONICAL_COVERAGE, "Unexpected UTF-8 BOM"),
+        (CANONICAL_COVERAGE.decode("ascii").encode("utf-16"),
+         "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["utf-8-bom", "utf-16"])
+    def test_only_utf8_without_a_bom_is_read(self, data, reason, tmp_path, capsys):
+        path = tmp_path / "encoded.json"
+        path.write_bytes(data)
+        assert main(["solve", "--in", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"solve: malformed instance {path}: {reason}")
+
+    def test_line_ends_are_read_as_in_text_mode(self, tmp_path, capsys):
+        # the decoder's error positions count "\r\n" and "\r" as one "\n"
+        path = tmp_path / "crlf.json"
+        path.write_bytes(b'{\r\n"problem": "coverage",\r"domain": [0, 5],\r\n'
+                         b'"intervals": [[0, 5]],\r\n}')
+        assert main(["solve", "--in", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"solve: malformed instance {path}: Expecting property name enclosed in double "
+            "quotes: line 5 column 1 (char 66)\n")
+        path.write_bytes(CANONICAL_COVERAGE[:-1] + b"\r\n")
+        assert main(["solve", "--in", str(path)]) == EXIT_OK
 
     def test_huge_integer_next_to_a_fraction_solves(self, tmp_path, capsys):
         # float(10**400) once raised an uncaught OverflowError while ranking

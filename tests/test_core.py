@@ -373,10 +373,10 @@ class TestColumnarLoader:
 # --- the bulk reader of the canonical text against json.loads ---------------
 
 def read(text):
-    """``core._read_canonical(text)``: an instance, None where it declines, or
-    its error's class and message."""
+    """``core._read_canonical`` of the UTF-8 bytes of ``text``: an instance,
+    None where it declines, or its error's class and message."""
     try:
-        return core._read_canonical(text)
+        return core._read_canonical(text.encode("utf-8"))
     except InstanceError as exc:
         return type(exc), str(exc)
 
@@ -467,6 +467,8 @@ def decimal_texts(draw):
 
 DIGITS_17, DIGITS_18, DIGITS_19 = "9" * 17, "1" + "0" * 17, "9" * 19
 DIGITS_16, DECIMAL_15, DECIMAL_16 = "9" * 16, "99999999999999.9", "999999999999999.9"
+# numbers of 8, 9, 16 and 17 digits: words of eight digits full, or one digit into the next
+WORD_EDGES = ["98765432", "198765432", "9876543210123456", "12345678909876543"]
 
 
 class TestCanonicalReader:
@@ -530,6 +532,18 @@ class TestCanonicalReader:
         ('{"problem":"coverage","domain":[0,5],"intervals":[[0.5,0.25]]}\n', True),
         ('{"problem":"piercing","xdomain":[0,9],"ydomain":[-1.5,9.5],'
          '"crosses":[{"h":[0,1],"v":[0.5,1]},{"h":[7,8],"v":[-1,9.5]}]}\n', True),
+        *(('{"problem":"coverage","domain":[-%s,%s],"intervals":[[-%s,%s],[-1,%s]]}\n'
+            % (digits, digits, digits, digits, digits), True) for digits in WORD_EDGES),
+        ('{"problem":"piercing","xdomain":[-%s,%s],"ydomain":[-%s,%s],'
+         '"crosses":[{"h":[-%s,%s],"v":[%s,%s]}]}\n' % tuple(WORD_EDGES * 2), True),
+        # a "." at a word's edge: eight digits before it or after it
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[-12345678.1234567,'
+         '1234567.12345678],[-1.23456789012345,0.12345678901234]]}\n', True),
+        # a number right after a piece's first byte, a word's first bytes before it
+        ('{"problem":"coverage","domain":[0,9],"intervals":[[9,98765432],[1,2],[3,4]]}\n',
+         True),
+        # as many "." as numbers, but two in one number and none in another
+        ('{"problem":"coverage","domain":[0,5],"intervals":[[0.5,1.5.5],[2,3.5]]}\n', False),
         ('{"problem":"coverage","domain":[0,5],"intervals":[[0,\u0663]]}\n', False),
         # canonical, but a bad instance: the reader raises as the JSON path does
         ('{"problem":"coverage","domain":[5,0],"intervals":[[0,1]]}\n', True),
