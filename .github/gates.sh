@@ -17,8 +17,8 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 STEPS=(line_count tier1 benchmark_tests demos verify_1000 verify_beyond_budget
        bench_trial_cap solve_2_18 generate_n_cap solve_n_cap solve_oom_exits_2
-       solve_shifted solve_shifted_chain solve_fractional_domain solve_decimal_chain solve_int64_top
-       solve_int64_wide solve_canonical_wide
+       solve_n_cap_pierceable solve_shifted solve_shifted_chain solve_fractional_domain
+       solve_decimal_chain solve_int64_top solve_int64_wide solve_canonical_wide
        staircase_2_21 staircase_self_check bound_10_6 bound_4177653 bench_huge_trials
        bulk_merge_cli stdout_exits_3)
 
@@ -103,6 +103,22 @@ solve_oom_exits_2() {  # Solve at the --n cap out of memory exits 2 with one lin
     test ! -s "$RUNNER_TEMP/out.txt"
     test "$(wc -l < "$RUNNER_TEMP/err.txt")" -eq 1
     grep -q "^solve: out of memory: " "$RUNNER_TEMP/err.txt"
+}
+
+solve_n_cap_pierceable() {  # Solve a pierceable instance at the --n cap under a 1 GB address-space cap within 60 s
+    # every h arm of the seed-1 file starts at the x-domain's lo, so x = lo pierces every
+    # cross; solve then checks its point against all 2^22 crosses, in bulk
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -c '
+import sys
+from coverpierce import core
+inst = core.loads_instance(open(sys.argv[1], "rb").read())
+h = inst.h.copy()
+h[:, 0] = inst.xdomain.lo
+core.dump_instance(core.PiercingInstance(inst.xdomain, inst.ydomain, h=h, v=inst.v), sys.argv[2])' \
+      "$RUNNER_TEMP/rp-cap-1.json" "$RUNNER_TEMP/rp-cap-pierceable.json"
+    s=0; out=$(ulimit -v 1000000 && timeout 60 coverpierce solve --in "$RUNNER_TEMP/rp-cap-pierceable.json") || s=$?
+    test "$s" -eq 0
+    printf '%s\n' "$out" | grep -q '"pierceable":true'
 }
 
 solve_shifted() {  # Solve at N=2^16 with every coordinate shifted by 10^30 within 60 s

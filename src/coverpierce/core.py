@@ -3,12 +3,12 @@
 All geometry is done on integer ranks.  An axis with decimal coordinates is
 densely ranked on load, unless all its values are integral, after which every
 decision procedure works with exact integer comparisons routed through a
-:class:`QueryCounter`.  The text that ``dump_chunks`` writes, and the same
-layout with plain decimals, is read in bulk; any other JSON goes through
-``json.loads``.  An instance stores its members as new read-only (N, 2)
-columns of [lo, hi] ends, one per axis: int64 when all its values and domain
-ends fit, else object arrays of Python ints.  The solvers take both down the
-same paths; only N picks scalar or bulk.
+:class:`QueryCounter`.  One table spells the text that ``dump_chunks`` writes
+and the bulk reader takes, plain decimals too; other JSON goes through
+``json.loads``, and both hand one builder a column per axis.  An instance
+stores its members as new read-only (N, 2) columns of [lo, hi] ends: int64
+when all its values and domain ends fit, else object arrays of Python ints.
+The solvers take both down the same paths; only N picks scalar or bulk.
 """
 
 from __future__ import annotations
@@ -255,15 +255,20 @@ class Permutation:
         return cls(tuple(range(1, n + 1)))
 
 
+def _axes(instance) -> tuple:
+    """The problem of ``instance`` and its axes, each as (name, domain, column)."""
+    if isinstance(instance, CoverageInstance):
+        return "coverage", (("", instance.domain, instance.ends),)
+    if isinstance(instance, PiercingInstance):
+        return "piercing", (("x-", instance.xdomain, instance.h),
+                            ("y-", instance.ydomain, instance.v))
+    raise TypeError(f"not an instance: {instance!r}")
+
+
 def validate(instance, strict: bool = False):
     """Check containment invariants; with ``strict`` also forbid zero-length
     domains and members.  The first member at fault, in order, is reported."""
-    if isinstance(instance, CoverageInstance):
-        axes = (("", instance.domain, instance.ends),)
-    elif isinstance(instance, PiercingInstance):
-        axes = (("x-", instance.xdomain, instance.h), ("y-", instance.ydomain, instance.v))
-    else:
-        raise TypeError(f"not an instance: {instance!r}")
+    _, axes = _axes(instance)
     bad = None
     for axis, domain, ends in axes:
         if strict and domain.degenerate:
@@ -355,17 +360,24 @@ def _members(obj, key) -> list:
     return obj[key]
 
 
+def _instance(problem: str, columns: list):
+    """The ``problem``'s instance from one (1 + N, 2) int column per axis, its
+    domain's ends in row 0; an int64 column's rows below are kept, not copied."""
+    domains = [Interval(*column[0].tolist()) for column in columns]
+    if problem == "coverage":
+        return CoverageInstance(*domains, ends=columns[0][1:], _own=True)
+    return PiercingInstance(*domains, h=columns[0][1:], v=columns[1][1:], _own=True)
+
+
 def instance_from_dict(obj) -> CoverageInstance | PiercingInstance:
     try:
         problem = obj["problem"]
         if problem == "coverage":
-            ends = _column([obj["domain"], *_members(obj, "intervals")])
-            return CoverageInstance(Interval(*ends[0].tolist()), ends=ends[1:], _own=True)
+            return _instance(problem, [_column([obj["domain"], *_members(obj, "intervals")])])
         if problem == "piercing":
             xs = _column([obj["xdomain"], *map(operator.itemgetter("h"), _members(obj, "crosses"))])
             ys = _column([obj["ydomain"], *map(operator.itemgetter("v"), obj["crosses"])])
-            return PiercingInstance(Interval(*xs[0].tolist()), Interval(*ys[0].tolist()),
-                                    h=xs[1:], v=ys[1:], _own=True)
+            return _instance(problem, [xs, ys])
         raise InstanceError(f"unknown problem kind {problem!r}")
     except (KeyError, TypeError, IndexError) as exc:
         raise InstanceError(f"malformed instance object: {exc}") from exc
@@ -391,24 +403,25 @@ def instance_to_dict(instance) -> dict:
 
 _CHUNK_ROWS = 1 << 14  # members per piece of JSON text
 
+# The canonical text of each problem: its header, then its rows joined by
+# ",", then "]}\n", every number a %d.  dump_chunks writes it, and the
+# reader's header pattern, row skeleton and row separator are made from it.
+_TEXT = {
+    "coverage": ('{"problem":"coverage","domain":[%d,%d],"intervals":[', "[%d,%d]"),
+    "piercing": ('{"problem":"piercing","xdomain":[%d,%d],"ydomain":[%d,%d],"crosses":[',
+                 '{"h":[%d,%d],"v":[%d,%d]}'),
+}
+
 
 def dump_chunks(instance):
     """The JSON text of ``instance_to_dict(instance)``, compact and ending in a
     newline, in pieces of at most ``_CHUNK_ROWS`` members each, written
     straight from the columns."""
-    if isinstance(instance, CoverageInstance):
-        d = instance.domain
-        yield f'{{"problem":"coverage","domain":[{d.lo},{d.hi}],"intervals":['
-        columns, row = (instance.ends,), "[%d,%d]"
-    elif isinstance(instance, PiercingInstance):
-        x, y = instance.xdomain, instance.ydomain
-        yield (f'{{"problem":"piercing","xdomain":[{x.lo},{x.hi}],'
-               f'"ydomain":[{y.lo},{y.hi}],"crosses":[')
-        columns, row = (instance.h, instance.v), '{"h":[%d,%d],"v":[%d,%d]}'
-    else:
-        raise TypeError(f"not an instance: {instance!r}")
+    problem, axes = _axes(instance)
+    header, row = _TEXT[problem]
+    yield header % tuple(end for _, domain, _ in axes for end in (domain.lo, domain.hi))
     for start in range(0, instance.n, _CHUNK_ROWS):
-        chunk = np.concatenate([c[start:start + _CHUNK_ROWS] for c in columns], axis=1)
+        chunk = np.concatenate([c[start:start + _CHUNK_ROWS] for *_, c in axes], axis=1)
         text = ",".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
         yield "," + text if start else text
     yield "]}\n"
@@ -423,24 +436,20 @@ def dump_chunks(instance):
 # and 1.25 times as long (medians of 12 alternating rounds, 2-core x86-64).
 _PIECE_CHARS = 1 << 16
 
-# The canonical text is the one dump_chunks writes: a header, rows joined by
-# ",", then "]}\n", its numbers in compact JSON form.  The reader also takes
-# plain decimals, as a JSON writer with compact separators puts floats:
-# numbers -?(0|[1-9]\d*)(\.\d+)?, of at most 17 digits, which always fit
-# int64, and of at most 15 in a text with a decimal, so that each is the
+# The reader takes the canonical text with its numbers in compact JSON form,
+# and also with plain decimals, as a JSON writer with compact separators puts
+# floats: numbers -?(0|[1-9]\d*)(\.\d+)?, of at most 17 digits, which always
+# fit int64, and of at most 15 in a text with a decimal, so that each is the
 # float64 mantissa / 10^(fraction digits) exactly, the value json.loads gives.
 _NUM = rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?)"
-_TENS = np.array([float(10**k) for k in range(16)])  # exact: 10^15 < 2^53
-# For each problem: its header, a row with its numbers deleted, the text
-# between two rows, and where the numbers sit among the "[", "," and "]" of
-# a row and the "," after it: number i between marks slots[i] and slots[i] + 1.
-_CANONICAL = (
-    (re.compile(rb'\{"problem":"coverage","domain":\[%s,%s\],"intervals":\[' % ((_NUM,) * 2)),
-     b"[,]", b"],[", np.array([0, 1])),  # [,],
-    (re.compile(rb'\{"problem":"piercing","xdomain":\[%s,%s\],"ydomain":\[%s,%s\],'
-                rb'"crosses":\[' % ((_NUM,) * 4)),
-     b'{"h":[,],"v":[,]}', b"},{", np.array([0, 1, 4, 5])),  # [,],[,],
-)
+# For each problem: its name, its header, a row with its numbers deleted, the
+# text between two rows, and where the numbers sit among the "[", "," and "]"
+# of a row and the "," after it: number i between marks slots[i] and slots[i] + 1.
+_CANONICAL = tuple(
+    (problem, re.compile(re.escape(header.encode()).replace(b"%d", _NUM)),
+     row.replace("%d", "").encode(), (row[-1] + "," + row[0]).encode(),
+     np.cumsum([sum(map(part.count, "[,]")) for part in row.split("%d")[:-1]]) - 1)
+    for problem, (header, row) in _TEXT.items())
 
 # Eight ASCII digits in a little-endian word, the first in the low byte,
 # become their value in three rounds of mask, multiply and shift, which join
@@ -473,13 +482,14 @@ def _digit_runs(words: np.ndarray, end: np.ndarray, size: np.ndarray) -> np.ndar
     return values
 
 
-def _piece_values(data: bytes, start: int, end: int, row: bytes, slots: np.ndarray):
-    """The numbers of ``data[start:end]``, whole rows joined by ",", as int64
-    mantissas a line per row, the count of fraction digits of each (None when
-    the piece has no "."), and the most digits in any, which the caller
-    bounds; or None unless each row is ``row`` with a plain decimal in each of
-    its ``slots``.  The eight bytes before the piece are read and dropped: a
-    piece starts after the header."""
+def _piece_values(data: bytes, start: int, end: int, row: bytes, slots: np.ndarray,
+                  limit: int):
+    """The numbers of ``data[start:end]``, whole rows joined by ",", a line per
+    row: int64 when the piece has no ".", else float64, each its digits over
+    10 to the count of its fraction digits; or None unless each row is ``row``
+    with a plain decimal of at most ``limit`` digits in each of its ``slots``.
+    The eight bytes before the piece are read and dropped: a piece starts
+    after the header."""
     piece = data[start:end]
     skeleton = piece.translate(None, b"-.0123456789")
     k, extra = divmod(len(skeleton) + 1, len(row) + 1)
@@ -492,36 +502,34 @@ def _piece_values(data: bytes, start: int, end: int, row: bytes, slots: np.ndarr
     first += negative  # the first digit
     size = stop - first
     # the slots hold every digit, "-" and "." of the piece: none is elsewhere,
-    # and a "-" comes first; 18 characters, 17 digits and a ".", bound the
-    # digit runs parsed below
-    if not ((size.sum() + np.count_nonzero(negative) == len(b) - len(skeleton))
-            and np.count_nonzero(b == 45) == np.count_nonzero(negative)
-            and ((size >= 1) & (size <= 18)).all()):
+    # and a "-" comes first
+    if not (size.sum() + np.count_nonzero(negative) == len(b) - len(skeleton)
+            and np.count_nonzero(b == 45) == np.count_nonzero(negative)):
         return None
     whole = digits = size  # the digits before the ".", and in all
-    point, fractions = stop, None
-    if b"." in piece:
+    point, decimal = stop, b"." in piece
+    if decimal:
         dots = np.flatnonzero(b == 46)
         at = np.searchsorted(first.ravel(), dots, side="right") - 1  # the number of each "."
         point = stop.copy()
         point.ravel()[at] = dots
         whole, digits = point - first, size - (point < stop)
-        fractions = digits - whole
         # one "." a number, a digit after it: as many "." as numbers could still be two in one
         if (np.diff(at) <= 0).any() or (point == stop - 1).any():
             return None
-    if not (whole >= 1).all() or ((b[first] == 48) & (whole > 1)).any():
+    if (not (whole >= 1).all() or ((b[first] == 48) & (whole > 1)).any()
+            or digits.max() > limit):  # the limit, at most 17, bounds the runs parsed below
         return None
     # words[i]: bytes i - 8 to i of the piece as one little-endian word
     words = np.ndarray(len(b) + 1, dtype="<u8", buffer=data, offset=start - 8, strides=(1,))
     values = _digit_runs(words, point, whole)
-    if fractions is not None:  # the mantissa: the whole run, then the fraction run
-        values *= _POWERS[fractions]
-        values += _digit_runs(words, stop, fractions)
-        fractions = fractions.astype(np.int8)
+    if decimal:  # the mantissa: the whole run, then the fraction run
+        scale = _POWERS[digits - whole]
+        values *= scale
+        values += _digit_runs(words, stop, digits - whole)
     values = values.view(np.int64)
     np.negative(values, out=values, where=negative)
-    return values, fractions, int(digits.max())
+    return values / scale if decimal else values
 
 
 def _read_canonical(data: bytes):
@@ -530,56 +538,38 @@ def _read_canonical(data: bytes):
     A piece of about ``_PIECE_CHARS`` bytes at a time is checked against the
     fixed skeleton, then its numbers are parsed with numpy, eight digits at
     a time, after "Parsing gigabytes of JSON per second" (Langdale and
-    Lemire, VLDB J. 28(6), 2019).  An axis with a decimal among its numbers,
-    its domain's ends included, becomes what the JSON path makes of it: its
-    values when all are integral, else their dense ranks.  The instance is
-    built by the constructors that the JSON path uses, so it raises as that
-    path does."""
+    Lemire, VLDB J. 28(6), 2019).  Each axis is one column of the header's
+    domain ends, then the pieces' values.  In a text with a "." every axis
+    becomes what the JSON path makes of it: its values when all are
+    integral, else their dense ranks.  The instance is built by the builder
+    that the JSON path uses, so it raises as that path does."""
     if not data.isascii() or not data.endswith(b"]}\n"):
         return None
-    for header, row, between, slots in _CANONICAL:
+    for problem, header, row, between, slots in _CANONICAL:
         head = header.match(data)
         if head:
             break
     else:
         return None
+    decimal, ends = b"." in data, head.groups()
+    limit = 15 if decimal else 17
+    if max(len(e.lstrip(b"-")) - (b"." in e) for e in ends) > limit:
+        return None
+    pieces = [np.array([list(map(float if decimal else int, ends))],  # row 0: the domains
+                       dtype=np.float64 if decimal else np.int64)]
     start, stop = head.end(), len(data) - 3
-    pieces = [(np.empty((0, len(slots)), dtype=np.int64), None, 0)]  # no rows when N = 0
     while start < stop:  # a piece ends at the end of a row, before the ","
         end = data.find(between, start + _PIECE_CHARS, stop) + 1 or stop
-        pieces.append(_piece_values(data, start, end, row, slots))
+        pieces.append(_piece_values(data, start, end, row, slots, limit))
         if pieces[-1] is None:
             return None
         start = end + 1
-    ends = head.groups()
-    widest = max(*(len(e.lstrip(b"-")) - (b"." in e) for e in ends), *(p[2] for p in pieces))
-    decimal = any(b"." in e for e in ends) or any(f is not None for _, f, _ in pieces)
-    if widest > (15 if decimal else 17):
-        return None
-    arms = [np.concatenate([values[:, i:i + 2] for values, _, _ in pieces])
-            for i in range(0, len(slots), 2)]
-    if decimal:
-        fractions = [np.concatenate([np.zeros((len(values), 2), dtype=np.int8) if f is None
-                                     else f[:, i:i + 2] for values, f, _ in pieces])
-                     for i in range(0, len(slots), 2)]
+    columns = [np.concatenate([values[:, i:i + 2] for values in pieces])
+               for i in range(0, len(slots), 2)]
     del pieces  # freed before the ranking below, they do not add to its peak
-    domains = []
-    for a in range(len(arms)):
-        domain = ends[2 * a:2 * a + 2]
-        if b"." in domain[0] + domain[1] or decimal and fractions[a].any():
-            flat = np.empty(2 + arms[a].size)
-            flat[:2] = list(map(float, domain))
-            flat[2:] = arms[a].ravel()
-            arms[a] = None
-            rest, digits = flat[2:], fractions[a].ravel()
-            for d in range(1, int(digits.max(initial=0)) + 1):  # one power of ten at a time, in place
-                np.divide(rest, _TENS[d], out=rest, where=digits == d)
-            flat = _integral_or_ranks(flat)
-            domain, arms[a] = flat[:2].tolist(), flat[2:].reshape(-1, 2)
-        domains.append(Interval(*map(int, domain)))
-    if len(arms) == 1:
-        return CoverageInstance(*domains, ends=arms[0], _own=True)
-    return PiercingInstance(*domains, h=arms[0], v=arms[1], _own=True)
+    for a in range(len(columns)) if decimal else ():
+        columns[a] = _integral_or_ranks(columns[a].ravel()).reshape(-1, 2)
+    return _instance(problem, columns)
 
 
 def loads_instance(text: str | bytes):

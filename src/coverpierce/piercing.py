@@ -185,9 +185,10 @@ class PiercingVerdict:
         if not self.pierceable:
             return self.witness is None
         x, y = self.witness
-        return (instance.xdomain.contains(x) and instance.ydomain.contains(y)
-                and all(a <= x <= b or c <= y <= d
-                        for (a, b), (c, d) in zip(instance.h.tolist(), instance.v.tolist())))
+        h, v = instance.h, instance.v
+        # in the domains first: an int64 column's domain fits int64, so then the point does
+        return bool(instance.xdomain.contains(x) and instance.ydomain.contains(y)
+                    and np.all((h[:, 0] <= x) & (h[:, 1] >= x) | (v[:, 0] <= y) & (v[:, 1] >= y)))
 
 
 # The most (cross, grid x) cells the grid oracle takes: `verify` peaked at 434 MiB

@@ -466,7 +466,8 @@ def decimal_texts(draw):
 
 
 DIGITS_17, DIGITS_18, DIGITS_19 = "9" * 17, "1" + "0" * 17, "9" * 19
-DIGITS_16, DECIMAL_15, DECIMAL_16 = "9" * 16, "99999999999999.9", "999999999999999.9"
+DIGITS_15, DIGITS_16 = "9" * 15, "9" * 16
+DECIMAL_15, DECIMAL_16 = "99999999999999.9", "999999999999999.9"
 # numbers of 8, 9, 16 and 17 digits: words of eight digits full, or one digit into the next
 WORD_EDGES = ["98765432", "198765432", "9876543210123456", "12345678909876543"]
 
@@ -545,6 +546,21 @@ class TestCanonicalReader:
         # as many "." as numbers, but two in one number and none in another
         ('{"problem":"coverage","domain":[0,5],"intervals":[[0.5,1.5.5],[2,3.5]]}\n', False),
         ('{"problem":"coverage","domain":[0,5],"intervals":[[0,\u0663]]}\n', False),
+        # a "." only in the y-domain's end: x's 15-digit ints are read and keep their values
+        ('{"problem":"piercing","xdomain":[-%s,%s],"ydomain":[0,9.5],'
+         '"crosses":[{"h":[-%s,%s],"v":[1,2]},{"h":[0,1],"v":[3,9]}]}\n' % ((DIGITS_15,) * 4),
+         True),
+        # a "." only in a domain's end bounds the other axis's ints at 15 digits too
+        ('{"problem":"piercing","xdomain":[0,%s],"ydomain":[0,0.5],'
+         '"crosses":[{"h":[0,1],"v":[0,0]}]}\n' % DIGITS_16, False),
+        # whole rows of ints, then a decimal: at 20 characters the first piece has no "."
+        ('{"problem":"coverage","domain":[0,9],"intervals":[[0,1],[2,3],[4,5],[6,7],[8,8.5]]}\n',
+         True),
+        ('{"problem":"coverage","domain":[0.5,2.5],"intervals":[]}\n', True),
+        ('{"problem":"piercing","xdomain":[0,1.5],"ydomain":[-2.5,3],"crosses":[]}\n', True),
+        ('{"problem":"coverage","domain":[-0.0,0.5],"intervals":[[0,0.5]]}\n', True),
+        ('{"problem":"piercing","xdomain":[-0.0,1],"ydomain":[0,-0.0],'
+         '"crosses":[{"h":[0,1],"v":[0,0]}]}\n', True),
         # canonical, but a bad instance: the reader raises as the JSON path does
         ('{"problem":"coverage","domain":[5,0],"intervals":[[0,1]]}\n', True),
         ('{"problem":"coverage","domain":[0,5],"intervals":[[0,1],[4,3]]}\n', True),
@@ -570,6 +586,10 @@ class TestCanonicalReader:
             text = "".join(dump_chunks(inst))
             assert read(text) == inst
             assert_reads_as_json_does(text)
+
+    def test_row_skeletons_come_from_the_writers_rows(self):
+        assert [(row, between, slots.tolist()) for *_, row, between, slots in core._CANONICAL] == [
+            (b"[,]", b"],[", [0, 1]), (b'{"h":[,],"v":[,]}', b"},{", [0, 1, 4, 5])]
 
     def test_every_family_is_read_without_json(self, monkeypatch):
         monkeypatch.setattr(core, "_PIECE_CHARS", 100)

@@ -325,6 +325,42 @@ class TestSolvePiercing:
         assert sv.pierceable and ov.pierceable
         assert witness_sound(ranked, sv) and witness_sound(ranked, ov)
 
+    @pytest.mark.parametrize("shift", [
+        lambda xs, ys: (0, 0),
+        lambda xs, ys: (-2**63 - min(xs), -2**63 - min(ys)),
+        lambda xs, ys: (2**63 - 1 - max(xs), 2**63 - 1 - max(ys)),
+        lambda xs, ys: (10**30, -10**30),
+    ], ids=["unshifted", "least-2^63", "greatest-2^63-1", "10^30"])
+    def test_witness_sound_matches_a_pure_python_check(self, shift):
+        # the solver's point, each coordinate of it moved off a cross or out of
+        # a domain, and points drawn from every end and its neighbours
+        rng, nprng = random.Random(11), np.random.RandomState(11)
+        instances = [*(gen_random_piercing(n, nprng) for n in (0, 1, 2, 3, 5, 8, 40)),
+                     *map(gen_staircase_minimal, (3, 6)), gen_staircase_literal(8),
+                     *bulk_cases(12)]
+        outcomes = set()
+        for instance in instances:
+            xs = [instance.xdomain.lo, instance.xdomain.hi, *instance.h.ravel().tolist()]
+            ys = [instance.ydomain.lo, instance.ydomain.hi, *instance.v.ravel().tolist()]
+            dx, dy = shift(xs, ys)
+            far = moved(instance, dx, dy)
+            near = solve_piercing(instance)
+            points = [(rng.choice(xs) + dx + rng.choice((-1, 0, 1)),
+                       rng.choice(ys) + dy + rng.choice((-1, 0, 1))) for _ in range(40)]
+            if near.pierceable:
+                x, y = near.witness[0] + dx, near.witness[1] + dy
+                points += [(x, y), (x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1),
+                           (far.xdomain.lo - 1, y), (x, far.ydomain.hi + 1)]
+            assert far.h.dtype == (object if shift(xs, ys)[0] == 10**30 else np.int64)
+            for point in points:
+                verdict = piercing.PiercingVerdict(True, point, 0)
+                assert verdict.witness_sound(far) is witness_sound(far, verdict), point
+                outcomes.add(witness_sound(far, verdict))
+            for verdict in (piercing.PiercingVerdict(False, None, 0),
+                            piercing.PiercingVerdict(False, (dx, dy), 0)):
+                assert verdict.witness_sound(far) is witness_sound(far, verdict)
+        assert outcomes == {True, False}
+
 
 class TestStaircaseMinimal:
     def test_fixed_three_vector(self):
