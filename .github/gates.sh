@@ -5,7 +5,8 @@
 #   bash .github/gates.sh NAME   run one step, as its workflow step does
 #   bash .github/gates.sh all    run every step in workflow order, each in a
 #                                bash of its own, print "PASS NAME" or
-#                                "FAIL NAME" after each, and exit 1 if any failed
+#                                "FAIL NAME" after each with its wall seconds,
+#                                and exit 1 if any failed
 #
 # A step runs under `set -e` without pipefail, as a workflow `run:` with no
 # `shell:` does.  Steps share their files through $RUNNER_TEMP, so a step
@@ -182,7 +183,7 @@ json.dump(doc, open(sys.argv[2], "w"))' "$RUNNER_TEMP/rp65536.json" "$RUNNER_TEM
 
 solve_int64_wide() {  # Solve random-piercing at N=2^16 with the x axis spread over 2^62 within 60 s
     # v -> v * 2^45 - 2^62 keeps the order and int64, and (max - min + 1) * N passes
-    # 2^63, so the x sorts take the argsort and tie reorder instead of the packed codes
+    # 2^63, so the x sorts pack the dense ranks of the keys instead of the keys
     python -c '
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -268,10 +269,11 @@ stdout_exits_3() {  # Every verb exits 3 when stdout cannot be written
 if [ "$1" = all ]; then
     failed=0
     for name in "${STEPS[@]}"; do
+        start=$SECONDS
         if bash .github/gates.sh "$name"; then
-            echo "PASS $name"
+            echo "PASS $name $((SECONDS - start)) s"
         else
-            echo "FAIL $name"
+            echo "FAIL $name $((SECONDS - start)) s"
             failed=1
         fi
     done

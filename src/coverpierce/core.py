@@ -342,7 +342,12 @@ def _integral_or_ranks(values: np.ndarray) -> np.ndarray:
     integral, else their dense ranks."""
     if np.all(values == np.trunc(values)):
         return values.astype(np.int64)
-    # np.unique's inverse, with fewer temporaries alive at once
+    return _dense_ranks(values)
+
+
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """The dense ranks of totally ordered ``values`` as int64: np.unique's
+    inverse, with fewer temporaries alive at once."""
     order = np.argsort(values)
     ordered = values[order]
     ranks = np.zeros(len(values), dtype=np.int64)

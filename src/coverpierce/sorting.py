@@ -6,20 +6,22 @@ For N = 2^n inputs it performs at most n*N comparisons.  The tallies are
 exactly those of the bottom-up merge.  Keys in a list or tuple take the scalar
 merge, which makes each comparison in turn; it is the reference.  Keys in a
 numpy column, int64 or Python ints in an object array, are sorted in bulk:
-one ``np.sort`` of packed (key, index) codes for an int64 column of a narrow
-enough span, else numpy's default argsort with ties put back in index order,
-gives the same order, and the same ``lt``, ``eq`` and ``gt`` are computed per
-merge level with numpy.  Each caller picks the form by N at its own measured
-crossover: ``solve_coverage`` passes a column from ``coverage.BULK_MIN_N``
-keys on, ``build_envelopes`` from ``piercing.BULK_MIN_N`` on.  ``_tally``
-counts the comparisons of the bulk sweeps of both solvers, a column at a time.
+one ``np.sort`` of packed (key, index) codes, taken of the dense ranks of a
+column too wide to pack, gives the same order, and the same ``lt``, ``eq``
+and ``gt`` are read per merge level off the sorted codes.  Each caller picks
+the form by N at its own measured crossover: ``solve_coverage`` passes a
+column from ``coverage.BULK_MIN_N`` keys on, ``build_envelopes`` from
+``piercing.BULK_MIN_N`` on.  ``_tally`` counts the comparisons of the bulk
+sweeps of both solvers, a column at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import QueryCounter
+from .core import QueryCounter, _dense_ranks
+
+_ABOVE = np.iinfo(np.int64).max  # above every packed key
 
 
 def merge_sort_counted(items, counter: QueryCounter):
@@ -69,35 +71,22 @@ def _merge_sort_scalar(keys: list, counter: QueryCounter) -> tuple:
 
 
 def _merge_sort_bulk(keys: np.ndarray, counter: QueryCounter) -> np.ndarray:
-    """The scalar merge's order and tallies, computed level by level from the
-    stable order of ``keys`` and the dense rank of each sorted key.
-
-    An int64 column with (max - min + 1) * n below 2^63 is sorted as the
-    distinct packed codes (key - min) * n + index, so one ``np.sort`` puts
-    equal keys in index order too: the order is each code mod n and the key
-    its quotient.  A wider int64 column or one of Python ints takes numpy's
-    default argsort, which orders the keys but not their ties; sorting the
-    codes rank * n + index, each below n^2, then puts equal keys in index
-    order."""
+    """The scalar merge's order and tallies, from one ``np.sort`` of the
+    distinct packed codes (key - min) * n + index.  A column that does not
+    pack, one not int64 or one where (max - min + 1) * n reaches 2^63, is
+    first replaced by its dense ranks, which keep its order and ties."""
     n = len(keys)
-    low = int(keys.min()) if n and keys.dtype == np.int64 else None
-    packed = low is not None and (int(keys.max()) - low + 1) * n < 1 << 63
-    if packed:  # keys - low lies in [0, 2^63), exact in int64
-        ordered, order = np.divmod(np.sort((keys - low) * n + np.arange(n)), n)
-    else:
-        order = np.argsort(keys)
-        ordered = keys[order]
-    ranks = np.zeros(n, dtype=np.int64)
-    np.cumsum(ordered[1:] != ordered[:-1], out=ranks[1:])
-    if not packed:
-        order = order[np.argsort(ranks * n + order)]
-    _count_merges(order, ranks, counter)
-    return order
+    low = int(keys.min()) if n and keys.dtype == np.int64 else 0
+    if keys.dtype != np.int64 or n and (int(keys.max()) - low + 1) * n >= 1 << 63:
+        keys, low = _dense_ranks(keys), 0
+    # keys - low lies in [0, 2^63), exact in int64
+    return _count_merges(np.sort((keys - low) * n + np.arange(n)), counter)
 
 
-def _count_merges(order, ranks, counter: QueryCounter) -> None:
-    """Add the merges' tallies to ``counter``, from the stable order of n
-    keys and their dense ranks in that order.
+def _count_merges(codes, counter: QueryCounter) -> np.ndarray:
+    """Add the merges' tallies to ``counter`` and return the order, from the
+    sorted packed codes key * n + index of n keys: the order is each code
+    mod n and the key its quotient.
 
     At width w the merge of runs L and R (the keys at index ranges
     [lo, lo+w) and [lo+w, lo+2w)) makes one ``gt`` per key of R below max L
@@ -107,12 +96,13 @@ def _count_merges(order, ranks, counter: QueryCounter) -> None:
     2^e, e the bit length of i ^ j; there each equal key from the start of
     that output run up to i makes one ``eq``.
     """
-    n = len(order)
-    # pad to a power of two: -1 never raises a run's maximum, n never falls below one
+    n = len(codes)
+    ordered, order = np.divmod(codes, n)
+    # pad to a power of two: -1 never raises a run's maximum, _ABOVE never falls below one
     size = 1 << (n - 1).bit_length()
     maxima = np.full(size, -1, dtype=np.int64)
-    maxima[order] = ranks
-    tested = np.full(size, n, dtype=np.int64)
+    maxima[order] = ordered
+    tested = np.full(size, _ABOVE, dtype=np.int64)
     tested[:n] = maxima[:n]
     at_most = gt = 0
     width = 1
@@ -123,16 +113,16 @@ def _count_merges(order, ranks, counter: QueryCounter) -> None:
         at_most += int(np.count_nonzero(runs[:, 0] <= right[:, None]))
         maxima = np.maximum(left, right)
         width *= 2
-    tie = np.flatnonzero(ranks[1:] == ranks[:-1])
+    tie = np.flatnonzero(ordered[1:] == ordered[:-1])
     i, j = order[tie], order[tie + 1]
     # i and j first share a run of width 2^e, e = bit length of i ^ j
     e = np.frexp((i ^ j).astype(np.float64))[1]  # exact below 2^53
-    codes = ranks * n + order  # ascending: the sorted order is by (rank, index)
-    first = np.searchsorted(codes, ranks[tie] * n + ((i >> e) << e))
+    first = np.searchsorted(codes, ordered[tie] * n + ((i >> e) << e))
     eq = int(np.sum(tie + 1 - first))
     counter.lt += at_most - eq
     counter.eq += eq
     counter.gt += gt
+    return order
 
 
 def _tally(counter: QueryCounter, left, right, made=None) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from coverpierce import sorting
-from coverpierce.core import QueryCounter, _int_array
+from coverpierce.core import QueryCounter, _dense_ranks, _int_array
 from coverpierce.coverage import BULK_MIN_N
 from coverpierce.sorting import (
     _merge_sort_bulk,
@@ -123,9 +123,9 @@ def test_bulk_matches_scalar_merge_on_edge_lists():
             assert sort_and_tally(_merge_sort_bulk, column(keys)) == sort_and_tally(_merge_sort_scalar, keys)
 
 
-def test_bulk_order_is_numpys_stable_argsort():
-    # an int64 column of a narrow span is sorted as packed codes, any other
-    # after numpy's default argsort with its ties reordered by index
+def boundary_columns():
+    """Int64 columns for the bulk sort: ties, full-range keys, and spans on
+    both sides of the packing limit."""
     sizes = sorted({1, 2} | {(1 << k) + d for k in range(1, 11) for d in (-1, 0, 1)})
     rng = np.random.RandomState(11)
     columns = [keys for n in sizes
@@ -139,18 +139,59 @@ def test_bulk_order_is_numpys_stable_argsort():
 
     # (max - min + 1) * n at 2^63 - 1 = 7 * 1317624576693539401 (packed), at 2^63
     # and 2^63 + 6, where (max - min) * n + n - 1 passes the largest int64
-    # (argsort), from 0 and from the least int64, whose keys are all negative
+    # (ranked), from 0 and from the least int64, whose keys are all negative
     ends = [-(2**63), 2**63 - 1]
     for keys in (spanning((2**63 - 1) // 7, 7), spanning((2**63 - 1) // 7 + 1, 7),
                  spanning(2**63 // 8, 8), spanning(2**63 // 1024, 1024)):
         columns += [keys, keys + ends[0]]
     columns += [np.array(ends * 3 + [0, -1, 1], dtype=np.int64), np.array([-5]),
                 np.array([-3] * 5), np.array(ends[:1] * 4), np.array(ends[1:] * 9)]
-    for keys in columns:
+    return columns
+
+
+def test_bulk_order_is_numpys_stable_argsort():
+    # an int64 column of a narrow span is sorted as packed codes, any other
+    # as the packed codes of its dense ranks
+    for keys in boundary_columns():
         for col in (keys, np.array([int(k) + 10**30 for k in keys], dtype=object)):
             order, tallies = sort_and_tally(_merge_sort_bulk, col)
             assert order == tuple(np.argsort(keys, kind="stable").tolist())
             assert (order, tallies) == sort_and_tally(_merge_sort_scalar, col.tolist())
+
+
+def test_only_columns_too_wide_to_pack_are_ranked(monkeypatch):
+    ranked = []
+
+    def spy(values):
+        ranked.append(values)
+        return _dense_ranks(values)
+
+    monkeypatch.setattr(sorting, "_dense_ranks", spy)
+    spans = set()
+    for keys in boundary_columns():
+        span = (int(keys.max()) - int(keys.min()) + 1) * len(keys)
+        spans.add(span)
+        _merge_sort_bulk(keys, QueryCounter())
+        assert [r is keys for r in ranked] == ([True] if span >= 2**63 else [])
+        ranked.clear()
+        col = np.array([int(k) + 10**30 for k in keys], dtype=object)
+        _merge_sort_bulk(col, QueryCounter())
+        assert [r is col for r in ranked] == [True]
+        ranked.clear()
+    assert {2**63 - 1, 2**63, 2**63 + 6} <= spans  # the packing limit, and just past it
+
+
+def test_dense_ranks_are_uniques_inverse():
+    rng = np.random.RandomState(3)
+    huge = [int(k) * 10**30 + 1 for k in rng.randint(-3, 3, size=100)]
+    for values in (rng.randint(-5, 5, size=200), rng.randint(-5, 5, size=200) / 4,
+                   np.array(huge, dtype=object),
+                   np.array(["b", "a", "ab", "", "b", "a", "ab"], dtype=object),
+                   np.zeros(0, dtype=np.int64), np.zeros(0), np.array([], dtype=object),
+                   np.full(9, 7), np.full(5, 2.5), np.array([10**30] * 4, dtype=object)):
+        ranks = _dense_ranks(values)
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == np.unique(values, return_inverse=True)[1].tolist()
 
 
 def test_crossover_both_sides(monkeypatch):
