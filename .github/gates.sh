@@ -93,7 +93,8 @@ solve_n_cap() {  # Solve at the --n cap under a 1 GB address-space cap within 60
     coverpierce generate --family random-piercing --n 4194304 --seed 1 --out "$RUNNER_TEMP/rp-cap-1.json"
     s=0; out=$(ulimit -v 1000000 && timeout 60 coverpierce solve --in "$RUNNER_TEMP/rp-cap-1.json") || s=$?
     test "$s" -eq 1
-    printf '%s\n' "$out" | grep -q '"pierceable":false'
+    # the count pins the sort's int32 rank tallies at the largest N the CLI takes
+    printf '%s\n' "$out" | grep -qx '{"pierceable":false,"queries":217622933}'
 }
 
 solve_oom_exits_2() {  # Solve at the --n cap out of memory exits 2 with one line

@@ -515,13 +515,21 @@ def _piece_values(data: bytes, start: int, end: int, row: bytes, slots: np.ndarr
     point, decimal = stop, b"." in piece
     if decimal:
         dots = np.flatnonzero(b == 46)
-        at = np.searchsorted(first.ravel(), dots, side="right") - 1  # the number of each "."
-        point = stop.copy()
-        point.ravel()[at] = dots
+        if len(dots) == first.size:  # as a JSON writer puts a float column
+            # the k-th "." is the k-th number's point if each lies inside its
+            # number, a digit after it (a digit before it: whole >= 1 below),
+            # for the numbers are ordered and disjoint
+            point = dots.reshape(first.shape)
+            if (point >= stop - 1).any():
+                return None
+        else:
+            at = np.searchsorted(first.ravel(), dots, side="right") - 1  # the number of each "."
+            point = stop.copy()
+            point.ravel()[at] = dots
+            # one "." a number, a digit after it
+            if (np.diff(at) <= 0).any() or (point == stop - 1).any():
+                return None
         whole, digits = point - first, size - (point < stop)
-        # one "." a number, a digit after it: as many "." as numbers could still be two in one
-        if (np.diff(at) <= 0).any() or (point == stop - 1).any():
-            return None
     if (not (whole >= 1).all() or ((b[first] == 48) & (whole > 1)).any()
             or digits.max() > limit):  # the limit, at most 17, bounds the runs parsed below
         return None

@@ -94,13 +94,25 @@ def _running_best(tops, entry, holder, better: str, counter: QueryCounter, made=
     seed: row k of ``tops`` gets the best of ``entry[:k+1]`` and its
     ``holder``, the earlier on a tie, with the same tallies, made only where
     ``made`` when it is given.  Returns where the best changed hands: where an
-    entry beats the best before it, or ``handed`` says so."""
-    beats, best = (np.greater, np.maximum) if better == GT else (np.less, np.minimum)
+    entry beats the best before it in a comparison made, or ``handed`` says
+    so.  The tallies read the wins off that record and the losses off one
+    more comparison; the rest are ties."""
+    beats, loses, best = ((np.greater, np.less, np.maximum) if better == GT
+                          else (np.less, np.greater, np.minimum))
     value, value_at = tops.T
     best.accumulate(entry, out=value)
     record = np.ones(len(entry), dtype=bool)
     beats(entry[1:], value[:-1], out=record[1:])
-    _tally(counter, entry[1:], value[:-1], made)
+    losses = loses(entry[1:], value[:-1])
+    tested = len(losses)
+    if made is not None:
+        record[1:] &= made
+        losses &= made
+        tested = int(np.count_nonzero(made))
+    won, lost = int(np.count_nonzero(record)) - 1, int(np.count_nonzero(losses))
+    counter.lt += lost if better == GT else won
+    counter.eq += tested - won - lost
+    counter.gt += won if better == GT else lost
     if handed is not None:
         record |= handed
     # each step's holder is the entry at the last step where the best changed hands

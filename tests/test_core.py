@@ -643,6 +643,61 @@ class TestCanonicalReader:
         monkeypatch.setattr(core, "_PIECE_CHARS", piece_chars)
         assert_reads_as_json_does(text)
 
+    @pytest.mark.parametrize("problem", ["coverage", "piercing"])
+    @pytest.mark.parametrize("piece_chars", [1, 20, 64])
+    def test_pieces_with_a_point_in_every_number(self, problem, piece_chars, monkeypatch):
+        # a piece with as many "." as numbers takes them as its points in
+        # order; a piece that mixes ints and decimals searches for its points
+        monkeypatch.setattr(core, "_PIECE_CHARS", piece_chars)
+        rng = np.random.RandomState(piece_chars)
+
+        def number(point):  # up to 15 digits, "-" on some
+            size = rng.randint(2 if point else 1, 16)
+            whole = rng.randint(1, size) if point else size  # digits before the "."
+            text = str(rng.randint(10 ** (whole - 1) if whole > 1 else 0, 10**whole))
+            if point:
+                text += "." + "".join(map(str, rng.randint(0, 10, size - whole)))
+            return ("-" if rng.rand() < 0.3 else "") + text
+
+        def pair(points):
+            return "[%s,%s]" % tuple(sorted(map(number, points), key=float))
+
+        # rows with a "." in every number, then rows that mix ints and decimals
+        kinds = [(True,) * 4] * 12 + [tuple(rng.rand(4) < 0.5) for _ in range(12)]
+        kinds[-1] = (True, False, True, False)
+        if problem == "coverage":
+            text = ('{"problem":"coverage","domain":%s,"intervals":[%s]}\n'
+                    % (pair((True, False)), ",".join(pair(kind[:2]) for kind in kinds)))
+        else:
+            text = ('{"problem":"piercing","xdomain":%s,"ydomain":%s,"crosses":[%s]}\n'
+                    % (pair((True, False)), pair((False, True)), ",".join(
+                        '{"h":%s,"v":%s}' % (pair(kind[:2]), pair(kind[2:])) for kind in kinds)))
+        pieces = []
+
+        def spy(data, start, end, *args):
+            piece = data[start:end]
+            pieces.append(piece.count(b".") == len(re.findall(rb"[-0-9.]+", piece)))
+            return piece_values(data, start, end, *args)
+
+        piece_values = core._piece_values
+        monkeypatch.setattr(core, "_piece_values", spy)
+        got = read(text)
+        assert got is not None and not isinstance(got, tuple)
+        assert True in pieces and False in pieces
+        assert_reads_as_json_does(text)
+
+    @pytest.mark.parametrize("piece_chars", [1, 1 << 16])
+    @pytest.mark.parametrize("rows", [
+        "[1.,2.5]", "[1.5,2.]", "[-1.,2.5]", "[.5,2.5]", "[1.5,-.5]",  # no digit on one side
+        "[1..5,2]", "[1.5,25.]", "[0.5,1.5.5],[2.5,3.]",  # two in one, none in another
+    ])
+    def test_points_taken_in_order_need_a_digit_on_each_side(self, rows, piece_chars,
+                                                           monkeypatch):
+        monkeypatch.setattr(core, "_PIECE_CHARS", piece_chars)
+        text = '{"problem":"coverage","domain":[0.5,9.5],"intervals":[%s]}\n' % rows
+        assert read(text) is None
+        assert_reads_as_json_does(text)
+
     def test_a_chain_at_half_ranks_is_read_without_json(self, monkeypatch):
         # a chain written as rank/2 by json.dumps, as perfbench writes cover-chain-large
         monkeypatch.setattr(core, "_PIECE_CHARS", 200)

@@ -175,6 +175,26 @@ class TestEnvelopes:
             for v, i in top:
                 assert v == seed if i is None else (i < k and values[i] == v)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=12),
+           st.sampled_from([GT, LT]))
+    def test_bulk_slot_tallies_only_the_comparisons_made(self, steps, better):
+        # each entry is compared with the best before it, and the outcome is
+        # tallied only where ``made`` says that comparison was made
+        entry = np.array([v for v, _ in steps], dtype=np.int64)
+        made = np.array([m for _, m in steps[1:]], dtype=bool)
+        counter, expected = QueryCounter(), QueryCounter()
+        tops = np.empty((len(entry), 2), dtype=np.int64)
+        piercing._running_best(tops, entry, np.arange(len(entry)), better, counter, made)
+        pick = max if better == GT else min
+        best = entry[0]
+        for v, m in zip(entry[1:], made):
+            if m:
+                expected.compare(v, best)
+            best = pick(v, best)
+        assert (counter.lt, counter.eq, counter.gt) == (expected.lt, expected.eq, expected.gt)
+        assert tops[-1, 0] == best
+
 
 class TestEnvelopesLayer:
     """The solves take their sorts and aggregates from ``build_envelopes``,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -125,8 +126,9 @@ def test_bulk_matches_scalar_merge_on_edge_lists():
 
 def boundary_columns():
     """Int64 columns for the bulk sort: ties, full-range keys, and spans on
-    both sides of the packing limit."""
-    sizes = sorted({1, 2} | {(1 << k) + d for k in range(1, 11) for d in (-1, 0, 1)})
+    both sides of the packing limit, at sizes next to each power of two up to
+    2^12, past which the slot-major copy holds more than one block."""
+    sizes = sorted({1, 2} | {(1 << k) + d for k in range(1, 13) for d in (-1, 0, 1)})
     rng = np.random.RandomState(11)
     columns = [keys for n in sizes
                for keys in (np.zeros(n, dtype=np.int64), rng.randint(0, 3, size=n),
@@ -179,6 +181,19 @@ def test_only_columns_too_wide_to_pack_are_ranked(monkeypatch):
         assert [r is col for r in ranked] == [True]
         ranked.clear()
     assert {2**63 - 1, 2**63, 2**63 + 6} <= spans  # the packing limit, and just past it
+
+
+def test_bulk_sort_peak_memory_per_key():
+    # the merges' tallies come from one int32 rank per key, built once the
+    # sorted codes are freed; two padded int64 key buffers took 44 bytes a key
+    keys = np.random.RandomState(18).randint(-(2**40), 2**40, size=1 << 18, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _merge_sort_bulk(keys, QueryCounter())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * len(keys)
 
 
 def test_dense_ranks_are_uniques_inverse():
