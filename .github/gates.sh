@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The CI gates: one function per step of .github/workflows/tests.yml after
-# Install, each holding that step's commands.
+# Install, each holding that step's commands.  The steps, in order, are read
+# from the workflow's `run: bash .github/gates.sh NAME` lines.
 #
 #   bash .github/gates.sh NAME   run one step, as its workflow step does
 #   bash .github/gates.sh all    run every step in workflow order, each in a
@@ -16,12 +17,7 @@
 set -e
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-STEPS=(line_count tier1 benchmark_tests demos verify_1000 verify_beyond_budget
-       bench_trial_cap solve_2_18 generate_n_cap solve_n_cap solve_oom_exits_2
-       solve_n_cap_pierceable solve_shifted solve_shifted_chain solve_fractional_domain
-       solve_decimal_chain solve_int64_top solve_int64_wide solve_canonical_wide
-       staircase_2_21 staircase_self_check bound_10_6 bound_4177653 bench_huge_trials
-       bulk_merge_cli stdout_exits_3)
+mapfile -t STEPS < <(sed -n 's/^ *run: bash \.github\/gates\.sh \([[:alnum:]_]\+\)$/\1/p' .github/workflows/tests.yml)
 
 own=
 trap '[ -z "$own" ] || rm -rf "$own"' EXIT
@@ -80,6 +76,28 @@ solve_2_18() {  # Solve at N=2^18 under a 1 GB address-space cap within 60 s
     s=0; out=$(ulimit -v 1000000 && timeout 60 coverpierce solve --in "$RUNNER_TEMP/rp262144.json") || s=$?
     test "$s" -eq 1
     printf '%s\n' "$out" | grep -q '"pierceable":false'
+}
+
+reference_2_20() {  # Bulk and scalar solves agree at N=2^20 within 120 s
+    # seed-1 random-piercing, staircase and chain, each solved as is and with its module's
+    # BULK_MIN_N past N, on the scalar sorts, aggregates and sweep
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} timeout 120 python -c '
+import time
+from coverpierce import bounds, core, coverage, piercing
+n = 2**20
+for family, module, solve in (("random-piercing", piercing, piercing.solve_piercing),
+                              ("staircase", piercing, piercing.solve_piercing),
+                              ("chain", coverage, coverage.solve_coverage)):
+    instance, runs, bulk_min_n = bounds.generate_instance(family, n, 1), [], module.BULK_MIN_N
+    for limit in (bulk_min_n, n + 1):
+        module.BULK_MIN_N = limit
+        counter, start = core.QueryCounter(), time.perf_counter()
+        verdict = solve(instance, counter)
+        runs.append((verdict, (counter.lt, counter.eq, counter.gt), time.perf_counter() - start))
+    module.BULK_MIN_N = bulk_min_n
+    (bulk, counts, bulk_s), (scalar, scalar_counts, scalar_s) = runs
+    assert (bulk, counts) == (scalar, scalar_counts), (family, runs)
+    print(f"{family}: {bulk.to_dict()} (lt, eq, gt) = {counts}, bulk {bulk_s:.2f} s, scalar {scalar_s:.2f} s")'
 }
 
 generate_n_cap() {  # Generate at the --n cap under a 1 GB address-space cap within 120 s

@@ -181,10 +181,7 @@ def flip_link(chain: CoverageInstance, k: int) -> CoverageInstance:
     """Swap the ranks of link k's start and link k-1's end, breaking the chain.
     The links are taken in order of their starts; a non-chain raises ``ValueError``."""
     N, ends, k = chain.n, chain.ends, as_int(k)
-    at = np.zeros(N, dtype=np.int64)  # interval index of each link
-    # a chain's starts 0, 1, 3, ..., 2N - 3 name its links: start s is link (s + 1) // 2;
-    # whatever lands where, the check below passes only for a chain
-    at[np.clip((ends[:, 0] + 1) // 2, 0, N - 1).astype(np.int64)] = np.arange(N)
+    at = np.argsort(ends[:, 0])  # interval index of each link, if the starts are a chain's
     if (chain.domain.lo, chain.domain.hi) != (0, 2 * N - 1) or not np.array_equal(
             ends[at], _links(N)):
         raise ValueError(f"flip_link needs a chain of {N} links over [0, {2 * N - 1}]")

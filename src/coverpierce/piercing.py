@@ -34,9 +34,11 @@ from .core import (
     as_int,
 )
 from .coverage import gen_random_coverage
-# merge_unique_counted is called nowhere here; perfbench's tracer rebinds this name
-from .sorting import _tally, merge_sort_counted, merge_unique_counted
+from .sorting import _tally, merge_sort_counted
 
+
+# called by nothing; bound only because perfbench's tracer still wraps this name
+merge_unique_counted = None
 
 # measured crossover: below it numpy's fixed cost per call loses to the scalar
 # sorts, aggregates and sweep.  A verdict breaks even near N=80, the

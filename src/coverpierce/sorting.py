@@ -166,23 +166,3 @@ def _tally(counter: QueryCounter, left, right, made=None) -> None:
     counter.lt += lt
     counter.eq += (np.size(left) if made is None else int(np.count_nonzero(made))) - lt - gt
     counter.gt += gt
-
-
-def merge_unique_counted(lists, counter: QueryCounter) -> list:
-    """K-way counted merge of ascending lists, dropping duplicates."""
-    heads = [0] * len(lists)
-    out = []
-    while True:
-        best = None
-        for li, lst in enumerate(lists):
-            if heads[li] >= len(lst):
-                continue
-            cand = lst[heads[li]]
-            if best is None or counter.compare(cand, lists[best][heads[best]]) == "<":
-                best = li
-        if best is None:
-            return out
-        value = lists[best][heads[best]]
-        heads[best] += 1
-        if not out or counter.compare(out[-1], value) == "<":
-            out.append(value)

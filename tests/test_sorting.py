@@ -8,12 +8,7 @@ from hypothesis import given, strategies as st
 from coverpierce import sorting
 from coverpierce.core import QueryCounter, _dense_ranks, _int_array
 from coverpierce.coverage import BULK_MIN_N
-from coverpierce.sorting import (
-    _merge_sort_bulk,
-    _merge_sort_scalar,
-    merge_sort_counted,
-    merge_unique_counted,
-)
+from coverpierce.sorting import _merge_sort_bulk, _merge_sort_scalar, merge_sort_counted
 
 
 def apply_order(items, order):
@@ -229,10 +224,3 @@ def test_crossover_both_sides(monkeypatch):
             assert sort_and_tally(merge_sort_counted, col) == expected
         assert bulk_sizes == [n, n]
         bulk_sizes.clear()
-
-
-def test_merge_unique_counted():
-    c = QueryCounter()
-    merged = merge_unique_counted([[1, 3, 5], [0, 3, 4], [5]], c)
-    assert merged == [0, 1, 3, 4, 5]
-    assert merge_unique_counted([[], []], QueryCounter()) == []
